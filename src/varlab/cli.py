@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -38,6 +39,7 @@ from .gaussian import (
 )
 from .subadditivity import (
     GeneratorSpec,
+    _relation,
     equivalence_trial,
     random_comonotonic,
     random_coupling,
@@ -63,11 +65,11 @@ def _parse_cell(text: str, row: int, col: int) -> Fraction:
 
 
 def _row_is_numeric(row: Sequence[str]) -> bool:
-    for cell in row:
-        try:
+    try:
+        for cell in row:
             Fraction(cell.strip())
-        except (ValueError, ZeroDivisionError):
-            return False
+    except (ValueError, ZeroDivisionError):
+        return False
     return True
 
 
@@ -86,7 +88,9 @@ def ingest_csv(
     header. ``weight_column`` may be a 0-based index or a header name; when
     omitted, a header column named "weight" is used automatically.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte order mark, which would otherwise make
+    # a headerless first row look non-numeric and be taken for a header.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -100,23 +104,19 @@ def ingest_csv(
         raise ValueError(f"{path}: no data rows")
 
     ncols = len(header) if header is not None else len(data[0])
-    widx: int | None = None
-    if weight_column is not None:
-        if isinstance(weight_column, str) and not weight_column.lstrip("-").isdigit():
-            if header is None:
-                raise ValueError("named weight column requires a header row")
-            lowered = [h.lower() for h in header]
-            if weight_column.lower() not in lowered:
-                raise ValueError(f"weight column {weight_column!r} not found in header")
-            widx = lowered.index(weight_column.lower())
-        else:
-            widx = int(weight_column)
-            if not 0 <= widx < ncols:
-                raise ValueError(f"weight column index {widx} out of range")
-    elif header is not None:
-        lowered = [h.lower() for h in header]
-        if "weight" in lowered:
-            widx = lowered.index("weight")
+    lowered = [h.lower() for h in header] if header is not None else []
+    if weight_column is None:
+        widx = lowered.index("weight") if "weight" in lowered else None
+    elif isinstance(weight_column, str) and not weight_column.lstrip("-").isdigit():
+        if header is None:
+            raise ValueError("named weight column requires a header row")
+        if weight_column.lower() not in lowered:
+            raise ValueError(f"weight column {weight_column!r} not found in header")
+        widx = lowered.index(weight_column.lower())
+    else:
+        widx = int(weight_column)
+        if not 0 <= widx < ncols:
+            raise ValueError(f"weight column index {widx} out of range")
 
     loss_cols = [c for c in range(ncols) if c != widx]
     if not loss_cols:
@@ -128,35 +128,22 @@ def ingest_csv(
         if len(row) != ncols:
             raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
         coords = tuple(_parse_cell(row[c], rownum, c + 1) for c in loss_cols)
-        if widx is None:
-            weight = Fraction(1)
-        else:
-            weight = _parse_cell(row[widx], rownum, widx + 1)
-            if weight <= 0:
-                raise ValueError(f"row {rownum}: weight must be positive, got {weight}")
+        weight = 1 if widx is None else _parse_cell(row[widx], rownum, widx + 1)
+        if weight <= 0:
+            raise ValueError(f"row {rownum}: weight must be positive, got {weight}")
         pairs.append((coords, weight))
     return JointDiscreteDistribution.from_weighted_points(pairs)
 
 
 def decimal_cell(value: Fraction) -> str:
     """Exact decimal string for a rational whose denominator is 2^a * 5^b."""
-    den = value.denominator
-    twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    # a, b < bit_length(den), so such a denominator divides 10**places
+    places = value.denominator.bit_length()
+    digits, rest = divmod(abs(value.numerator) * 10**places, value.denominator)
+    if rest:
         raise ValueError(f"{value} has no finite decimal expansion")
-    places = max(twos, fives)
-    digits = abs(value.numerator) * (10**places // den)
-    sign = "-" if value.numerator < 0 else ""
-    if places == 0:
-        return f"{sign}{digits}"
     whole, frac = divmod(digits, 10**places)
+    sign = "-" if value < 0 else ""
     text = f"{frac:0{places}d}".rstrip("0")
     return f"{sign}{whole}.{text}" if text else f"{sign}{whole}"
 
@@ -170,9 +157,9 @@ def dump_csv(j: JointDiscreteDistribution, stream: TextIO) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([f"x{i + 1}" for i in range(j.dimension)] + ["weight"])
-    denom = lcm(*(p.denominator for _, p in j.points))
-    for coords, p in j.points:
-        writer.writerow([decimal_cell(c) for c in coords] + [str(int(p * denom))])
+    # the minimal probability denominator makes the counts the smallest weights
+    for coords, count in zip(j.xs, j.counts):
+        writer.writerow([decimal_cell(Fraction(x, j.coord_denom)) for x in coords] + [count])
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +170,21 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """``_frac_str(Fraction(num, den))`` for a positive ``den``."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
 def _digest(j: JointDiscreteDistribution) -> str:
     h = hashlib.sha256()
-    for coords, p in j.points:
-        h.update(";".join(_frac_str(c) for c in coords).encode())
-        h.update(b"|")
-        h.update(_frac_str(p).encode())
-        h.update(b"\n")
+    for coords, count in zip(j.xs, j.counts):
+        point = ";".join(_ratio_str(x, j.coord_denom) for x in coords)
+        h.update(f"{point}|{_ratio_str(count, j.prob_denom)}\n".encode())
     return h.hexdigest()
 
 
@@ -257,7 +248,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict())
 
 
 def run_report(
@@ -276,13 +267,7 @@ def run_report(
     s = j.sum_distribution()
     if alphas is None:
         rows = [
-            VarRow(
-                alpha=v.alpha_star,
-                marginal_vars=tuple(m._quantile_step(v.alpha_star) for m in ms),
-                var_of_sum=v.var_sum,
-                sum_of_vars=v.sum_of_vars,
-                relation=v.relation,
-            )
+            VarRow(v.alpha_star, v.marginal_vars, v.var_sum, v.sum_of_vars, v.relation)
             for v in report.verdicts
         ]
     else:
@@ -292,12 +277,7 @@ def run_report(
             marginal_vars = tuple(m.quantile(a) for m in ms)
             var_of_sum = s.quantile(a)
             sum_of_vars = sum(marginal_vars)
-            if var_of_sum < sum_of_vars:
-                relation = "<"
-            elif var_of_sum == sum_of_vars:
-                relation = "="
-            else:
-                relation = ">"
+            relation = _relation(var_of_sum, sum_of_vars)
             rows.append(VarRow(a, marginal_vars, var_of_sum, sum_of_vars, relation))
     verdict = is_comonotonic(j)
     return AnalysisReport(
@@ -317,27 +297,33 @@ def run_report(
 
 def _var_table_csv(report: AnalysisReport) -> str:
     """Plot-ready CSV of the VaR table (floats, 12 significant digits)."""
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     ncols = len(report.marginals_summary)
-    writer.writerow(
-        ["alpha"]
-        + [f"var_{i + 1}" for i in range(ncols)]
-        + ["var_of_sum", "sum_of_vars", "relation"]
+    header = ["alpha", *(f"var_{i + 1}" for i in range(ncols))]
+    header += ["var_of_sum", "sum_of_vars", "relation"]
+    return _csv_text(
+        header,
+        (
+            [f"{float(x):.12g}" for x in (r.alpha, *r.marginal_vars, r.var_of_sum, r.sum_of_vars)]
+            + [r.relation]
+            for r in report.var_table
+        ),
     )
-    for r in report.var_table:
-        writer.writerow(
-            [f"{float(r.alpha):.12g}"]
-            + [f"{float(v):.12g}" for v in r.marginal_vars]
-            + [f"{float(r.var_of_sum):.12g}", f"{float(r.sum_of_vars):.12g}", r.relation]
-        )
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
+
+
+def _csv_text(header: list, rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -348,14 +334,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _collect_alphas(args, *, required: bool) -> list[Fraction] | None:
-    alphas: list[Fraction] = []
-    for text in args.alpha or []:
-        alphas.append(Fraction(text))
+    texts = list(args.alpha or [])
     if args.alphas_file:
-        for line in Path(args.alphas_file).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                alphas.append(Fraction(line))
+        lines = Path(args.alphas_file).read_text(encoding="utf-8").splitlines()
+        texts += [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
+    alphas = [Fraction(text) for text in texts]
     if not alphas:
         if required:
             raise ValueError("at least one --alpha (or --alphas-file) is required")
@@ -366,82 +349,44 @@ def _collect_alphas(args, *, required: bool) -> list[Fraction] | None:
     return alphas
 
 
-def _ingest_from_args(args) -> JointDiscreteDistribution:
-    return ingest_csv(
-        args.csv, has_header=args.header, weight_column=args.weight_column
-    )
-
-
 def _add_io_flags(parser: argparse.ArgumentParser, default_format: str = "json") -> None:
-    parser.add_argument(
-        "--output",
-        choices=("json", "csv"),
-        default=default_format,
-        help=f"output format (default: {default_format})",
-    )
+    parser.add_argument("--output", choices=("json", "csv"), default=default_format,
+                        help=f"output format (default: {default_format})")
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
 def _add_alpha_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alpha",
-        action="append",
-        metavar="LEVEL",
-        help="confidence level in (0, 1); decimals and fractions like 39/40 accepted; repeatable",
-    )
-    parser.add_argument(
-        "--alphas-file",
-        metavar="PATH",
-        help="file with one confidence level per line (# comments allowed)",
-    )
+    parser.add_argument("--alpha", action="append", metavar="LEVEL", help="confidence level "
+                        "in (0, 1); decimals and fractions like 39/40 accepted; repeatable")
+    parser.add_argument("--alphas-file", metavar="PATH",
+                        help="file with one confidence level per line (# comments allowed)")
 
 
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--header",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force header row on or off (default: sniff the first row)",
-    )
-    parser.add_argument(
-        "--weight-column",
-        metavar="COL",
-        help="weight column as 0-based index or header name (default: header named 'weight')",
-    )
+    parser.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
+                        help="force header row on or off (default: sniff the first row)")
+    parser.add_argument("--weight-column", metavar="COL", help="weight column as 0-based "
+                        "index or header name (default: header named 'weight')")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_var(args) -> int:
-    j = _ingest_from_args(args)
-    alphas = _collect_alphas(args, required=True)
-    report = run_report(j, alphas)
-    if args.output == "csv":
-        _emit(_var_table_csv(report), args.out)
-    else:
-        payload = {
-            "input_digest": report.input_digest,
-            "var_table": report.to_json_dict()["var_table"],
-            "tool_version": report.tool_version,
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    return EXIT_OK
-
-
 def cmd_report(args) -> int:
-    j = _ingest_from_args(args)
-    alphas = _collect_alphas(args, required=False)
-    report = run_report(j, alphas)
+    """`report`, and `var`: the VaR table alone at required levels."""
+    j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
+    report = run_report(j, _collect_alphas(args, required=args.command == "var"))
     if args.output == "csv":
         _emit(_var_table_csv(report), args.out)
+    elif args.command == "var":
+        payload = report.to_json_dict()
+        keys = ("input_digest", "var_table", "tool_version")
+        _emit(_json_text({k: payload[k] for k in keys}), args.out)
     else:
         _emit(report.to_json(), args.out)
-    if not (
-        report.comonotonic
-        == report.subadditive_everywhere
-        == report.additive_everywhere
+    if args.command == "report" and not (
+        report.comonotonic == report.subadditive_everywhere == report.additive_everywhere
     ):
         print(
             "internal invariant breach: comonotonicity and subadditivity flags disagree",
@@ -458,8 +403,6 @@ def cmd_couple(args) -> int:
         marginals.extend(j.marginals())
     coupled = comonotonic_coupling(marginals)
     if args.output == "csv":
-        import io
-
         buf = io.StringIO()
         dump_csv(coupled, buf)
         _emit(buf.getvalue(), args.out)
@@ -472,7 +415,7 @@ def cmd_couple(args) -> int:
             ],
             "tool_version": __version__,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -480,39 +423,25 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     rows = []
-    failures = 0
     for t in range(args.trials):
         meta = random.Random((args.seed << 32) ^ t)
         n = meta.randint(1, args.max_n)
-        spec = GeneratorSpec(n=n, max_atoms=args.max_atoms)
         gen_seed = meta.getrandbits(48)
-        if args.kind == "mixed":
+        kind = args.kind
+        if kind == "mixed":
             kind = "comonotonic" if meta.random() < 0.5 else "coupling"
-        else:
-            kind = args.kind
-        if kind == "comonotonic":
-            j = random_comonotonic(gen_seed, spec)
-        else:
-            j = random_coupling(gen_seed, spec)
-        verdict = equivalence_trial(j)
-        if not verdict.consistent:
-            failures += 1
-        rows.append((t, kind, n, verdict))
+        make = random_comonotonic if kind == "comonotonic" else random_coupling
+        spec = GeneratorSpec(n=n, max_atoms=args.max_atoms)
+        rows.append((t, kind, n, equivalence_trial(make(gen_seed, spec))))
+    failures = sum(not v.consistent for *_, v in rows)
     if args.output == "csv":
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["trial", "kind", "n", "comonotonic", "subadditive_everywhere",
-             "additive_everywhere", "consistent"]
-        )
-        for t, kind, n, v in rows:
-            writer.writerow(
-                [t, kind, n, v.comonotonic, v.subadditive_everywhere,
-                 v.additive_everywhere, v.consistent]
-            )
-        _emit(buf.getvalue(), args.out)
+        header = ["trial", "kind", "n", "comonotonic", "subadditive_everywhere",
+                  "additive_everywhere", "consistent"]
+        _emit(_csv_text(header, (
+            [t, kind, n, v.comonotonic, v.subadditive_everywhere, v.additive_everywhere,
+             v.consistent]
+            for t, kind, n, v in rows
+        )), args.out)
     else:
         payload = {
             "seed": args.seed,
@@ -522,7 +451,7 @@ def cmd_simulate(args) -> int:
             "all_consistent": failures == 0,
             "tool_version": __version__,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     if failures:
         print(
             f"internal invariant breach: equivalence violated in {failures} trial(s)",
@@ -542,34 +471,21 @@ def cmd_elliptic(args) -> int:
     spec = GaussianSpec(mean=raw["mean"], covariance=raw["covariance"])
     alphas = _collect_alphas(args, required=False)
     levels = [float(a) for a in alphas] if alphas else [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
-    sigmas = spec.sigmas
     table = []
     for level in levels:
         marginal_vars = [
-            gaussian_var(float(mu), float(sg), level)
-            for mu, sg in zip(spec.mean, sigmas)
+            gaussian_var(float(mu), float(sg), level) for mu, sg in zip(spec.mean, spec.sigmas)
         ]
-        portfolio = gaussian_portfolio_var(spec, level)
-        table.append(
-            {
-                "alpha": _round12(level),
-                "marginal_vars": [_round12(v) for v in marginal_vars],
-                "sum_of_marginal_vars": _round12(sum(marginal_vars)),
-                "portfolio_var": _round12(portfolio),
-                "gap": _round12(gaussian_subadditivity_gap(spec, level)),
-            }
-        )
+        table.append({
+            "alpha": _round12(level),
+            "marginal_vars": [_round12(v) for v in marginal_vars],
+            "sum_of_marginal_vars": _round12(sum(marginal_vars)),
+            "portfolio_var": _round12(gaussian_portfolio_var(spec, level)),
+            "gap": _round12(gaussian_subadditivity_gap(spec, level)),
+        })
     if args.output == "csv":
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "portfolio_var", "sum_of_marginal_vars", "gap"])
-        for row in table:
-            writer.writerow(
-                [row["alpha"], row["portfolio_var"], row["sum_of_marginal_vars"], row["gap"]]
-            )
-        _emit(buf.getvalue(), args.out)
+        keys = ["alpha", "portfolio_var", "sum_of_marginal_vars", "gap"]
+        _emit(_csv_text(keys, ([row[k] for k in keys] for row in table)), args.out)
     else:
         payload = {
             "dimension": spec.dimension,
@@ -577,7 +493,7 @@ def cmd_elliptic(args) -> int:
             "var_table": table,
             "tool_version": __version__,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -590,25 +506,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_var = sub.add_parser("var", help="per-column VaR at the given levels")
-    p_var.add_argument("csv", help="CSV of loss samples")
-    _add_csv_flags(p_var)
-    _add_alpha_flags(p_var)
-    _add_io_flags(p_var)
-    p_var.set_defaults(func=cmd_var)
+    for name, text in (
+        ("var", "per-column VaR at the given levels"),
+        ("report", "full subadditivity and comonotonicity analysis"),
+    ):
+        p_table = sub.add_parser(name, help=text)
+        p_table.add_argument("csv", help="CSV of loss samples")
+        _add_csv_flags(p_table)
+        _add_alpha_flags(p_table)
+        _add_io_flags(p_table)
+        p_table.set_defaults(func=cmd_report)
 
-    p_report = sub.add_parser(
-        "report", help="full subadditivity and comonotonicity analysis"
-    )
-    p_report.add_argument("csv", help="CSV of loss samples")
-    _add_csv_flags(p_report)
-    _add_alpha_flags(p_report)
-    _add_io_flags(p_report)
-    p_report.set_defaults(func=cmd_report)
-
-    p_couple = sub.add_parser(
-        "couple", help="comonotonic coupling of the marginals of the input columns"
-    )
+    p_couple = sub.add_parser("couple", help="comonotonic coupling of the input columns' marginals")
     p_couple.add_argument("csv", nargs="+", help="CSV file(s); every column is one marginal")
     _add_csv_flags(p_couple)
     _add_io_flags(p_couple, default_format="csv")
@@ -621,12 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100, help="number of trials (default: 100)")
     p_sim.add_argument("--max-n", type=int, default=4, help="max dimension per trial (default: 4)")
     p_sim.add_argument("--max-atoms", type=int, default=8, help="max atoms per marginal (default: 8)")
-    p_sim.add_argument(
-        "--kind",
-        choices=("comonotonic", "coupling", "mixed"),
-        default="mixed",
-        help="instance generator to use (default: mixed)",
-    )
+    p_sim.add_argument("--kind", choices=("comonotonic", "coupling", "mixed"), default="mixed",
+                       help="instance generator to use (default: mixed)")
     _add_io_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

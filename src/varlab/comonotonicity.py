@@ -10,15 +10,22 @@ coordinate sum) used to cross-check the detector.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 from typing import Iterable, Sequence
 
-from .distributions import DiscreteDistribution, JointDiscreteDistribution
+from .distributions import (
+    MAX_JOINT_POINTS,
+    DiscreteDistribution,
+    JointDiscreteDistribution,
+    _canonical,
+    _sweep,
+)
 
 Point = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -30,28 +37,27 @@ class ComonotoneVerdict:
     witness: tuple[Point, Point] | None = None
 
 
-def is_comonotonic_support(points: Iterable[Sequence]) -> ComonotoneVerdict:
-    """Check whether a point set is totally ordered componentwise.
+def _chain_verdict(scale: int, points: Iterable[tuple[int, ...]]) -> ComonotoneVerdict:
+    """Chain check of distinct integer points over the coordinate scale ``scale``.
 
     The coordinate sum is strictly monotone along any componentwise chain, so
-    sorting distinct points by their sum and comparing consecutive pairs is a
+    sorting the points by their sum and comparing consecutive pairs is a
     complete check: if every consecutive pair is ordered the set is a chain,
     and any consecutive pair that is not ordered is incomparable and serves
     as the witness.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
-        raise ValueError("point set must be non-empty")
-    n = len(pts[0])
-    if n == 0:
-        raise ValueError("points must have at least one coordinate")
-    if any(len(p) != n for p in pts):
-        raise ValueError("points must all share the same dimension")
-    chain = sorted(set(pts), key=lambda p: (sum(p), p))
+    chain = sorted(points, key=lambda p: (sum(p), p))
     for a, b in zip(chain, chain[1:]):
-        if not all(x <= y for x, y in zip(a, b)):
-            return ComonotoneVerdict(comonotonic=False, witness=(a, b))
+        if any(map(gt, a, b)):
+            witness = tuple(tuple(Fraction(x, scale) for x in p) for p in (a, b))
+            return ComonotoneVerdict(comonotonic=False, witness=witness)
     return ComonotoneVerdict(comonotonic=True)
+
+
+def is_comonotonic_support(points: Iterable[Sequence]) -> ComonotoneVerdict:
+    """Check whether a point set is totally ordered componentwise."""
+    scale, lattice, _ = _canonical(((p, 1) for p in points), normalize=True, what="point")
+    return _chain_verdict(scale, lattice)
 
 
 def is_comonotonic(j: JointDiscreteDistribution) -> ComonotoneVerdict:
@@ -60,7 +66,7 @@ def is_comonotonic(j: JointDiscreteDistribution) -> ComonotoneVerdict:
     Every stored point carries positive probability, so the point set is
     exactly the support.
     """
-    return is_comonotonic_support(j.support())
+    return _chain_verdict(j.coord_denom, j.xs)
 
 
 def comonotonic_coupling(
@@ -78,14 +84,15 @@ def comonotonic_coupling(
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
-    levels = sorted(set().union(*(m.cumulative for m in ms)))
-    points = []
-    prev = _ZERO
-    for b in levels:
-        coords = tuple(m._quantile_step(b) for m in ms)
-        points.append((coords, b - prev))
-        prev = b
-    return JointDiscreteDistribution(tuple(points))
+    _, steps = _sweep(ms)
+    scale = math.lcm(*(m.coord_denom for m in ms))
+    factors = [scale // m.coord_denom for m in ms]
+    points = tuple(tuple(m.xs[k] * f for m, k, f in zip(ms, ks, factors)) for _, ks in steps)
+    levels = [level for level, _ in steps]
+    # Already the lattice form: each piece moves some coordinate to its next
+    # atom, so points increase, and coprime marginal counts give coprime lengths.
+    lengths = tuple(b - a for a, b in zip([0, *levels], levels))
+    return JointDiscreteDistribution._lattice(scale, points, lengths, ms)
 
 
 def min_copula_check(j: JointDiscreteDistribution) -> bool:
@@ -94,25 +101,28 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
     Both sides are step functions determined by their values on the grid of
     per-coordinate support values, so checking every grid corner decides the
     identity everywhere. Cost grows with the product of the marginal support
-    sizes.
+    sizes, which must not exceed ``MAX_JOINT_POINTS``.
     """
     ms = j.marginals()
     n = j.dimension
-    values = [m.values for m in ms]
-    cums = [m.cumulative for m in ms]
-    sizes = [len(v) for v in values]
-    index = [{v: k for k, v in enumerate(vs)} for vs in values]
+    sizes = [len(m) for m in ms]
+    total = math.prod(sizes)
+    if total > MAX_JOINT_POINTS:
+        raise ValueError(
+            f"min-copula grid of {total} cells exceeds the {MAX_JOINT_POINTS}-cell guard"
+        )
+    index = [{x * (j.coord_denom // m.coord_denom): k for k, x in enumerate(m.xs)} for m in ms]
+    cums = [[c * (j.prob_denom // m.prob_denom) for c in m.cum] for m in ms]
 
     strides = [0] * n
-    total = 1
+    stride = 1
     for i in range(n - 1, -1, -1):
-        strides[i] = total
-        total *= sizes[i]
+        strides[i] = stride
+        stride *= sizes[i]
 
-    grid = [_ZERO] * total
-    for coords, p in j.points:
-        flat = sum(index[i][coords[i]] * strides[i] for i in range(n))
-        grid[flat] += p
+    grid = [0] * total
+    for coords, c in zip(j.xs, j.counts):
+        grid[sum(index[i][coords[i]] * strides[i] for i in range(n))] += c
 
     # Running prefix sums along each axis turn the pmf grid into the joint
     # CDF at every corner.
@@ -123,11 +133,8 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
             if (flat // stride) % size:
                 grid[flat] += grid[flat - stride]
 
-    for flat in range(total):
-        bound = min(cums[i][(flat // strides[i]) % sizes[i]] for i in range(n))
-        if grid[flat] != bound:
-            return False
-    return True
+    # The grid is row-major, which is the order itertools.product walks.
+    return all(cell == min(corner) for cell, corner in zip(grid, itertools.product(*cums)))
 
 
 def convex_order_max_check(j: JointDiscreteDistribution) -> bool:

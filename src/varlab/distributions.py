@@ -1,9 +1,14 @@
 """Exact finite discrete probability distributions over the rationals.
 
-Values and probabilities are `fractions.Fraction` throughout, so every CDF
-value, quantile, and convolution computed here is exact. That exactness is
-what turns the finite breakpoint sweeps elsewhere in the package into genuine
-decisions of "for all confidence levels" statements instead of approximations.
+Every law lives on an integer lattice: coordinates are integers over L, the
+least common multiple of their denominators, and probabilities are positive
+integer counts over D, the lcm of theirs. Both are minimal, so the lattice
+form is unique and equality of two instances is equality of the laws. All
+work on laws is exact integer arithmetic, which is what turns the finite
+breakpoint sweeps elsewhere in the package into genuine decisions of "for
+all confidence levels" statements. `Fraction` appears only at the boundary:
+constructors accept any rationals, and the `Fraction` views (`atoms`,
+`values`, `probs`, `cumulative`, `points`) are built on first use.
 """
 
 from __future__ import annotations
@@ -14,48 +19,132 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# Practical ceiling on joint support size; exact enumeration past this point
-# is no longer desk-scale.
+# Practical ceiling on support and grid sizes; exact enumeration past this
+# point is no longer desk-scale.
 MAX_JOINT_POINTS = 100_000
 
 
-def _merged_atoms(pairs: Iterable[tuple]) -> tuple[tuple[Fraction, Fraction], ...]:
-    acc: dict[Fraction, Fraction] = {}
-    for v, p in pairs:
-        v = Fraction(v)
-        acc[v] = acc.get(v, _ZERO) + Fraction(p)
-    return tuple(sorted((v, p) for v, p in acc.items() if p != 0))
+def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
+    """Lattice form ``(L, points, counts)`` of raw (coords, probability) pairs.
+
+    Points come back distinct and increasing, as integer tuples over the
+    minimal scale L, with positive counts whose gcd is 1. A negative entry is
+    rejected before duplicates merge. With ``normalize`` the probabilities
+    are weights with a positive total; otherwise they must sum to exactly 1.
+    """
+    rows = [(tuple(map(Fraction, coords)), Fraction(p)) for coords, p in pairs]
+    if not rows:
+        raise ValueError(f"at least one {what} is required")
+    n = len(rows[0][0])
+    if n == 0:
+        raise ValueError("points must have at least one coordinate")
+    if any(len(coords) != n for coords, _ in rows):
+        raise ValueError("all points must share the same dimension")
+    kind = "weights" if normalize else f"{what} probabilities"
+    if any(p < 0 for _, p in rows):
+        raise ValueError(f"{kind} must be nonnegative")
+    scale = math.lcm(*(x.denominator for coords, _ in rows for x in coords))
+    denom = math.lcm(*(p.denominator for _, p in rows))
+    keys = [tuple(x.numerator * (scale // x.denominator) for x in coords) for coords, _ in rows]
+    weights = [p.numerator * (denom // p.denominator) for _, p in rows]
+    total = sum(weights)
+    if normalize and total == 0:
+        raise ValueError("total weight must be positive")
+    if not normalize and total != denom:
+        raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
+    return _merged(scale, keys, weights)
 
 
-@dataclass(frozen=True)
+def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
+    """Lattice form of integer points over ``scale`` with nonnegative counts:
+    duplicates merge, zeros drop, points sort, scale and counts reduce."""
+    acc: dict[tuple[int, ...], int] = {}
+    for key, c in zip(keys, counts):
+        acc[key] = acc.get(key, 0) + c
+    points = [key for key, c in acc.items() if c]
+    if len(points) > MAX_JOINT_POINTS:
+        raise ValueError(
+            f"support of {len(points)} points exceeds the {MAX_JOINT_POINTS}-point guard"
+        )
+    points.sort()
+    counts = [acc[key] for key in points]
+    g = math.gcd(*counts)
+    r = math.gcd(scale, *itertools.chain.from_iterable(points))
+    if r > 1:
+        points = [tuple(x // r for x in key) for key in points]
+    return scale // r, tuple(points), tuple(c // g for c in counts)
+
+
+def _fill(law, scale: int, xs: tuple, counts: tuple) -> None:
+    # The classes are frozen: write the fields directly, then derive prob_denom.
+    vars(law).update(coord_denom=scale, xs=xs, counts=counts)
+    law.__post_init__()
+
+
+def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistribution:
+    """The law putting ``counts[k]`` on ``xs[k] / scale``; values may repeat."""
+    scale, points, counts = _merged(scale, ((x,) for x in xs), counts)
+    return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
+
+
+def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, list]:
+    """Merge the cumulative counts of ``laws`` into one increasing level list.
+
+    Returns the common denominator D and, per breakpoint interval in order,
+    ``(level, ks)``: its right endpoint in units of 1/D and, for each law,
+    the atom its left-continuous quantile takes there (the first whose
+    cumulative count reaches the level). Pointers only move forward, so the
+    merge is linear in the total number of atoms.
+    """
+    denom = math.lcm(*(m.prob_denom for m in laws))
+    cums = [[c * (denom // m.prob_denom) for c in m.cum] for m in laws]
+    ks = [0] * len(laws)
+    steps = []
+    level = 0
+    while level < denom:
+        level = min(cum[k] for cum, k in zip(cums, ks))
+        steps.append((level, tuple(ks)))
+        for i, cum in enumerate(cums):
+            if cum[ks[i]] == level:
+                ks[i] += 1
+    return denom, steps
+
+
+@dataclass(frozen=True, init=False)
 class DiscreteDistribution:
     """A finite loss distribution with exact rational atoms.
 
-    ``atoms`` is kept in canonical form: values strictly increasing, every
-    probability positive, probabilities summing to exactly 1. Duplicate
-    values are merged and zero-probability entries dropped on construction,
-    so equality of two instances is equality of the laws they represent.
+    Lattice form: atom ``k`` has value ``xs[k] / coord_denom`` and
+    probability ``counts[k] / prob_denom``, with ``xs`` strictly increasing,
+    every count positive and ``prob_denom`` their sum. Duplicate values are
+    merged and zero-probability entries dropped on construction, so equality
+    of two instances is equality of the laws they represent.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    coord_denom: int
+    xs: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def __init__(self, atoms: Iterable[tuple]) -> None:
+        """Canonicalize (value, probability) pairs summing to exactly 1."""
+        pairs = (((v,), p) for v, p in atoms)
+        scale, points, counts = _canonical(pairs, normalize=False, what="atom")
+        _fill(self, scale, tuple(x for (x,) in points), counts)
+
+    @classmethod
+    def _lattice(cls, scale: int, xs: tuple, counts: tuple) -> "DiscreteDistribution":
+        """Trusted constructor for data already in lattice form."""
+        law = object.__new__(cls)
+        _fill(law, scale, xs, counts)
+        return law
 
     def __post_init__(self) -> None:
-        atoms = _merged_atoms(self.atoms)
-        if not atoms:
-            raise ValueError("a distribution needs at least one atom")
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("atom probabilities must be positive")
-        total = sum(p for _, p in atoms)
-        if total != 1:
-            raise ValueError(f"atom probabilities must sum to exactly 1, got {total}")
-        object.__setattr__(self, "atoms", atoms)
+        vars(self)["prob_denom"] = sum(self.counts)
 
     @classmethod
     def from_weighted_values(cls, pairs: Iterable[tuple]) -> "DiscreteDistribution":
@@ -64,46 +153,45 @@ class DiscreteDistribution:
         Weights may repeat values and need not sum to one; they are merged
         and normalized. Weights must be nonnegative with a positive total.
         """
-        items = [(Fraction(v), Fraction(w)) for v, w in pairs]
-        if not items:
-            raise ValueError("at least one (value, weight) pair is required")
-        if any(w < 0 for _, w in items):
-            raise ValueError("weights must be nonnegative")
-        total = sum(w for _, w in items)
-        if total == 0:
-            raise ValueError("total weight must be positive")
-        return cls(tuple((v, w / total) for v, w in items))
+        pairs = (((v,), w) for v, w in pairs)
+        scale, points, counts = _canonical(pairs, normalize=True, what="(value, weight) pair")
+        return cls._lattice(scale, tuple(x for (x,) in points), counts)
 
     @classmethod
     def point_mass(cls, value) -> "DiscreteDistribution":
         """The degenerate distribution concentrated at ``value``."""
-        return cls(((Fraction(value), _ONE),))
+        v = Fraction(value)
+        return cls._lattice(v.denominator, (v.numerator,), (1,))
 
     @classmethod
     def bernoulli(cls, p) -> "DiscreteDistribution":
         """Loss equal to 1 with probability ``p`` and to 0 otherwise."""
         p = Fraction(p)
-        if not _ZERO < p < _ONE:
+        if not 0 < p < 1:
             raise ValueError("bernoulli parameter must lie strictly inside (0, 1)")
-        return cls(((_ZERO, 1 - p), (_ONE, p)))
+        return cls._lattice(1, (0, 1), (p.denominator - p.numerator, p.numerator))
+
+    @cached_property
+    def cum(self) -> tuple[int, ...]:
+        """Cumulative count at each atom; strictly increasing, ends at ``prob_denom``."""
+        return tuple(itertools.accumulate(self.counts))
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for v, _ in self.atoms)
+        return tuple(Fraction(x, self.coord_denom) for x in self.xs)
 
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
-        return tuple(p for _, p in self.atoms)
+        return tuple(Fraction(c, self.prob_denom) for c in self.counts)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.values, self.probs))
 
     @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
         """Cumulative probability at each atom; strictly increasing, ends at 1."""
-        out = []
-        acc = _ZERO
-        for p in self.probs:
-            acc += p
-            out.append(acc)
-        return tuple(out)
+        return tuple(Fraction(c, self.prob_denom) for c in self.cum)
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Probability levels in (0, 1] where the quantile function jumps."""
@@ -111,8 +199,9 @@ class DiscreteDistribution:
 
     def cdf(self, x) -> Fraction:
         """P(X <= x); a right-continuous step function of x."""
-        i = bisect_right(self.values, Fraction(x))
-        return _ZERO if i == 0 else self.cumulative[i - 1]
+        x = Fraction(x)
+        i = bisect_right(self.xs, x.numerator * self.coord_denom // x.denominator)
+        return Fraction(self.cum[i - 1], self.prob_denom) if i else Fraction(0)
 
     def quantile(self, alpha) -> Fraction:
         """Left-continuous generalized inverse, inf{x : F(x) >= alpha}.
@@ -122,89 +211,95 @@ class DiscreteDistribution:
         (0, 1).
         """
         a = Fraction(alpha)
-        if not _ZERO < a < _ONE:
+        if not 0 < a < 1:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
-        return self._quantile_step(a)
-
-    def _quantile_step(self, alpha: Fraction) -> Fraction:
-        # Valid on (0, 1]. The breakpoint machinery evaluates the quantile
-        # step function at the right endpoint of each interval, which for the
-        # last interval is the level 1 itself.
-        return self.values[bisect_left(self.cumulative, alpha)]
+        # the first atom whose cumulative count reaches ceil(alpha * prob_denom)
+        k = bisect_left(self.cum, -(-a.numerator * self.prob_denom // a.denominator))
+        return Fraction(self.xs[k], self.coord_denom)
 
     def mean(self) -> Fraction:
         """Exact expectation."""
-        return sum((v * p for v, p in self.atoms), _ZERO)
+        return Fraction(sum(map(mul, self.xs, self.counts)), self.coord_denom * self.prob_denom)
 
     def shift(self, c) -> "DiscreteDistribution":
         """The law of X + c."""
         c = Fraction(c)
-        return DiscreteDistribution(tuple((v + c, p) for v, p in self.atoms))
+        scale = math.lcm(self.coord_denom, c.denominator)
+        f, offset = scale // self.coord_denom, c.numerator * (scale // c.denominator)
+        return _law(scale, (x * f + offset for x in self.xs), self.counts)
 
     def scale(self, factor) -> "DiscreteDistribution":
         """The law of factor * X."""
         factor = Fraction(factor)
-        return DiscreteDistribution(tuple((v * factor, p) for v, p in self.atoms))
+        xs = (x * factor.numerator for x in self.xs)
+        return _law(self.coord_denom * factor.denominator, xs, self.counts)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointDiscreteDistribution:
     """A finite joint law on rational points in n dimensions.
 
-    This is the carrier for couplings: ``points`` maps distinct coordinate
-    tuples to positive probabilities summing to exactly 1. Points are merged
-    and sorted on construction.
+    This is the carrier for couplings. Lattice form: point ``k`` has
+    coordinates ``xs[k][i] / coord_denom`` and probability
+    ``counts[k] / prob_denom``, with the integer tuples ``xs`` distinct and
+    increasing and every count positive. Points are merged and sorted on
+    construction. The marginal laws and the law of the coordinate sum are
+    computed once and cached.
     """
 
-    points: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    coord_denom: int
+    xs: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
+
+    def __init__(self, points: Iterable[tuple]) -> None:
+        """Canonicalize (coords, probability) pairs summing to exactly 1."""
+        _fill(self, *_canonical(points, normalize=False, what="point"))
+
+    @classmethod
+    def _lattice(
+        cls, scale: int, xs: tuple, counts: tuple, marginals: tuple | None = None
+    ) -> "JointDiscreteDistribution":
+        """Trusted constructor for data already in lattice form; ``marginals``
+        known by construction seed the cache of ``marginals()``."""
+        law = object.__new__(cls)
+        _fill(law, scale, xs, counts)
+        if marginals is not None:
+            vars(law)["_marginals"] = tuple(marginals)
+        return law
 
     def __post_init__(self) -> None:
-        raw = [
-            (tuple(Fraction(c) for c in coords), Fraction(p))
-            for coords, p in self.points
-        ]
-        if not raw:
-            raise ValueError("a joint distribution needs at least one point")
-        n = len(raw[0][0])
-        if n == 0:
-            raise ValueError("points must have at least one coordinate")
-        if any(len(coords) != n for coords, _ in raw):
-            raise ValueError("all points must share the same dimension")
-        acc: dict[tuple[Fraction, ...], Fraction] = {}
-        for coords, p in raw:
-            acc[coords] = acc.get(coords, _ZERO) + p
-        pts = tuple(sorted((c, p) for c, p in acc.items() if p != 0))
-        if len(pts) > MAX_JOINT_POINTS:
-            raise ValueError(f"joint support exceeds the {MAX_JOINT_POINTS}-point guard")
-        if any(p < 0 for _, p in pts):
-            raise ValueError("point probabilities must be positive")
-        if sum(p for _, p in pts) != 1:
-            raise ValueError("point probabilities must sum to exactly 1")
-        object.__setattr__(self, "points", pts)
+        vars(self)["prob_denom"] = sum(self.counts)
 
     @classmethod
     def from_weighted_points(cls, pairs: Iterable[tuple]) -> "JointDiscreteDistribution":
         """Build a joint law from (coords, weight) pairs, merging and normalizing."""
-        items = [(tuple(Fraction(c) for c in coords), Fraction(w)) for coords, w in pairs]
-        if not items:
-            raise ValueError("at least one (coords, weight) pair is required")
-        if any(w < 0 for _, w in items):
-            raise ValueError("weights must be nonnegative")
-        total = sum(w for _, w in items)
-        if total == 0:
-            raise ValueError("total weight must be positive")
-        return cls(tuple((c, w / total) for c, w in items))
+        return cls._lattice(*_canonical(pairs, normalize=True, what="(coords, weight) pair"))
+
+    @cached_property
+    def points(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        return tuple(
+            (tuple(Fraction(x, self.coord_denom) for x in coords), Fraction(c, self.prob_denom))
+            for coords, c in zip(self.xs, self.counts)
+        )
 
     @property
     def dimension(self) -> int:
-        return len(self.points[0][0])
+        return len(self.xs[0])
 
     def support(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distinct coordinate tuples carrying positive probability."""
         return tuple(coords for coords, _ in self.points)
+
+    @cached_property
+    def _marginals(self) -> tuple[DiscreteDistribution, ...]:
+        return tuple(_law(self.coord_denom, column, self.counts) for column in zip(*self.xs))
+
+    @cached_property
+    def _sum(self) -> DiscreteDistribution:
+        return _law(self.coord_denom, map(sum, self.xs), self.counts)
 
     def marginal(self, i: int) -> DiscreteDistribution:
         """Project onto coordinate ``i`` (0-based), merging collisions."""
@@ -212,28 +307,35 @@ class JointDiscreteDistribution:
             raise IndexError(
                 f"coordinate index {i} out of range for dimension {self.dimension}"
             )
-        return DiscreteDistribution(tuple((coords[i], p) for coords, p in self.points))
+        return self._marginals[i]
 
     def marginals(self) -> tuple[DiscreteDistribution, ...]:
-        return tuple(self.marginal(i) for i in range(self.dimension))
+        return self._marginals
 
     def sum_distribution(self) -> DiscreteDistribution:
         """The exact law of the coordinate sum."""
-        return DiscreteDistribution(
-            tuple((sum(coords), p) for coords, p in self.points)
-        )
+        return self._sum
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
 
 def independent_product(*marginals: DiscreteDistribution) -> JointDiscreteDistribution:
     """Joint law with the given marginals and independent coordinates."""
     if not marginals:
         raise ValueError("at least one marginal is required")
-    points = []
-    for combo in itertools.product(*(m.atoms for m in marginals)):
-        coords = tuple(v for v, _ in combo)
-        prob = math.prod((p for _, p in combo), start=_ONE)
-        points.append((coords, prob))
-    return JointDiscreteDistribution(tuple(points))
+    size = math.prod(len(m) for m in marginals)
+    if size > MAX_JOINT_POINTS:
+        raise ValueError(
+            f"independent product of {size} points exceeds the {MAX_JOINT_POINTS}-point guard"
+        )
+    scale = math.lcm(*(m.coord_denom for m in marginals))
+    axes = [[x * (scale // m.coord_denom) for x in m.xs] for m in marginals]
+    # Products of coprime-count marginals stay coprime, and the product order
+    # of increasing axes is already increasing, so this is the lattice form.
+    return JointDiscreteDistribution._lattice(
+        scale,
+        tuple(itertools.product(*axes)),
+        tuple(map(math.prod, itertools.product(*(m.counts for m in marginals)))),
+        marginals,
+    )

@@ -128,6 +128,13 @@ def _psd_by_elimination(cov: np.ndarray, scale: float) -> bool:
     return True
 
 
+def _floats(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a regular array of numbers, got {value!r}") from None
+
+
 @dataclass
 class GaussianSpec:
     """Mean vector and covariance matrix of a Gaussian loss vector.
@@ -141,8 +148,8 @@ class GaussianSpec:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
+        mean = _floats("mean", self.mean)
+        cov = _floats("covariance", self.covariance)
         if mean.ndim != 1 or mean.size == 0:
             raise ValueError("mean must be a non-empty vector")
         n = mean.size

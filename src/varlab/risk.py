@@ -7,18 +7,34 @@ aggregate risks with fixed marginals.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .distributions import DiscreteDistribution
-
-_ZERO = Fraction(0)
 
 
 def var(d: DiscreteDistribution, alpha) -> Fraction:
     """Value at Risk of the loss ``d`` at confidence level ``alpha`` in (0, 1)."""
     return d.quantile(alpha)
+
+
+def _stop_losses(d: DiscreteDistribution, scale: int, denom: int, kinks) -> list[int]:
+    """E[(X - c / scale)^+] * scale * denom at each of the increasing integer
+    ``kinks``; one pointer drops the atoms at or below each threshold from the
+    running mass and first moment of those above it."""
+    f, g = scale // d.coord_denom, denom // d.prob_denom
+    xs = [x * f for x in d.xs]
+    ws = [w * g for w in d.counts]
+    mass, moment = denom, sum(x * w for x, w in zip(xs, ws))
+    k, out = 0, []
+    for c in kinks:
+        while k < len(xs) and xs[k] <= c:
+            mass -= ws[k]
+            moment -= xs[k] * ws[k]
+            k += 1
+        out.append(moment - c * mass)
+    return out
 
 
 def stop_loss(d: DiscreteDistribution, c) -> Fraction:
@@ -28,29 +44,9 @@ def stop_loss(d: DiscreteDistribution, c) -> Fraction:
     with kinks only at support values.
     """
     c = Fraction(c)
-    total = _ZERO
-    for v, p in d.atoms:
-        if v > c:
-            total += (v - c) * p
-    return total
-
-
-def _suffix_tables(d: DiscreteDistribution):
-    # suffix_p[k] / suffix_vp[k]: total mass and weighted value sum of atoms
-    # k..end; lets stop-loss evaluation at many kinks run in O(log m) each.
-    m = len(d.atoms)
-    suffix_p = [_ZERO] * (m + 1)
-    suffix_vp = [_ZERO] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        v, p = d.atoms[k]
-        suffix_p[k] = suffix_p[k + 1] + p
-        suffix_vp[k] = suffix_vp[k + 1] + v * p
-    return suffix_p, suffix_vp
-
-
-def _stop_loss_at(d: DiscreteDistribution, suffix_p, suffix_vp, c: Fraction) -> Fraction:
-    k = bisect_right(d.values, c)
-    return suffix_vp[k] - c * suffix_p[k]
+    scale = lcm(d.coord_denom, c.denominator)
+    (value,) = _stop_losses(d, scale, d.prob_denom, [c.numerator * (scale // c.denominator)])
+    return Fraction(value, scale * d.prob_denom)
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,18 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     Both stop-loss transforms are piecewise linear with kinks only at support
     values, and they share asymptotes when the means agree, so dominance at
     the union of the two supports decides dominance at every real threshold.
-    Arithmetic is exact; there is no tolerance.
+    Arithmetic is exact integer work on a common lattice; there is no
+    tolerance.
     """
     if a.mean() != b.mean():
         return ConvexOrderVerdict(holds=False, mean_equal=False)
-    tables_a = _suffix_tables(a)
-    tables_b = _suffix_tables(b)
-    for c in sorted(set(a.values) | set(b.values)):
-        if _stop_loss_at(a, *tables_a, c) > _stop_loss_at(b, *tables_b, c):
-            return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=c)
+    scale = lcm(a.coord_denom, b.coord_denom)
+    denom = lcm(a.prob_denom, b.prob_denom)
+    kinks = sorted(
+        {x * (scale // a.coord_denom) for x in a.xs} | {x * (scale // b.coord_denom) for x in b.xs}
+    )
+    curves = zip(kinks, _stop_losses(a, scale, denom, kinks), _stop_losses(b, scale, denom, kinks))
+    for c, sa, sb in curves:
+        if sa > sb:
+            return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=Fraction(c, scale))
     return ConvexOrderVerdict(holds=True, mean_equal=True)

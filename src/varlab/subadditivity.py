@@ -15,21 +15,20 @@ Bernoulli pair on which VaR fails subadditivity.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .comonotonicity import comonotonic_coupling, is_comonotonic
 from .distributions import (
     MAX_JOINT_POINTS,
     DiscreteDistribution,
     JointDiscreteDistribution,
+    _merged,
+    _sweep,
     independent_product,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class IntervalVerdict:
@@ -38,12 +37,14 @@ class IntervalVerdict:
     ``alpha_star`` is the right endpoint of the interval; by left continuity
     the quantile step functions attain their interval value there, so the
     recorded numbers represent every level inside the interval.
+    ``marginal_vars`` are the marginal VaRs that ``sum_of_vars`` adds up.
     """
 
     alpha_star: Fraction
     var_sum: Fraction
     sum_of_vars: Fraction
     relation: str  # "<", "=" or ">"
+    marginal_vars: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,9 @@ class SubadditivityReport:
     first_violation: Fraction | None
 
 
-def _critical_levels(
-    marginals: tuple[DiscreteDistribution, ...], total: DiscreteDistribution
-) -> tuple[Fraction, ...]:
-    levels = set(total.cumulative)
-    for m in marginals:
-        levels.update(m.cumulative)
-    return tuple(sorted(levels))
+def _relation(var_sum, sum_of_vars) -> str:
+    """"<", "=" or ">" as VaR of the sum compares with the sum of VaRs."""
+    return "<" if var_sum < sum_of_vars else "=" if var_sum == sum_of_vars else ">"
 
 
 def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
@@ -72,36 +69,36 @@ def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
     Sorted, each in (0, 1], always ending at 1. Between consecutive entries
     every quantile function in the subadditivity inequality is constant.
     """
-    return _critical_levels(j.marginals(), j.sum_distribution())
+    return subadditivity_report(j).breakpoints
 
 
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
-    """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
+    """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval.
+
+    One linear merge over the integer cumulative counts of the marginals and
+    of the sum yields each interval and the atom every quantile takes on it.
+    """
     ms = j.marginals()
     s = j.sum_distribution()
+    denom, steps = _sweep((*ms, s))
+    scale = j.coord_denom  # a multiple of every marginal's and of the sum's
+    factors = [scale // m.coord_denom for m in ms]
+    sum_factor = scale // s.coord_denom
     verdicts = []
-    first_violation = None
-    additive = True
-    for b in _critical_levels(ms, s):
-        var_sum = s._quantile_step(b)
-        sum_of_vars = sum(m._quantile_step(b) for m in ms)
-        if var_sum < sum_of_vars:
-            relation = "<"
-            additive = False
-        elif var_sum == sum_of_vars:
-            relation = "="
-        else:
-            relation = ">"
-            additive = False
-            if first_violation is None:
-                first_violation = b
-        verdicts.append(IntervalVerdict(b, var_sum, sum_of_vars, relation))
+    for level, ks in steps:
+        var_sum = s.xs[ks[-1]] * sum_factor
+        sum_of_vars = sum(m.xs[k] * f for m, k, f in zip(ms, ks, factors))
+        verdicts.append(IntervalVerdict(
+            Fraction(level, denom), s.values[ks[-1]], Fraction(sum_of_vars, scale),
+            _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
+        ))
+    violations = [v.alpha_star for v in verdicts if v.relation == ">"]
     return SubadditivityReport(
         breakpoints=tuple(v.alpha_star for v in verdicts),
         verdicts=tuple(verdicts),
-        subadditive_everywhere=first_violation is None,
-        additive_everywhere=additive,
-        first_violation=first_violation,
+        subadditive_everywhere=not violations,
+        additive_everywhere=all(v.relation == "=" for v in verdicts),
+        first_violation=violations[0] if violations else None,
     )
 
 
@@ -160,7 +157,7 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     q = Fraction(q)
     a = Fraction(alpha)
     for name, val in (("p", p), ("q", q), ("alpha", a)):
-        if not _ZERO < val < _ONE:
+        if not 0 < val < 1:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {val}")
     x = DiscreteDistribution.bernoulli(p)
     y = DiscreteDistribution.bernoulli(q)
@@ -205,20 +202,22 @@ class GeneratorSpec:
 def _random_marginal(rng: random.Random, spec: GeneratorSpec) -> DiscreteDistribution:
     lo, hi = spec.value_range
     target = rng.randint(1, min(spec.max_atoms, spec.denom_bound))
-    values: set[Fraction] = set()
+    values: set[tuple[int, int]] = set()  # reduced (numerator, denominator)
     for _ in range(64 * target):
         if len(values) == target:
             break
         den = rng.randint(1, spec.denom_bound)
-        values.add(Fraction(rng.randint(lo * den, hi * den), den))
-    ordered = sorted(values)
-    k = len(ordered)
+        num = rng.randint(lo * den, hi * den)
+        g = gcd(num, den)
+        values.add((num // g, den // g))
+    scale = lcm(*(den for _, den in values))
+    xs = sorted(num * (scale // den) for num, den in values)
+    k = len(xs)
     denom = rng.randint(k, spec.denom_bound)
-    cuts = sorted(rng.sample(range(1, denom), k - 1))
-    edges = [0, *cuts, denom]
-    return DiscreteDistribution(
-        tuple((v, Fraction(edges[t + 1] - edges[t], denom)) for t, v in enumerate(ordered))
-    )
+    edges = [0, *sorted(rng.sample(range(1, denom), k - 1)), denom]
+    counts = [b - a for a, b in zip(edges, edges[1:])]
+    g = gcd(*counts)
+    return DiscreteDistribution._lattice(scale, tuple(xs), tuple(c // g for c in counts))
 
 
 def random_comonotonic(
@@ -242,36 +241,26 @@ def random_coupling(
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
-    denom = lcm(*(p.denominator for m in ms for p in m.probs))
+    denom = lcm(*(m.prob_denom for m in ms))
     if denom > MAX_JOINT_POINTS:
         raise ValueError(
             f"common denominator {denom} exceeds the {MAX_JOINT_POINTS}-cell guard"
         )
-    perms = []
-    for _ in ms:
-        perm = list(range(denom))
+    perms = [list(range(denom)) for _ in ms]
+    for perm in perms:
         rng.shuffle(perm)
-        perms.append(perm)
     return _coupling_from_permutations(ms, perms)
 
 
 def _coupling_from_permutations(ms, perms) -> JointDiscreteDistribution:
     denom = len(perms[0])
-    cells = []
-    for m in ms:
-        atom_of_cell: list[int] = []
-        for t, p in enumerate(m.probs):
-            count = p * denom
-            assert count.denominator == 1, "probabilities must divide the cell grid"
-            atom_of_cell.extend([t] * int(count))
-        cells.append(atom_of_cell)
-    counts: dict[tuple[int, ...], int] = {}
-    for c in range(denom):
-        key = tuple(cell[perm[c]] for cell, perm in zip(cells, perms))
-        counts[key] = counts.get(key, 0) + 1
-    return JointDiscreteDistribution(
-        tuple(
-            (tuple(m.values[t] for m, t in zip(ms, key)), Fraction(cnt, denom))
-            for key, cnt in counts.items()
-        )
-    )
+    scale = lcm(*(m.coord_denom for m in ms))
+    columns = []
+    for m, perm in zip(ms, perms):
+        assert denom % m.prob_denom == 0, "probabilities must divide the cell grid"
+        value_of_cell: list[int] = []
+        for x, c in zip(m.xs, m.counts):
+            value_of_cell += [x * (scale // m.coord_denom)] * (c * (denom // m.prob_denom))
+        columns.append([value_of_cell[c] for c in perm])
+    cells = Counter(zip(*columns))
+    return JointDiscreteDistribution._lattice(*_merged(scale, cells, cells.values()), ms)

@@ -58,6 +58,13 @@ class TestIngest:
         without = ingest_csv(write(tmp_path, "b.csv", "1,2\n"))
         assert with_header == without
 
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        # a UTF-8 BOM must not make the first data row look like a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1,2\n3,4\n".encode("utf-8"))
+        j = ingest_csv(str(path))
+        assert j.points == (((F(1), F(2)), F(1, 2)), ((F(3), F(4)), F(1, 2)))
+
     def test_forced_header_flag(self, tmp_path):
         path = write(tmp_path, "a.csv", "1,2\n3,4\n")
         j = ingest_csv(path, has_header=True)  # first row consumed as header
@@ -269,6 +276,20 @@ class TestCommands:
         rc, _, err = run_cli(capsys, ["elliptic", spec])
         assert rc == 2
         assert "covariance" in err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"mean": {"a": 1}, "covariance": [[1]]}', "mean"),
+            ('{"mean": [0], "covariance": [["x"]]}', "covariance"),
+            ('{"mean": [0, 1], "covariance": [[1, 0], [0]]}', "covariance"),
+        ],
+    )
+    def test_elliptic_names_malformed_field(self, tmp_path, capsys, text, field):
+        rc, out, err = run_cli(capsys, ["elliptic", write(tmp_path, "g.json", text)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
 
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, ["report", "/definitely/not/here.csv"])

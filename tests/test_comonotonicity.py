@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -133,6 +134,15 @@ class TestMinCopula:
     def test_point_mass(self):
         j = JointDiscreteDistribution((((F(3), F(1)), F(1)),))
         assert min_copula_check(j)
+
+    def test_grid_guard_fires_before_allocating(self):
+        # three 50-atom marginals: 50 support points but a 125,000-cell grid
+        m = DiscreteDistribution.from_weighted_values([(v, 1) for v in range(50)])
+        j = comonotonic_coupling([m, m.shift(F(1, 3)), m.scale(2)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="guard"):
+            min_copula_check(j)
+        assert time.perf_counter() - start < 1.0
 
     @given(joints())
     def test_agrees_with_direct_grid_oracle(self, j):

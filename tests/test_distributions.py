@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,11 @@ class TestConstruction:
     def test_requires_unit_total(self):
         with pytest.raises(ValueError, match="sum to exactly 1"):
             DiscreteDistribution(((F(0), F(1, 2)), (F(1), F(1, 4))))
+
+    def test_rejects_negative_atom_before_merging(self):
+        # the duplicates would merge to a valid point mass at 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteDistribution(((F(0), F(3, 2)), (F(0), F(-1, 2))))
 
     def test_drops_zero_probability_atoms(self):
         d = DiscreteDistribution(((F(0), F(1, 2)), (F(1), F(1, 2)), (F(2), F(0))))
@@ -163,6 +169,18 @@ class TestJointConstruction:
     def test_rejects_non_unit_total(self):
         with pytest.raises(ValueError):
             JointDiscreteDistribution((((F(0), F(0)), F(1, 2)),))
+
+    def test_rejects_negative_point_before_merging(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            JointDiscreteDistribution((((F(0), F(1)), F(3, 2)), ((F(0), F(1)), F(-1, 2))))
+
+    def test_independent_product_guard_fires_before_enumerating(self):
+        # five 20-atom marginals would be 3.2 million points
+        m = DiscreteDistribution.from_weighted_values([(v, 1) for v in range(20)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="guard"):
+            independent_product(m, m, m, m, m)
+        assert time.perf_counter() - start < 1.0
 
     def test_size_guard(self):
         n = 100_001

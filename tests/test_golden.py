@@ -1,0 +1,93 @@
+"""Golden output: the CLI's stdout on fixed small inputs, pinned by sha256.
+
+The digests were recorded from the Fraction-based implementation that the
+integer-lattice kernel replaced, so any byte of difference in a report,
+VaR table, coupling or simulation summary fails here. Regenerate with
+``python tests/test_golden.py`` only for an intended output change.
+"""
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from varlab.cli import main
+
+INPUTS = {
+    # dependent, not comonotonic: a witness, a '>' row, weights, negatives
+    "mixed.csv": "a,b,weight\n0.5,1,2\n-1.25,3,1\n2,0.1,1\n0.5,1,1\n3,-2,3\n1/3,2/7,1\n",
+    # comonotonic, no header, duplicate rows
+    "chain.csv": "0,1\n0.25,1\n0.25,1\n1,2.5\n4,2.5\n-3,-1\n",
+    # independent Bernoulli(3/10) pair as weighted points
+    "bern.csv": "x,y,weight\n0,0,49\n0,1,21\n1,0,21\n1,1,9\n",
+    "one.csv": "loss\n7\n-2\n7\n0.125\n",
+}
+
+CASES = {
+    "report-mixed": ["report", "mixed.csv"],
+    "report-mixed-csv": ["report", "mixed.csv", "--output", "csv"],
+    "report-mixed-alphas": ["report", "mixed.csv", "--alpha", "0.3", "--alpha", "39/40"],
+    "report-chain": ["report", "chain.csv"],
+    "report-bern": ["report", "bern.csv"],
+    "report-one": ["report", "one.csv"],
+    "var-bern": ["var", "bern.csv", "--alpha", "0.5", "--alpha", "0.95"],
+    "var-mixed-csv": ["var", "mixed.csv", "--alpha", "1/2", "--output", "csv"],
+    "couple": ["couple", "chain.csv", "one.csv"],
+    "couple-json": ["couple", "bern.csv", "one.csv", "--output", "json"],
+    "simulate": ["simulate", "--seed", "7", "--trials", "150"],
+    "simulate-csv": ["simulate", "--seed", "11", "--trials", "150", "--output", "csv"],
+    "simulate-coupling-csv": [
+        "simulate", "--seed", "3", "--trials", "100", "--kind", "coupling",
+        "--max-atoms", "5", "--output", "csv",
+    ],
+}
+
+GOLDEN = {
+    "couple": "f7c4c6a0c2c18af09e800aa5470d7809dab79b1f84a84ebfcd4618c35d3c9bcc",
+    "couple-json": "e415c9288468e2817bfecb91ac717ce4f38790a914a335be50915415f4d25a5b",
+    "report-bern": "cc51c9b4c60bfff7ff111536004ac5cbb529de0132aa63b43579e6dee8a66f86",
+    "report-chain": "a6fc94676449b7443b05e9e6e4e5de4a1d996120786aafb994623a3a7c634e93",
+    "report-mixed": "b025dda6c9424786d9258668d17f6a92a5d01df108f1ebb67c4314efd2b4eafa",
+    "report-mixed-alphas": "146a45c1330d112eeb09e43ad0e175c8ba4d7a22bf456f7760e22eb07a9eb5df",
+    "report-mixed-csv": "1afc7f71a86d6fb9c8f0d757d7fd0d67e479a2d2fb46e03cd00a799dc65c9767",
+    "report-one": "1a09431c5fa78c7b33480fc02e42ba3d8805ddc6acd5fac432935280069fd6a9",
+    "simulate": "83fb22f22bb399bdd2ba53539751f3632ee048ded6964fef6571d4e297d079e1",
+    "simulate-coupling-csv": "e8d2541b35865847b0d0f814b89477dab2ef3f00ee1c367b5c1503386d5f6dbe",
+    "simulate-csv": "988150ae556b68a880c0dd007950c9e4e81de8f5e17f905d9c41654007c9117a",
+    "var-bern": "e7a5b0e753568cc494150effb9aa6931a8f75a8e498ddb38ece1777f0327a706",
+    "var-mixed-csv": "b4df67cc8c2b4cbb9c068d58444299477accfc32e76dee0d6435ed3c7b687314",
+}
+
+
+def _stdout(argv: list[str], directory: Path) -> tuple[int, bytes]:
+    args = [str(directory / a) if a in INPUTS else a for a in argv]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(args)
+    return code, buf.getvalue().encode()
+
+
+def _write_inputs(directory: Path) -> None:
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden_digest(case, tmp_path):
+    _write_inputs(tmp_path)
+    code, out = _stdout(CASES[case], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(Path(tmp))
+        for case in sorted(CASES):
+            code, out = _stdout(CASES[case], Path(tmp))
+            print(f'    "{case}": "{hashlib.sha256(out).hexdigest()}",', file=sys.stderr)
