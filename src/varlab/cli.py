@@ -15,11 +15,13 @@ invariant breach (an equivalence violation, which should never occur).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,20 +57,49 @@ EXIT_INVARIANT = 3
 # CSV ingestion and dumping
 
 
-def _parse_cell(text: str, row: int, col: int) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"row {row}, column {col}: cannot parse {text.strip()!r} as a number"
-        ) from None
+# Bound on the characters, hence the digits, and on the decimal exponent of
+# one number read from input. Exact parsing builds the power of ten, so
+# 1e-3000000 alone would take seconds, and no integer of more than 4,300
+# digits can be printed.
+MAX_NUMBER_DIGITS = 1000
+
+# The grammar of Fraction(str): a decimal with an optional exponent, or
+# "num/den"; underscores may group digits.
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(
+    rf"[-+]?(?=\d|\.\d)(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)"
+)
+
+
+class _NotANumber(ValueError):
+    """The text is no number at all, as opposed to a number out of bounds."""
+
+
+def _parse_number(text: str, where: str) -> Fraction:
+    """Exact value of a number; errors start with ``where``, its origin.
+
+    A number out of bounds raises ValueError before Fraction builds it, and
+    text that is no number raises _NotANumber.
+    """
+    text = text.strip()
+    match = _NUMBER.fullmatch(text)
+    if match is not None:
+        if len(text) > MAX_NUMBER_DIGITS or (match[1] and abs(int(match[1])) > MAX_NUMBER_DIGITS):
+            raise ValueError(
+                f"{where}: number out of range; the limit is {MAX_NUMBER_DIGITS} characters "
+                f"and a decimal exponent of {MAX_NUMBER_DIGITS} in magnitude"
+            )
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # 1/0; or 1_0 before 3.11
+            return Fraction(text)
+    raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
 
 
 def _row_is_numeric(row: Sequence[str]) -> bool:
     try:
-        for cell in row:
-            Fraction(cell.strip())
-    except (ValueError, ZeroDivisionError):
+        for col, cell in enumerate(row, 1):
+            _parse_number(cell, f"row 1, column {col}")
+    except _NotANumber:
         return False
     return True
 
@@ -91,7 +122,11 @@ def ingest_csv(
     # utf-8-sig drops a leading byte order mark, which would otherwise make
     # a headerless first row look non-numeric and be taken for a header.
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)
+        try:
+            rows = [row for row in reader if row and any(c.strip() for c in row)]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -127,8 +162,8 @@ def ingest_csv(
         rownum = first_row_number + offset
         if len(row) != ncols:
             raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
-        coords = tuple(_parse_cell(row[c], rownum, c + 1) for c in loss_cols)
-        weight = 1 if widx is None else _parse_cell(row[widx], rownum, widx + 1)
+        coords = tuple(_parse_number(row[c], f"row {rownum}, column {c + 1}") for c in loss_cols)
+        weight = 1 if widx is None else _parse_number(row[widx], f"row {rownum}, column {widx + 1}")
         if weight <= 0:
             raise ValueError(f"row {rownum}: weight must be positive, got {weight}")
         pairs.append((coords, weight))
@@ -333,17 +368,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _collect_alphas(args, *, required: bool) -> list[Fraction] | None:
-    texts = list(args.alpha or [])
+def _collect_alphas(args, *, required: bool) -> list[tuple[str, Fraction]]:
+    """The levels of --alpha and --alphas-file, as written and as values."""
+    texts = [text.strip() for text in args.alpha or []]
     if args.alphas_file:
         lines = Path(args.alphas_file).read_text(encoding="utf-8").splitlines()
         texts += [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
-    alphas = [Fraction(text) for text in texts]
-    if not alphas:
-        if required:
-            raise ValueError("at least one --alpha (or --alphas-file) is required")
-        return None
-    for a in alphas:
+    if required and not texts:
+        raise ValueError("at least one --alpha (or --alphas-file) is required")
+    alphas = [(text, _parse_number(text, "alpha")) for text in texts]
+    for _, a in alphas:
         if not 0 < a < 1:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
     return alphas
@@ -376,7 +410,8 @@ def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_report(args) -> int:
     """`report`, and `var`: the VaR table alone at required levels."""
     j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
-    report = run_report(j, _collect_alphas(args, required=args.command == "var"))
+    alphas = _collect_alphas(args, required=args.command == "var")
+    report = run_report(j, [a for _, a in alphas] if alphas else None)
     if args.output == "csv":
         _emit(_var_table_csv(report), args.out)
     elif args.command == "var":
@@ -464,13 +499,16 @@ def cmd_simulate(args) -> int:
 def cmd_elliptic(args) -> int:
     try:
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{args.spec}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or "mean" not in raw or "covariance" not in raw:
         raise ValueError(f'{args.spec}: expected an object with "mean" and "covariance"')
     spec = GaussianSpec(mean=raw["mean"], covariance=raw["covariance"])
     alphas = _collect_alphas(args, required=False)
-    levels = [float(a) for a in alphas] if alphas else [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+    levels = [float(a) for _, a in alphas] if alphas else [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+    for (text, _), level in zip(alphas, levels):
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"alpha {text} rounds to {level} in floating point, outside (0, 1)")
     table = []
     for level in levels:
         marginal_vars = [

@@ -141,7 +141,7 @@ class TestSubadditivityGap:
             n = int(rng.integers(1, 6))
             g = rng.normal(size=(n, n))
             spec = GaussianSpec(mean=rng.normal(size=n), covariance=g.T @ g)
-            assert float(spec.sigmas.sum()) - spec.portfolio_sigma >= -1e-12
+            assert sum(spec.sigmas) - spec.portfolio_sigma >= -1e-12
             for a in (0.6, 0.75, 0.9, 0.99):
                 assert gaussian_subadditivity_gap(spec, a) >= -1e-12
             for a in (0.01, 0.1, 0.25, 0.4):

@@ -1,0 +1,224 @@
+"""Hostile and malformed input through ``main()``: bounded number parsing,
+float-level checks on the Gaussian path, and fuzzed CSV and JSON files.
+
+Every such input must exit 0 or 2, with no traceback, within a time budget.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction as F
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+import varlab
+from varlab.cli import MAX_NUMBER_DIGITS, ingest_csv, main
+
+# Seconds one rejected input may take; a correct rejection takes milliseconds.
+BUDGET_S = 1.0
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestBoundedNumbers:
+    @pytest.mark.parametrize(
+        "cell",
+        ["1e5000", "1e-3000000", "-2.5E+1001", "1" * (MAX_NUMBER_DIGITS + 1), "1/" + "3" * 1200],
+    )
+    def test_oversized_cell_names_row_and_column(self, tmp_path, cell):
+        rc, out, err, elapsed = run_main(["report", write(tmp_path, "a.csv", f"1,2\n3,{cell}\n")])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: row 2, column 2: ")
+        assert "out of range" in err
+        assert elapsed < BUDGET_S
+
+    def test_oversized_first_row_is_not_taken_for_a_header(self, tmp_path):
+        rc, _, err, _ = run_main(["report", write(tmp_path, "a.csv", "1e5000,2\n3,4\n")])
+        assert rc == 2
+        assert err.startswith("error: row 1, column 1: ")
+
+    def test_header_ending_in_e_and_digits_is_still_a_header(self, tmp_path):
+        j = ingest_csv(write(tmp_path, "a.csv", "line5000,e9999\n1,2\n"))
+        assert j.points == (((F(1), F(2)), F(1)),)
+
+    def test_numbers_at_the_bound_are_exact(self, tmp_path):
+        big = "9" * MAX_NUMBER_DIGITS
+        j = ingest_csv(write(tmp_path, "a.csv", f"1e{MAX_NUMBER_DIGITS},{big}\n1e-{MAX_NUMBER_DIGITS},0\n"))
+        assert j.marginal(0).values == (F(1, 10**MAX_NUMBER_DIGITS), F(10**MAX_NUMBER_DIGITS))
+        assert j.marginal(1).values == (F(0), F(int(big)))
+
+    def test_fraction_grammar_is_kept(self, tmp_path):
+        j = ingest_csv(write(tmp_path, "a.csv", " 1000 ,2/4\n+.5e1,-3.\n"))
+        assert j.points == (((F(5), F(-3)), F(1, 2)), ((F(1000), F(1, 2)), F(1, 2)))
+
+    @pytest.mark.parametrize("level", ["1e-3000000", "1e5000", "0." + "1" * 1200])
+    def test_oversized_level(self, tmp_path, level):
+        csv_path = write(tmp_path, "a.csv", "1,2\n3,4\n")
+        for argv in (
+            ["var", csv_path, "--alpha", level],
+            ["var", csv_path, "--alphas-file", write(tmp_path, "levels.txt", f"1/2\n{level}\n")],
+            ["elliptic", write(tmp_path, "g.json", '{"mean": [0], "covariance": [[1]]}'),
+             "--alpha", level],
+        ):
+            rc, out, err, elapsed = run_main(argv)
+            assert rc == 2
+            assert out == ""
+            assert err.startswith("error: alpha: ")
+            assert elapsed < BUDGET_S
+
+
+class TestEllipticInput:
+    @pytest.mark.parametrize("level", ["1e-400", "0.99999999999999999999"])
+    def test_level_rounding_out_of_the_interval(self, tmp_path, level):
+        spec = write(tmp_path, "g.json", '{"mean": [0], "covariance": [[1]]}')
+        rc, out, err, _ = run_main(["elliptic", spec, "--alpha", level])
+        assert rc == 2
+        assert out == ""
+        assert f"alpha {level} rounds to" in err
+        assert "floating point" in err
+
+    def test_huge_integer_mean(self, tmp_path):
+        spec = write(tmp_path, "g.json", '{"mean": [%s], "covariance": [[1]]}' % ("7" * 401))
+        rc, out, err, _ = run_main(["elliptic", spec])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: mean must be")
+
+    def test_deeply_nested_json(self, tmp_path):
+        spec = write(tmp_path, "g.json", '{"mean": %s}' % ("[" * 5000 + "]" * 5000))
+        rc, out, err, _ = run_main(["elliptic", spec])
+        assert rc == 2
+        assert out == ""
+        assert "recursion depth" in err
+
+
+def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
+    rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "1\n" + "9" * 200_000 + "\n")])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 2" in err
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(varlab.__file__).resolve().parents[1])
+    code = "import sys, varlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: generated files through main()
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**500), max_value=10**500)
+    | st.integers(min_value=10**308, max_value=10**500)  # past the largest float
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@st.composite
+def psd_specs(draw):
+    """A valid spec (covariance G'G), or one with a single entry spoiled."""
+    n = draw(st.integers(1, 4))
+    g = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    cov = [[sum(g[k][i] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    mean = draw(st.lists(st.integers(-5, 5) | st.floats(-10, 10), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            mean[i] = draw(json_scalars)
+        else:
+            cov[i][j] = draw(json_scalars)
+    return {"mean": mean, "covariance": cov}
+
+
+gaussian_specs = (
+    psd_specs()
+    | st.dictionaries(st.sampled_from(["mean", "covariance", "x"]), json_values, max_size=3)
+    | json_values
+)
+
+
+def run_file(argv, suffix, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "input" + suffix)
+        path.write_bytes(data)
+        rc, out, err, elapsed = run_main([argv[0], str(path), *argv[1:]])
+    assert rc in (0, 2), err
+    assert elapsed < 2 * BUDGET_S
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    return rc, out
+
+
+@given(spec=gaussian_specs, alphas=st.lists(st.sampled_from(["0.95", "1/2", "1e-400", "2", "x"]), max_size=2))
+def test_fuzz_elliptic(spec, alphas):
+    argv = ["elliptic"] + [arg for a in alphas for arg in ("--alpha", a)]
+    rc, out = run_file(argv, ".json", json.dumps(spec).encode())
+    if rc == 0:
+        assert json.loads(out)["dimension"] == len(spec["mean"])
+
+
+number_cells = (
+    st.integers(-99, 99).map(str)
+    | st.fractions(min_value=-10, max_value=10, max_denominator=12).map(str)
+    | st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99))
+    | st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-1200, 1200))
+)
+junk_cells = st.lists(
+    st.sampled_from(["0", "1", "-", "+", ".", "/", "e", "E", "_", " ", "x", "nan", "inf",
+                     "9" * 40, "e5000", "e-3000000", '"', ",", "\n", "\t", "\x00", "é"]),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def csv_files(draw):
+    """Rows of one width, all numbers or mixed with junk, under an optional header."""
+    ncols = draw(st.integers(1, 3))
+    cell = number_cells if draw(st.booleans()) else number_cells | junk_cells
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    header = draw(st.sampled_from([[], ["x"] * ncols, ["x"] * (ncols - 1) + ["weight"]]))
+    return "\n".join(",".join(row) for row in [header] * bool(header) + rows).encode()
+
+
+@given(data=csv_files() | st.binary(max_size=64))
+def test_fuzz_report(data):
+    run_file(["report"], ".csv", data)
