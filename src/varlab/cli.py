@@ -15,7 +15,6 @@ invariant breach (an equivalence violation, which should never occur).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import io
@@ -31,7 +30,12 @@ from typing import Iterable, Sequence, TextIO
 
 from . import __version__
 from .comonotonicity import comonotonic_coupling, is_comonotonic
-from .distributions import DiscreteDistribution, JointDiscreteDistribution
+from .distributions import (
+    DiscreteDistribution,
+    JointDiscreteDistribution,
+    LatticeBoundError,
+    _lattice_form,
+)
 from .gaussian import (
     GaussianSpec,
     gaussian_comonotone_condition,
@@ -62,13 +66,19 @@ EXIT_INVARIANT = 3
 # 1e-3000000 alone would take seconds, and no integer of more than 4,300
 # digits can be printed.
 MAX_NUMBER_DIGITS = 1000
+# Bound on the bits of the common denominators of one input law: of its
+# coordinates, of its weights and of its probabilities. A number within
+# MAX_NUMBER_DIGITS is under 10**1995 in magnitude; with the coordinate and
+# probability denominators under 2**3322 (about 1.07 * 10**1000), the
+# largest printed integer, the numerator of a mean, has under 4,000 digits.
+MAX_SCALE_BITS = (10**MAX_NUMBER_DIGITS).bit_length()
 
 # The grammar of Fraction(str): a decimal with an optional exponent, or
 # "num/den"; underscores may group digits.
 _DIGITS = r"\d+(?:_\d+)*"
 _NUMBER = re.compile(
-    rf"[-+]?(?=\d|\.\d)(?:{_DIGITS})?"
-    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)"
+    rf"([-+]?)(?=\d|\.\d)({_DIGITS})?"
+    rf"(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)"
 )
 
 
@@ -76,23 +86,37 @@ class _NotANumber(ValueError):
     """The text is no number at all, as opposed to a number out of bounds."""
 
 
-def _parse_number(text: str, where: str) -> Fraction:
-    """Exact value of a number; errors start with ``where``, its origin.
+def _parse_number(text: str, where: str) -> tuple[int, int]:
+    """Exact value of a number as a reduced pair (numerator, denominator);
+    errors start with ``where``, its origin.
 
-    A number out of bounds raises ValueError before Fraction builds it, and
-    text that is no number raises _NotANumber.
+    A number out of bounds raises ValueError before any power of ten is
+    built, and text that is no number raises _NotANumber.
     """
     text = text.strip()
     match = _NUMBER.fullmatch(text)
-    if match is not None:
-        if len(text) > MAX_NUMBER_DIGITS or (match[1] and abs(int(match[1])) > MAX_NUMBER_DIGITS):
-            raise ValueError(
-                f"{where}: number out of range; the limit is {MAX_NUMBER_DIGITS} characters "
-                f"and a decimal exponent of {MAX_NUMBER_DIGITS} in magnitude"
-            )
-        with contextlib.suppress(ValueError, ZeroDivisionError):  # 1/0; or 1_0 before 3.11
-            return Fraction(text)
-    raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
+    if match is None:
+        raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
+    sign, whole, den, frac, exp = match.groups()
+    if len(text) > MAX_NUMBER_DIGITS or (exp and abs(int(exp)) > MAX_NUMBER_DIGITS):
+        raise ValueError(
+            f"{where}: number out of range; the limit is {MAX_NUMBER_DIGITS} characters "
+            f"and a decimal exponent of {MAX_NUMBER_DIGITS} in magnitude"
+        )
+    if den is not None:  # the lookahead puts a digit before the slash
+        num, den = int(whole), int(den)
+        if not den:
+            raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
+    else:
+        # int() takes the underscores that group digits, and Unicode digits
+        num = int((whole or "") + (frac or ""))
+        places = len(frac) - frac.count("_") if frac else 0
+        places -= int(exp) if exp else 0
+        num, den = (num, 10**places) if places > 0 else (num * 10**-places, 1)
+    if sign == "-":
+        num = -num
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _row_is_numeric(row: Sequence[str]) -> bool:
@@ -124,7 +148,7 @@ def ingest_csv(
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [row for row in reader if row and any(c.strip() for c in row)]
+            rows = [row for row in reader if "".join(row).strip()]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
@@ -158,16 +182,25 @@ def ingest_csv(
         raise ValueError("no loss columns left after removing the weight column")
 
     pairs = []
-    for offset, row in enumerate(data):
-        rownum = first_row_number + offset
+    for rownum, row in enumerate(data, first_row_number):
         if len(row) != ncols:
             raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
-        coords = tuple(_parse_number(row[c], f"row {rownum}, column {c + 1}") for c in loss_cols)
-        weight = 1 if widx is None else _parse_number(row[widx], f"row {rownum}, column {widx + 1}")
-        if weight <= 0:
-            raise ValueError(f"row {rownum}: weight must be positive, got {weight}")
+        coords = tuple([_parse_number(row[c], f"row {rownum}, column {c + 1}") for c in loss_cols])
+        if widx is None:
+            weight = (1, 1)
+        else:
+            weight = _parse_number(row[widx], f"row {rownum}, column {widx + 1}")
+            if weight[0] <= 0:
+                raise ValueError(f"row {rownum}: weight must be positive, got {Fraction(*weight)}")
         pairs.append((coords, weight))
-    return JointDiscreteDistribution.from_weighted_points(pairs)
+    try:
+        lattice = _lattice_form(
+            pairs, normalize=True, what="(coords, weight) pair", max_bits=MAX_SCALE_BITS
+        )
+    except LatticeBoundError as exc:
+        col = widx if exc.coordinate is None else loss_cols[exc.coordinate]
+        raise ValueError(f"row {first_row_number + exc.row}, column {col + 1}: {exc}") from None
+    return JointDiscreteDistribution._lattice(*lattice)
 
 
 def decimal_cell(value: Fraction) -> str:
@@ -335,14 +368,19 @@ def _var_table_csv(report: AnalysisReport) -> str:
     ncols = len(report.marginals_summary)
     header = ["alpha", *(f"var_{i + 1}" for i in range(ncols))]
     header += ["var_of_sum", "sum_of_vars", "relation"]
-    return _csv_text(
-        header,
-        (
-            [f"{float(x):.12g}" for x in (r.alpha, *r.marginal_vars, r.var_of_sum, r.sum_of_vars)]
-            + [r.relation]
-            for r in report.var_table
-        ),
-    )
+    try:
+        return _csv_text(
+            header,
+            (
+                [f"{float(x):.12g}" for x in (r.alpha, *r.marginal_vars, r.var_of_sum, r.sum_of_vars)]
+                + [r.relation]
+                for r in report.var_table
+            ),
+        )
+    except OverflowError:
+        raise ValueError(
+            "a VaR is beyond the floating point range of --output csv; --output json prints it exactly"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +414,7 @@ def _collect_alphas(args, *, required: bool) -> list[tuple[str, Fraction]]:
         texts += [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
     if required and not texts:
         raise ValueError("at least one --alpha (or --alphas-file) is required")
-    alphas = [(text, _parse_number(text, "alpha")) for text in texts]
+    alphas = [(text, Fraction(*_parse_number(text, "alpha"))) for text in texts]
     for _, a in alphas:
         if not 0 < a < 1:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")

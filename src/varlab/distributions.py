@@ -29,15 +29,42 @@ Rational = Fraction
 MAX_JOINT_POINTS = 100_000
 
 
-def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
-    """Lattice form ``(L, points, counts)`` of raw (coords, probability) pairs.
+class LatticeBoundError(ValueError):
+    """A lattice denominator passed its bound. ``row`` indexes the input row
+    whose entry took it past; ``coordinate`` is that entry's index in the row's
+    coordinates, or None for its weight."""
 
-    Points come back distinct and increasing, as integer tuples over the
-    minimal scale L, with positive counts whose gcd is 1. A negative entry is
-    rejected before duplicates merge. With ``normalize`` the probabilities
-    are weights with a positive total; otherwise they must sum to exactly 1.
+    def __init__(self, message: str, row: int, coordinate: int | None) -> None:
+        super().__init__(message)
+        self.row = row
+        self.coordinate = coordinate
+
+
+def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
+    """`_lattice_form` of (coords, probability) pairs of any rationals."""
+    rows = [
+        (tuple(Fraction(x).as_integer_ratio() for x in coords), Fraction(p).as_integer_ratio())
+        for coords, p in pairs
+    ]
+    return _lattice_form(rows, normalize=normalize, what=what)
+
+
+def _lattice_form(
+    rows: Sequence[tuple], *, normalize: bool, what: str, max_bits: float = math.inf
+):
+    """Lattice form ``(L, points, counts)`` of raw (coords, probability) rows.
+
+    Every coordinate and probability is an integer pair ``(numerator,
+    denominator)`` with a positive denominator. Points come back distinct and
+    increasing, as integer tuples over the minimal scale L, with positive
+    counts whose gcd is 1. A negative entry is rejected before duplicates
+    merge. With ``normalize`` the probabilities are weights with a positive
+    total; otherwise they must sum to exactly 1. L, the lcm of the
+    probability denominators, and the count total over the gcd of the counts
+    (a multiple of the final probability denominator) may each have at most
+    ``max_bits`` bits: the entry that takes one past raises
+    `LatticeBoundError`.
     """
-    rows = [(tuple(map(Fraction, coords)), Fraction(p)) for coords, p in pairs]
     if not rows:
         raise ValueError(f"at least one {what} is required")
     n = len(rows[0][0])
@@ -46,18 +73,43 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
     if any(len(coords) != n for coords, _ in rows):
         raise ValueError("all points must share the same dimension")
     kind = "weights" if normalize else f"{what} probabilities"
-    if any(p < 0 for _, p in rows):
+    if any(num < 0 for _, (num, _) in rows):
         raise ValueError(f"{kind} must be nonnegative")
-    scale = math.lcm(*(x.denominator for coords, _ in rows for x in coords))
-    denom = math.lcm(*(p.denominator for _, p in rows))
-    keys = [tuple(x.numerator * (scale // x.denominator) for x in coords) for coords, _ in rows]
-    weights = [p.numerator * (denom // p.denominator) for _, p in rows]
+
+    scale, over = _lcm_within([d for coords, _ in rows for _, d in coords], max_bits)
+    if over is not None:
+        raise LatticeBoundError(
+            f"the common denominator of the coordinates exceeds {max_bits} bits", *divmod(over, n)
+        )
+    denom, over = _lcm_within([d for _, (_, d) in rows], max_bits)
+    if over is not None:
+        raise LatticeBoundError(
+            f"the common denominator of the {kind} exceeds {max_bits} bits", over, None
+        )
+    keys = [tuple([x * (scale // d) for x, d in coords]) for coords, _ in rows]
+    weights = [p * (denom // d) for _, (p, d) in rows]
     total = sum(weights)
+    g = math.gcd(*weights) or 1
+    if (total // g).bit_length() > max_bits:
+        totals = itertools.accumulate(weights)
+        k = next(k for k, t in enumerate(totals) if (t // g).bit_length() > max_bits)
+        raise LatticeBoundError(f"the probability denominator exceeds {max_bits} bits", k, None)
     if normalize and total == 0:
         raise ValueError("total weight must be positive")
     if not normalize and total != denom:
         raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
     return _merged(scale, keys, weights)
+
+
+def _lcm_within(dens: list[int], max_bits: float) -> tuple[int, int | None]:
+    """The lcm of ``dens`` and, if it grows past ``max_bits`` bits, the index
+    of the first entry that takes it there (else None)."""
+    acc = 1
+    for d in dict.fromkeys(dens):  # distinct, in order of first appearance
+        acc = math.lcm(acc, d)
+        if acc.bit_length() > max_bits:
+            return acc, dens.index(d)
+    return acc, None
 
 
 def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):

@@ -72,33 +72,55 @@ def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
     return subadditivity_report(j).breakpoints
 
 
-def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
-    """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval.
+def _compared(j: JointDiscreteDistribution):
+    """Both sides of the inequality on every breakpoint interval, in integers.
 
     One linear merge over the integer cumulative counts of the marginals and
     of the sum yields each interval and the atom every quantile takes on it.
+    Returns the marginals, the sum law, the common probability denominator D
+    and, per interval, ``(level, ks, var_sum, sum_of_vars)``: the right
+    endpoint in units of 1/D, the atom indices of `_sweep`, and both sides in
+    units of 1/``j.coord_denom``, a multiple of every marginal's scale and
+    of the sum's.
     """
     ms = j.marginals()
     s = j.sum_distribution()
     denom, steps = _sweep((*ms, s))
-    scale = j.coord_denom  # a multiple of every marginal's and of the sum's
-    factors = [scale // m.coord_denom for m in ms]
-    sum_factor = scale // s.coord_denom
-    verdicts = []
+    scale = j.coord_denom
+    columns = [[x * (scale // m.coord_denom) for x in m.xs] for m in (*ms, s)]
+    rows = []
     for level, ks in steps:
-        var_sum = s.xs[ks[-1]] * sum_factor
-        sum_of_vars = sum(m.xs[k] * f for m, k, f in zip(ms, ks, factors))
-        verdicts.append(IntervalVerdict(
-            Fraction(level, denom), s.values[ks[-1]], Fraction(sum_of_vars, scale),
+        *marginal_vars, var_sum = map(list.__getitem__, columns, ks)
+        rows.append((level, ks, var_sum, sum(marginal_vars)))
+    return ms, s, denom, rows
+
+
+def _flags(rows) -> tuple[bool, bool]:
+    """(subadditive everywhere, additive everywhere) of `_compared` rows."""
+    return (
+        all(var_sum <= sum_of_vars for _, _, var_sum, sum_of_vars in rows),
+        all(var_sum == sum_of_vars for _, _, var_sum, sum_of_vars in rows),
+    )
+
+
+def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
+    """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
+    ms, s, denom, rows = _compared(j)
+    verdicts = tuple(
+        IntervalVerdict(
+            Fraction(level, denom), s.values[ks[-1]], Fraction(sum_of_vars, j.coord_denom),
             _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
-        ))
-    violations = [v.alpha_star for v in verdicts if v.relation == ">"]
+        )
+        for level, ks, var_sum, sum_of_vars in rows
+    )
+    subadditive, additive = _flags(rows)
+    violations = (v.alpha_star for v in verdicts if v.relation == ">")
     return SubadditivityReport(
         breakpoints=tuple(v.alpha_star for v in verdicts),
-        verdicts=tuple(verdicts),
-        subadditive_everywhere=not violations,
-        additive_everywhere=all(v.relation == "=" for v in verdicts),
-        first_violation=violations[0] if violations else None,
+        verdicts=verdicts,
+        subadditive_everywhere=subadditive,
+        additive_everywhere=additive,
+        first_violation=next(violations, None),
     )
 
 
@@ -119,12 +141,12 @@ class TrialVerdict:
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     """Run both detectors on one instance and check that they agree."""
     como = is_comonotonic(j).comonotonic
-    report = subadditivity_report(j)
+    subadditive, additive = _flags(_compared(j)[3])
     return TrialVerdict(
         comonotonic=como,
-        subadditive_everywhere=report.subadditive_everywhere,
-        additive_everywhere=report.additive_everywhere,
-        consistent=como == report.subadditive_everywhere == report.additive_everywhere,
+        subadditive_everywhere=subadditive,
+        additive_everywhere=additive,
+        consistent=como == subadditive == additive,
     )
 
 
@@ -236,8 +258,8 @@ def random_coupling(
     Each marginal is sliced into unit cells of mass 1/D on the common
     denominator D of all atom probabilities, each coordinate's cell list is
     shuffled independently, and matched cells are merged back into support
-    points. The construction preserves every marginal exactly; with identity
-    permutations it reproduces the comonotonic coupling.
+    points. The construction preserves every marginal exactly; without the
+    shuffles it reproduces the comonotonic coupling.
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
@@ -246,21 +268,14 @@ def random_coupling(
         raise ValueError(
             f"common denominator {denom} exceeds the {MAX_JOINT_POINTS}-cell guard"
         )
-    perms = [list(range(denom)) for _ in ms]
-    for perm in perms:
-        rng.shuffle(perm)
-    return _coupling_from_permutations(ms, perms)
-
-
-def _coupling_from_permutations(ms, perms) -> JointDiscreteDistribution:
-    denom = len(perms[0])
     scale = lcm(*(m.coord_denom for m in ms))
     columns = []
-    for m, perm in zip(ms, perms):
-        assert denom % m.prob_denom == 0, "probabilities must divide the cell grid"
-        value_of_cell: list[int] = []
+    for m in ms:
+        # the value of each cell, shuffled in place: a uniform permutation
+        column: list[int] = []
         for x, c in zip(m.xs, m.counts):
-            value_of_cell += [x * (scale // m.coord_denom)] * (c * (denom // m.prob_denom))
-        columns.append([value_of_cell[c] for c in perm])
+            column += [x * (scale // m.coord_denom)] * (c * (denom // m.prob_denom))
+        rng.shuffle(column)
+        columns.append(column)
     cells = Counter(zip(*columns))
     return JointDiscreteDistribution._lattice(*_merged(scale, cells, cells.values()), ms)

@@ -8,15 +8,41 @@ differential oracle: per-level bisection for the breakpoint sweep, a
 sum-ordered chain check, the quantile-transform coupling (whose sum law
 decides convex-order maximality), a prefix-sum grid for the min-copula
 identity, suffix tables for the convex order, and the seeded generators with
-their original draw order.
+their original draw order. Also the number parser that built a `Fraction`
+per CSV cell before cells parsed straight to integer pairs.
 """
 
+import contextlib
 import random
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 
+from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber
+
 _ZERO = Fraction(0)
+
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(
+    rf"[-+]?(?=\d|\.\d)(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE]([-+]?{_DIGITS}))?)"
+)
+
+
+def parse_number(text, where):
+    """Fraction(text) behind the bounds of ``varlab.cli._parse_number``."""
+    text = text.strip()
+    match = _NUMBER.fullmatch(text)
+    if match is not None:
+        if len(text) > MAX_NUMBER_DIGITS or (match[1] and abs(int(match[1])) > MAX_NUMBER_DIGITS):
+            raise ValueError(
+                f"{where}: number out of range; the limit is {MAX_NUMBER_DIGITS} characters "
+                f"and a decimal exponent of {MAX_NUMBER_DIGITS} in magnitude"
+            )
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # 1/0; or 1_0 before 3.11
+            return Fraction(text)
+    raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
 
 
 def canonical(pairs):

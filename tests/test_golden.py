@@ -1,12 +1,15 @@
 """Golden output: the CLI's stdout on fixed small inputs, pinned by sha256.
 
 The digests were recorded from the Fraction-based implementation that the
-integer-lattice kernel replaced, so any byte of difference in a report,
-VaR table, coupling or simulation summary fails here. Regenerate with
-``python tests/test_golden.py`` only for an intended output change.
+integer-lattice kernel replaced, and those of the grammar and bench inputs
+from the per-cell Fraction parser that the integer cell parse replaced, so
+any byte of difference in a report, VaR table, coupling or simulation
+summary fails here. Regenerate with ``python tests/test_golden.py`` only
+for an intended output change.
 """
 
 import hashlib
+import importlib.util
 import io
 import sys
 from contextlib import redirect_stdout
@@ -16,6 +19,18 @@ import pytest
 
 from varlab.cli import main
 
+
+def _bench_gen():
+    """bench/gen.py, loaded read-only by path; it does not import varlab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_gen = _bench_gen()
+
 INPUTS = {
     # dependent, not comonotonic: a witness, a '>' row, weights, negatives
     "mixed.csv": "a,b,weight\n0.5,1,2\n-1.25,3,1\n2,0.1,1\n0.5,1,1\n3,-2,3\n1/3,2/7,1\n",
@@ -24,6 +39,13 @@ INPUTS = {
     # independent Bernoulli(3/10) pair as weighted points
     "bern.csv": "x,y,weight\n0,0,49\n0,1,21\n1,0,21\n1,1,9\n",
     "one.csv": "loss\n7\n-2\n7\n0.125\n",
+    # every branch of the number grammar, in losses and in weights
+    "grammar.csv": (
+        "a,b,weight\n+1_000.5,3/8,2\n.25e1,-1e-2,1_0\n1/3,+.5,3/2\n-2.5E+1,7,1e1\n"
+        "0.125,1_2/4,1\n+.75,2e0,.5\n-3.,-0.000_1,2.5e-1\n1e3,1_2/4,+3\n"
+    ),
+    # the benchmark's decimal cents, 2,000 rows
+    "bench.csv": _gen.csv_text(_gen.csv_rows(1, 2_000)),
 }
 
 CASES = {
@@ -35,6 +57,10 @@ CASES = {
     "report-one": ["report", "one.csv"],
     "var-bern": ["var", "bern.csv", "--alpha", "0.5", "--alpha", "0.95"],
     "var-mixed-csv": ["var", "mixed.csv", "--alpha", "1/2", "--output", "csv"],
+    "report-grammar": ["report", "grammar.csv"],
+    "var-grammar-csv": ["var", "grammar.csv", "--alpha", "1/3", "--alpha", ".95", "--output", "csv"],
+    "report-bench": ["report", "bench.csv"],
+    "report-bench-csv": ["report", "bench.csv", "--output", "csv"],
     "couple": ["couple", "chain.csv", "one.csv"],
     "couple-json": ["couple", "bern.csv", "one.csv", "--output", "json"],
     "simulate": ["simulate", "--seed", "7", "--trials", "150"],
@@ -48,8 +74,11 @@ CASES = {
 GOLDEN = {
     "couple": "f7c4c6a0c2c18af09e800aa5470d7809dab79b1f84a84ebfcd4618c35d3c9bcc",
     "couple-json": "e415c9288468e2817bfecb91ac717ce4f38790a914a335be50915415f4d25a5b",
+    "report-bench": "432b72d3340e4628ffda03684b82ddee1603503f52426abf9c0be4a029aaf623",
+    "report-bench-csv": "befb6590effa7940e17206af12326d10e275f4142abd781885af6e7fd3c42db2",
     "report-bern": "cc51c9b4c60bfff7ff111536004ac5cbb529de0132aa63b43579e6dee8a66f86",
     "report-chain": "a6fc94676449b7443b05e9e6e4e5de4a1d996120786aafb994623a3a7c634e93",
+    "report-grammar": "bdf0aed51f83e7c480924ec95603455baa9741e467ea864ab252dd43bfc2a254",
     "report-mixed": "b025dda6c9424786d9258668d17f6a92a5d01df108f1ebb67c4314efd2b4eafa",
     "report-mixed-alphas": "146a45c1330d112eeb09e43ad0e175c8ba4d7a22bf456f7760e22eb07a9eb5df",
     "report-mixed-csv": "1afc7f71a86d6fb9c8f0d757d7fd0d67e479a2d2fb46e03cd00a799dc65c9767",
@@ -58,6 +87,7 @@ GOLDEN = {
     "simulate-coupling-csv": "e8d2541b35865847b0d0f814b89477dab2ef3f00ee1c367b5c1503386d5f6dbe",
     "simulate-csv": "988150ae556b68a880c0dd007950c9e4e81de8f5e17f905d9c41654007c9117a",
     "var-bern": "e7a5b0e753568cc494150effb9aa6931a8f75a8e498ddb38ece1777f0327a706",
+    "var-grammar-csv": "c43427e8071849fef40d8e80ce20414b376e86079e3b0ec5aa007721623eefef",
     "var-mixed-csv": "b4df67cc8c2b4cbb9c068d58444299477accfc32e76dee0d6435ed3c7b687314",
 }
 

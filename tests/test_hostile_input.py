@@ -1,5 +1,7 @@
 """Hostile and malformed input through ``main()``: bounded number parsing,
-float-level checks on the Gaussian path, and fuzzed CSV and JSON files.
+bounded lattice denominators, float-level checks and the dimension cap on
+the Gaussian path, and fuzzed CSV and JSON files through every subcommand
+that reads them.
 
 Every such input must exit 0 or 2, with no traceback, within a time budget.
 """
@@ -8,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import given
 
 import varlab
-from varlab.cli import MAX_NUMBER_DIGITS, ingest_csv, main
+from varlab.cli import MAX_NUMBER_DIGITS, MAX_SCALE_BITS, ingest_csv, main
+from varlab.gaussian import MAX_DIMENSION
 
 # Seconds one rejected input may take; a correct rejection takes milliseconds.
 BUDGET_S = 1.0
@@ -88,7 +92,64 @@ class TestBoundedNumbers:
             assert elapsed < BUDGET_S
 
 
+class TestLatticeBounds:
+    def test_common_denominator_bound_names_row_and_column(self, tmp_path):
+        rng = random.Random(4)
+        dens = [rng.randrange(10**399, 10**400) | 1 for _ in range(14)]
+        csv_path = write(tmp_path, "a.csv", "".join(f"0,1/{d}\n" for d in dens))
+        rc, out, err, elapsed = run_main(["report", csv_path])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: row 3, column 2: the common denominator of the coordinates")
+        assert f"{MAX_SCALE_BITS} bits" in err
+        assert elapsed < BUDGET_S
+
+    def test_weight_denominator_bound(self, tmp_path):
+        dens = [10**400 + 2 * k + 1 for k in range(14)]
+        text = "x,weight\n" + "".join(f"{k},1/{d}\n" for k, d in enumerate(dens))
+        rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", text)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: row 4, column 2: the common denominator of the weights")
+
+    def test_probability_denominator_bound(self, tmp_path):
+        huge = "9" * 995 + "e1000"
+        text = f"x,weight\n{huge},{huge}\n.1e-998,1\n"
+        rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", text)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: row 2, column 2: the probability denominator")
+
+    def test_huge_weights_with_a_small_ratio_are_exact(self, tmp_path):
+        j = ingest_csv(write(tmp_path, "a.csv", "x,weight\n1,2e1000\n2,6e1000\n"))
+        assert j.points == (((F(1),), F(1, 4)), ((F(2),), F(3, 4)))
+
+    def test_float_table_beyond_float_range(self, tmp_path):
+        rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "1e400\n2\n"), "--output", "csv"])
+        assert rc == 2
+        assert out == ""
+        assert "--output json" in err
+
+
 class TestEllipticInput:
+    def test_dimension_over_the_cap(self, tmp_path):
+        n = 20 * MAX_DIMENSION
+        spec = write(tmp_path, "g.json", json.dumps({"mean": [0] * n, "covariance": [[1] * n] * 3}))
+        rc, out, err, elapsed = run_main(["elliptic", spec])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: dimension {n} exceeds the cap of {MAX_DIMENSION}\n"
+        assert elapsed < BUDGET_S
+
+    def test_largest_dimension_within_budget(self, tmp_path):
+        n = MAX_DIMENSION
+        cov = [[1 + (i == j) for j in range(n)] for i in range(n)]  # I + all ones
+        spec = write(tmp_path, "g.json", json.dumps({"mean": [0] * n, "covariance": cov}))
+        rc, out, err, elapsed = run_main(["elliptic", spec])
+        assert rc == 0, err
+        assert json.loads(out)["dimension"] == n
+        assert elapsed < BUDGET_S
+
     @pytest.mark.parametrize("level", ["1e-400", "0.99999999999999999999"])
     def test_level_rounding_out_of_the_interval(self, tmp_path, level):
         spec = write(tmp_path, "g.json", '{"mean": [0], "covariance": [[1]]}')
@@ -176,11 +237,14 @@ gaussian_specs = (
 )
 
 
-def run_file(argv, suffix, data):
+def run_file(argv, suffix, *data):
+    """main() on ``argv`` with one file per ``data`` inserted after the command."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "input" + suffix)
-        path.write_bytes(data)
-        rc, out, err, elapsed = run_main([argv[0], str(path), *argv[1:]])
+        paths = []
+        for k, blob in enumerate(data):
+            paths.append(str(Path(tmp, f"input{k}{suffix}")))
+            Path(paths[-1]).write_bytes(blob)
+        rc, out, err, elapsed = run_main([argv[0], *paths, *argv[1:]])
     assert rc in (0, 2), err
     assert elapsed < 2 * BUDGET_S
     if rc == 2:
@@ -219,6 +283,25 @@ def csv_files(draw):
     return "\n".join(",".join(row) for row in [header] * bool(header) + rows).encode()
 
 
-@given(data=csv_files() | st.binary(max_size=64))
-def test_fuzz_report(data):
-    run_file(["report"], ".csv", data)
+csv_inputs = csv_files() | st.binary(max_size=64)
+level_args = st.lists(st.sampled_from(["0.95", "1/2", "1e-400", "2", "x", "1e5000"]), min_size=1, max_size=2)
+weight_args = st.sampled_from([[], ["--weight-column", "weight"], ["--weight-column", "0"],
+                               ["--weight-column", "2"], ["--weight-column", "-1"],
+                               ["--weight-column", "w"], ["--no-header"]])
+
+
+@given(data=csv_inputs, alphas=level_args, flags=weight_args, output=st.sampled_from(["json", "csv"]))
+def test_fuzz_var(data, alphas, flags, output):
+    argv = ["var", *(arg for a in alphas for arg in ("--alpha", a)), *flags, "--output", output]
+    run_file(argv, ".csv", data)
+
+
+@given(data=st.lists(csv_inputs, min_size=1, max_size=2), flags=weight_args,
+       output=st.sampled_from(["json", "csv"]))
+def test_fuzz_couple(data, flags, output):
+    run_file(["couple", *flags, "--output", output], ".csv", *data)
+
+
+@given(data=csv_inputs, flags=weight_args, output=st.sampled_from(["json", "csv"]))
+def test_fuzz_report(data, flags, output):
+    run_file(["report", *flags, "--output", output], ".csv", data)

@@ -4,15 +4,18 @@ Every derived quantity (marginals, the sum law, each breakpoint verdict, the
 comonotone verdict and its witness, the min-copula and convex-order checks)
 is computed twice, by the package and by `fraction_oracle` from the law's
 Fraction points, and must agree exactly. The seeded generators must also
-reproduce the oracle's instance for every seed.
+reproduce the oracle's instance for every seed. CSV cells, which parse
+straight to integer pairs, must give the oracle's Fraction parse and laws.
 """
 
 import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import fraction_oracle as oracle
 import oracles
@@ -31,6 +34,7 @@ from varlab import (
     stop_loss,
     subadditivity_report,
 )
+from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber, _parse_number, ingest_csv
 
 N_PER_KIND = 1000
 MAX_ATOMS = 8
@@ -138,3 +142,76 @@ def test_distribution_queries_match_oracle(pairs_a, pairs_b, alpha, x):
     assert a.scale(x).atoms == oracle.canonical((v * x, p) for v, p in a.atoms)
     leq = convex_order_leq(a, b)
     assert (leq.holds, leq.mean_equal, leq.witness_c) == oracle.convex_order_leq(a.atoms, b.atoms)
+
+
+def parse_outcome(parse, text):
+    """("value", v), ("not a number", message) or ("out of range", message)."""
+    try:
+        value = parse(text, "cell")
+    except _NotANumber as exc:
+        return "not a number", str(exc)
+    except ValueError as exc:
+        return "out of range", str(exc)
+    return "value", value
+
+
+number_texts = st.one_of(
+    st.text(alphabet="0123456789+-.eE/_ \t\u0663", max_size=14),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-", "+."]), st.integers(0, 999),
+              st.integers(-MAX_NUMBER_DIGITS - 5, MAX_NUMBER_DIGITS + 5)),
+    st.integers(MAX_NUMBER_DIGITS - 3, MAX_NUMBER_DIGITS + 3).map(lambda k: "1" * k),
+    st.integers(MAX_NUMBER_DIGITS - 5, MAX_NUMBER_DIGITS + 1).map(lambda k: "." + "0" * k + "5"),
+)
+
+
+@given(number_texts)
+@example("1/0")
+@example("0_0/0")
+@example(" -1_000.000_1e+1_0 ")
+@example("+.5E-3")
+@example("1.e5")
+@example("1 / 2")
+@example("\u0663/\u0667")
+def test_cell_parse_matches_fraction_oracle(text):
+    got = parse_outcome(_parse_number, text)
+    want = parse_outcome(oracle.parse_number, text)
+    if want[0] == "value":
+        assert got == ("value", (want[1].numerator, want[1].denominator))
+    else:
+        assert got == want
+
+
+csv_cells = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.builds("{}.{:02d}".format, st.integers(-99, 99), st.integers(0, 99)),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-4, 4)),
+    st.builds("+.{}_{}".format, st.integers(0, 9), st.integers(0, 9)),
+)
+csv_weights = st.one_of(
+    st.integers(1, 20).map(str),
+    st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 9)),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-2, 2)),
+)
+
+
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_csv_laws_match_fraction_oracle(ncols, weighted, data):
+    rows = data.draw(st.lists(
+        st.tuples(st.lists(csv_cells, min_size=ncols, max_size=ncols), csv_weights),
+        min_size=1, max_size=12,
+    ))
+    header = [f"x{i}" for i in range(ncols)] + ["weight"] * weighted
+    lines = [header] + [cells + [w] * weighted for cells, w in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in.csv")
+        path.write_text("\n".join(map(",".join, lines)) + "\n", encoding="utf-8")
+        j = ingest_csv(path)
+    pairs = [
+        (tuple(oracle.parse_number(c, "cell") for c in cells),
+         oracle.parse_number(w, "weight") if weighted else F(1))
+        for cells, w in rows
+    ]
+    assert j == JointDiscreteDistribution.from_weighted_points(pairs)
+    total = sum(w for _, w in pairs)
+    assert j.points == oracle.canonical((coords, w / total) for coords, w in pairs)

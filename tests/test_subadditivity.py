@@ -1,6 +1,6 @@
-import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -22,7 +22,7 @@ from varlab import (
     subadditivity_report,
     var,
 )
-from varlab.subadditivity import _coupling_from_permutations, _random_marginal
+from varlab.subadditivity import _random_marginal
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 INDEP_3_10 = independent_product(BERN_3_10, BERN_3_10)
@@ -211,9 +211,8 @@ class TestGenerators:
         spec = GeneratorSpec(n=n, max_atoms=5)
         rng = random.Random(seed)
         ms = [_random_marginal(rng, spec) for _ in range(n)]
-        denom = math.lcm(*(p.denominator for m in ms for p in m.probs))
-        identity = [list(range(denom)) for _ in ms]
-        assert _coupling_from_permutations(ms, identity) == comonotonic_coupling(ms)
+        with mock.patch.object(random.Random, "shuffle", lambda self, cells: None):
+            assert random_coupling(seed, spec) == comonotonic_coupling(ms)
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ValueError):
