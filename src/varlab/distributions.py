@@ -27,12 +27,16 @@ Rational = Fraction
 # Practical ceiling on support and grid sizes; exact enumeration past this
 # point is no longer desk-scale.
 MAX_JOINT_POINTS = 100_000
+# Bound on the bits of the common denominators of a law built from caller
+# data: of its coordinates, of its weights and of its probabilities. It is
+# the bit length of 10**1000, so a decimal of 1,000 places fits.
+MAX_SCALE_BITS = 3322
 
 
 class LatticeBoundError(ValueError):
-    """A lattice denominator passed its bound. ``row`` indexes the input row
-    whose entry took it past; ``coordinate`` is that entry's index in the row's
-    coordinates, or None for its weight."""
+    """A lattice denominator passed `MAX_SCALE_BITS`. ``row`` indexes the
+    input row whose entry took it past; ``coordinate`` is that entry's index
+    in the row's coordinates, or None for its weight."""
 
     def __init__(self, message: str, row: int, coordinate: int | None) -> None:
         super().__init__(message)
@@ -49,9 +53,7 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
     return _lattice_form(rows, normalize=normalize, what=what)
 
 
-def _lattice_form(
-    rows: Sequence[tuple], *, normalize: bool, what: str, max_bits: float = math.inf
-):
+def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
     """Lattice form ``(L, points, counts)`` of raw (coords, probability) rows.
 
     Every coordinate and probability is an integer pair ``(numerator,
@@ -60,10 +62,9 @@ def _lattice_form(
     counts whose gcd is 1. A negative entry is rejected before duplicates
     merge. With ``normalize`` the probabilities are weights with a positive
     total; otherwise they must sum to exactly 1. L, the lcm of the
-    probability denominators, and the count total over the gcd of the counts
-    (a multiple of the final probability denominator) may each have at most
-    ``max_bits`` bits: the entry that takes one past raises
-    `LatticeBoundError`.
+    probability denominators and the probability denominator of the merged
+    law may each have at most `MAX_SCALE_BITS` bits: the entry that takes one
+    past raises `LatticeBoundError`.
     """
     if not rows:
         raise ValueError(f"at least one {what} is required")
@@ -76,38 +77,36 @@ def _lattice_form(
     if any(num < 0 for _, (num, _) in rows):
         raise ValueError(f"{kind} must be nonnegative")
 
-    scale, over = _lcm_within([d for coords, _ in rows for _, d in coords], max_bits)
+    bound = f"exceeds {MAX_SCALE_BITS} bits"
+    scale, over = _lcm_within([d for coords, _ in rows for _, d in coords])
     if over is not None:
-        raise LatticeBoundError(
-            f"the common denominator of the coordinates exceeds {max_bits} bits", *divmod(over, n)
-        )
-    denom, over = _lcm_within([d for _, (_, d) in rows], max_bits)
+        raise LatticeBoundError(f"the common denominator of the coordinates {bound}", *divmod(over, n))
+    denom, over = _lcm_within([d for _, (_, d) in rows])
     if over is not None:
-        raise LatticeBoundError(
-            f"the common denominator of the {kind} exceeds {max_bits} bits", over, None
-        )
+        raise LatticeBoundError(f"the common denominator of the {kind} {bound}", over, None)
     keys = [tuple([x * (scale // d) for x, d in coords]) for coords, _ in rows]
     weights = [p * (denom // d) for _, (p, d) in rows]
     total = sum(weights)
-    g = math.gcd(*weights) or 1
-    if (total // g).bit_length() > max_bits:
-        totals = itertools.accumulate(weights)
-        k = next(k for k, t in enumerate(totals) if (t // g).bit_length() > max_bits)
-        raise LatticeBoundError(f"the probability denominator exceeds {max_bits} bits", k, None)
     if normalize and total == 0:
         raise ValueError("total weight must be positive")
     if not normalize and total != denom:
         raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
-    return _merged(scale, keys, weights)
+    scale, points, counts = _merged(scale, keys, weights)
+    if sum(counts).bit_length() > MAX_SCALE_BITS:
+        unit = total // sum(counts)  # the weight of one count
+        totals = itertools.accumulate(weights)
+        k = next(k for k, t in enumerate(totals) if (t // unit).bit_length() > MAX_SCALE_BITS)
+        raise LatticeBoundError(f"the probability denominator {bound}", k, None)
+    return scale, points, counts
 
 
-def _lcm_within(dens: list[int], max_bits: float) -> tuple[int, int | None]:
-    """The lcm of ``dens`` and, if it grows past ``max_bits`` bits, the index
-    of the first entry that takes it there (else None)."""
+def _lcm_within(dens: list[int]) -> tuple[int, int | None]:
+    """The lcm of ``dens`` and, if it grows past `MAX_SCALE_BITS` bits, the
+    index of the first entry that takes it there (else None)."""
     acc = 1
     for d in dict.fromkeys(dens):  # distinct, in order of first appearance
         acc = math.lcm(acc, d)
-        if acc.bit_length() > max_bits:
+        if acc.bit_length() > MAX_SCALE_BITS:
             return acc, dens.index(d)
     return acc, None
 
@@ -326,9 +325,17 @@ class JointDiscreteDistribution:
         vars(self)["prob_denom"] = sum(self.counts)
 
     @classmethod
-    def from_weighted_points(cls, pairs: Iterable[tuple]) -> "JointDiscreteDistribution":
-        """Build a joint law from (coords, weight) pairs, merging and normalizing."""
-        return cls._lattice(*_canonical(pairs, normalize=True, what="(coords, weight) pair"))
+    def from_weighted_points(
+        cls, pairs: Iterable[tuple], *, ratios: bool = False
+    ) -> "JointDiscreteDistribution":
+        """Build a joint law from (coords, weight) pairs, merging and normalizing.
+
+        With ``ratios`` the pairs are a sequence whose every coordinate and
+        weight is already an integer pair (numerator, positive denominator),
+        as CSV cells parse to; no `Fraction` is built.
+        """
+        form = _lattice_form if ratios else _canonical
+        return cls._lattice(*form(pairs, normalize=True, what="(coords, weight) pair"))
 
     @cached_property
     def points(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:

@@ -40,8 +40,9 @@ def parse_number(text, where):
                 f"{where}: number out of range; the limit is {MAX_NUMBER_DIGITS} characters "
                 f"and a decimal exponent of {MAX_NUMBER_DIGITS} in magnitude"
             )
-        with contextlib.suppress(ValueError, ZeroDivisionError):  # 1/0; or 1_0 before 3.11
-            return Fraction(text)
+        # the grammar has placed the underscores; Fraction takes them only from 3.11
+        with contextlib.suppress(ZeroDivisionError):  # 1/0
+            return Fraction(text.replace("_", ""))
     raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
 
 

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given
 
 import varlab
-from varlab.cli import MAX_NUMBER_DIGITS, MAX_SCALE_BITS, ingest_csv, main
-from varlab.gaussian import MAX_DIMENSION
+from varlab.cli import MAX_DIMENSION, MAX_NUMBER_DIGITS, ingest_csv, main
+from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError
 
 # Seconds one rejected input may take; a correct rejection takes milliseconds.
 BUDGET_S = 1.0
@@ -112,13 +112,35 @@ class TestLatticeBounds:
         assert out == ""
         assert err.startswith("error: row 4, column 2: the common denominator of the weights")
 
-    def test_probability_denominator_bound(self, tmp_path):
-        huge = "9" * 995 + "e1000"
-        text = f"x,weight\n{huge},{huge}\n.1e-998,1\n"
-        rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", text)])
+    @pytest.mark.parametrize("rows, row", [
+        (f"{'9' * 995}e1000,{'9' * 995}e1000\n.1e-998,1\n", 2),
+        # counts 1e1000, 1e1000, 1 in units of 4: the running total passes on row 3
+        ("1,4e1000\n2,4e1000\n3,4\n", 3),
+    ])
+    def test_probability_denominator_bound(self, tmp_path, rows, row):
+        rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "x,weight\n" + rows)])
         assert rc == 2
         assert out == ""
+        assert err.startswith(f"error: row {row}, column 2: the probability denominator")
+
+    def test_probability_bound_is_on_the_merged_law(self, tmp_path):
+        # raw weights 9e1000 and 1 merge into one point of probability 1
+        j = ingest_csv(write(tmp_path, "a.csv", "x,weight\n1,9e1000\n1,1\n"))
+        assert j.points == (((F(1),), F(1)),)
+        rc, _, err, _ = run_main(["report", write(tmp_path, "b.csv", "x,weight\n1,9e1000\n2,1\n")])
+        assert rc == 2
         assert err.startswith("error: row 2, column 2: the probability denominator")
+
+    def test_bound_fits_a_decimal_of_the_digit_limit(self):
+        assert MAX_SCALE_BITS == (10**MAX_NUMBER_DIGITS).bit_length()
+
+    def test_library_constructors_share_the_bound(self):
+        tiny = F(1, 3**2100)  # a 3,329-bit denominator
+        with pytest.raises(LatticeBoundError, match="coordinates exceeds") as exc:
+            varlab.JointDiscreteDistribution.from_weighted_points([((0,), 1), ((tiny,), 1)])
+        assert (exc.value.row, exc.value.coordinate) == (1, 0)
+        with pytest.raises(LatticeBoundError, match="probabilities exceeds"):
+            varlab.DiscreteDistribution([(0, 1 - tiny), (1, tiny)])
 
     def test_huge_weights_with_a_small_ratio_are_exact(self, tmp_path):
         j = ingest_csv(write(tmp_path, "a.csv", "x,weight\n1,2e1000\n2,6e1000\n"))
@@ -140,6 +162,11 @@ class TestEllipticInput:
         assert out == ""
         assert err == f"error: dimension {n} exceeds the cap of {MAX_DIMENSION}\n"
         assert elapsed < BUDGET_S
+
+    def test_cap_is_on_the_command_line_only(self):
+        n = MAX_DIMENSION + 1
+        cov = [[float(i == j) for j in range(n)] for i in range(n)]
+        assert varlab.GaussianSpec(mean=[0.0] * n, covariance=cov).dimension == n
 
     def test_largest_dimension_within_budget(self, tmp_path):
         n = MAX_DIMENSION
