@@ -24,13 +24,20 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import __version__
 from .comonotonicity import comonotonic_coupling, is_comonotonic
-from .distributions import DiscreteDistribution, JointDiscreteDistribution, LatticeBoundError
+from .distributions import (
+    MAX_SCALE_BITS,
+    DiscreteDistribution,
+    JointDiscreteDistribution,
+    LatticeBoundError,
+)
 from .gaussian import (
     GaussianSpec,
     gaussian_comonotone_condition,
@@ -177,18 +184,30 @@ def ingest_csv(
     if not loss_cols:
         raise ValueError("no loss columns left after removing the weight column")
 
+    # Cell texts repeat, so each distinct text is parsed once. A text that
+    # fails is not stored: it raises at its first row and column.
+    parsed: dict[str, tuple[int, int]] = {}
+    cols = loss_cols if widx is None else [*loss_cols, widx]
     pairs = []
     for rownum, row in enumerate(data, first_row_number):
         if len(row) != ncols:
             raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
-        coords = tuple([_parse_number(row[c], f"row {rownum}, column {c + 1}") for c in loss_cols])
-        if widx is None:
-            weight = (1, 1)
-        else:
-            weight = _parse_number(row[widx], f"row {rownum}, column {widx + 1}")
-            if weight[0] <= 0:
-                raise ValueError(f"row {rownum}: weight must be positive, got {Fraction(*weight)}")
-        pairs.append((coords, weight))
+        values = []
+        for c in cols:
+            text = row[c]
+            value = parsed.get(text)
+            if value is None:
+                try:
+                    value = parsed[text] = _parse_number(text, "")
+                except ValueError as exc:  # the message starts ": ", so name the cell
+                    raise type(exc)(f"row {rownum}, column {c + 1}{exc}") from None
+            values.append(value)
+        weight = (1, 1) if widx is None else values.pop()
+        if weight[0] <= 0:
+            raise ValueError(
+                f"row {rownum}, column {widx + 1}: weight must be positive, got {Fraction(*weight)}"
+            )
+        pairs.append((tuple(values), weight))
     try:
         return JointDiscreteDistribution.from_weighted_points(pairs, ratios=True)
     except LatticeBoundError as exc:
@@ -242,11 +261,28 @@ def _round12(x: float) -> float:
 
 
 def _digest(j: JointDiscreteDistribution) -> str:
-    h = hashlib.sha256()
-    for coords, count in zip(j.xs, j.counts):
-        point = ";".join(_ratio_str(x, j.coord_denom) for x in coords)
-        h.update(f"{point}|{_ratio_str(count, j.prob_denom)}\n".encode())
-    return h.hexdigest()
+    """sha256 of the law's points, one "x1;x2;...|p" line each, every value
+    reduced "num/den"; each distinct coordinate and count is formatted once."""
+    coords = {x: _ratio_str(x, j.coord_denom) for x in set().union(*j.xs)}
+    counts = {c: _ratio_str(c, j.prob_denom) for c in set(j.counts)}
+    text = "".join([
+        f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"
+        for point, c in zip(j.xs, j.counts)
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class _AtomTexts(dict):
+    """The reduced "num/den" text of a law's atoms by index, each formatted
+    on first use."""
+
+    def __init__(self, law: DiscreteDistribution) -> None:
+        super().__init__()
+        self.law = law
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = _ratio_str(self.law.xs[k], self.law.coord_denom)
+        return text
 
 
 @dataclass(frozen=True)
@@ -267,18 +303,51 @@ class VarRow:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Machine-readable result of a full analysis run."""
+    """Machine-readable result of a full analysis run.
+
+    ``laws`` are the marginals, then the law of the sum. Each VaR table row
+    is held in ``rows`` as ``(num, den, ks)``: the level num/den and the
+    atom each law's quantile takes there. ``var_table`` is their `Fraction`
+    view, built on first use, which `--output csv` reads; the JSON is made
+    from the integers and formats each atom once.
+    """
 
     input_digest: str
     marginals_summary: tuple[MarginalSummary, ...]
-    var_table: tuple[VarRow, ...]
+    laws: tuple[DiscreteDistribution, ...]
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
     comonotonic: bool
     witness: tuple | None
     subadditive_everywhere: bool
     additive_everywhere: bool
     tool_version: str
 
+    @cached_property
+    def _scale(self) -> int:
+        """The common coordinate denominator of the laws."""
+        return lcm(*(law.coord_denom for law in self.laws))
+
+    def _sides(self):
+        """Per row, ``(num, den, ks, var_sum, sum_of_vars)``, both sides in
+        units of 1/`_scale`."""
+        columns = [[x * (self._scale // law.coord_denom) for x in law.xs] for law in self.laws]
+        *marginal_columns, sum_column = columns
+        for num, den, ks in self.rows:
+            yield num, den, ks, sum_column[ks[-1]], sum(map(list.__getitem__, marginal_columns, ks))
+
+    @cached_property
+    def var_table(self) -> tuple[VarRow, ...]:
+        *ms, s = self.laws
+        return tuple(
+            VarRow(
+                Fraction(num, den), tuple(m.values[k] for m, k in zip(ms, ks)), s.values[ks[-1]],
+                Fraction(sum_of_vars, self._scale), _relation(var_sum, sum_of_vars),
+            )
+            for num, den, ks, var_sum, sum_of_vars in self._sides()
+        )
+
     def to_json_dict(self) -> dict:
+        *marginal_texts, sum_texts = map(_AtomTexts, self.laws)
         return {
             "input_digest": self.input_digest,
             "marginals_summary": [
@@ -287,13 +356,13 @@ class AnalysisReport:
             ],
             "var_table": [
                 {
-                    "alpha": _frac_str(r.alpha),
-                    "marginal_vars": [_frac_str(v) for v in r.marginal_vars],
-                    "var_of_sum": _frac_str(r.var_of_sum),
-                    "sum_of_vars": _frac_str(r.sum_of_vars),
-                    "relation": r.relation,
+                    "alpha": _ratio_str(num, den),
+                    "marginal_vars": [t[k] for t, k in zip(marginal_texts, ks)],
+                    "var_of_sum": sum_texts[ks[-1]],
+                    "sum_of_vars": _ratio_str(sum_of_vars, self._scale),
+                    "relation": _relation(var_sum, sum_of_vars),
                 }
-                for r in self.var_table
+                for num, den, ks, var_sum, sum_of_vars in self._sides()
             ],
             "comonotonic": {
                 "comonotonic": self.comonotonic,
@@ -324,30 +393,23 @@ def run_report(
     levels the table shows. Explicit levels must lie strictly inside (0, 1).
     """
     report = subadditivity_report(j)
-    ms = j.marginals()
-    s = j.sum_distribution()
+    laws = (*j.marginals(), j.sum_distribution())
     if alphas is None:
-        rows = [
-            VarRow(v.alpha_star, v.marginal_vars, v.var_sum, v.sum_of_vars, v.relation)
-            for v in report.verdicts
-        ]
+        rows = [(level, report.denom, ks) for level, ks, _, _ in report.rows]
     else:
         rows = []
         for alpha in alphas:
             a = Fraction(alpha)
-            marginal_vars = tuple(m.quantile(a) for m in ms)
-            var_of_sum = s.quantile(a)
-            sum_of_vars = sum(marginal_vars)
-            relation = _relation(var_of_sum, sum_of_vars)
-            rows.append(VarRow(a, marginal_vars, var_of_sum, sum_of_vars, relation))
+            rows.append((a.numerator, a.denominator, tuple(law._quantile_index(a) for law in laws)))
     verdict = is_comonotonic(j)
     return AnalysisReport(
         input_digest=_digest(j),
         marginals_summary=tuple(
             MarginalSummary(column=i + 1, atom_count=len(m), mean=m.mean())
-            for i, m in enumerate(ms)
+            for i, m in enumerate(laws[:-1])
         ),
-        var_table=tuple(rows),
+        laws=laws,
+        rows=tuple(rows),
         comonotonic=verdict.comonotonic,
         witness=verdict.witness,
         subadditive_everywhere=report.subadditive_everywhere,
@@ -388,8 +450,40 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` for data of
+    dicts with str keys, lists, tuples and JSON scalars.
+
+    The stdlib encodes with indentation in pure Python, a generator per
+    container; this writes the same bytes into one list of chunks.
+    """
+    chunks: list[str] = []
+    _json_chunks(payload, "\n", chunks, {})
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, out: list[str], texts: dict[str, str]) -> None:
+    """Append the JSON text of ``value`` to ``out``. ``texts`` maps each
+    string met so far to its JSON text, so a string that repeats through
+    the payload, such as a key or an atom, is encoded and held once."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # a scalar or an empty container
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    is_dict = isinstance(value, dict)
+    out.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(value) if is_dict else value):
+        out.append(sep if i else inner)
+        if is_dict:
+            out += (texts.get(item) or texts.setdefault(item, _json_string(item)), ": ")
+            item = value[item]
+        if isinstance(item, str):  # the most common value, without a call
+            out.append(texts.get(item) or texts.setdefault(item, _json_string(item)))
+        else:
+            _json_chunks(item, inner, out, texts)
+    out += (newline, "}" if is_dict else "]")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -464,9 +558,16 @@ def cmd_report(args) -> int:
 
 def cmd_couple(args) -> int:
     marginals: list[DiscreteDistribution] = []
+    denom = 1  # the coupled law's probability denominator: the lcm of the marginals'
     for path in args.csv:
         j = ingest_csv(path, has_header=args.header, weight_column=args.weight_column)
-        marginals.extend(j.marginals())
+        ms = j.marginals()
+        denom = lcm(denom, *(m.prob_denom for m in ms))
+        if denom.bit_length() > MAX_SCALE_BITS:
+            raise ValueError(
+                f"{path}: the probability denominator of the coupling exceeds {MAX_SCALE_BITS} bits"
+            )
+        marginals.extend(ms)
     coupled = comonotonic_coupling(marginals)
     if args.output == "csv":
         buf = io.StringIO()

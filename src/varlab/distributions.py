@@ -261,12 +261,15 @@ class DiscreteDistribution:
         on the interval ending there. ``alpha`` must lie strictly inside
         (0, 1).
         """
+        return Fraction(self.xs[self._quantile_index(alpha)], self.coord_denom)
+
+    def _quantile_index(self, alpha) -> int:
+        """Index of the atom that `quantile` returns at ``alpha``."""
         a = Fraction(alpha)
         if not 0 < a < 1:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
         # the first atom whose cumulative count reaches ceil(alpha * prob_denom)
-        k = bisect_left(self.cum, -(-a.numerator * self.prob_denom // a.denominator))
-        return Fraction(self.xs[k], self.coord_denom)
+        return bisect_left(self.cum, -(-a.numerator * self.prob_denom // a.denominator))
 
     def mean(self) -> Fraction:
         """Exact expectation."""

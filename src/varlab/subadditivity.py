@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .comonotonicity import comonotonic_coupling, is_comonotonic
@@ -49,13 +50,42 @@ class IntervalVerdict:
 
 @dataclass(frozen=True)
 class SubadditivityReport:
-    """Exact decision of the all-levels subadditivity and additivity statements."""
+    """Exact decision of the all-levels subadditivity and additivity statements.
 
-    breakpoints: tuple[Fraction, ...]
-    verdicts: tuple[IntervalVerdict, ...]
+    The flags are decided on construction, from the integer ``rows`` of
+    `_compared`: per breakpoint interval, ``(level, ks, var_sum,
+    sum_of_vars)``, with the level in units of 1/``denom``, one atom index
+    per law of ``laws`` (the marginals, then the law of the sum) and both
+    sides in units of 1/``scale``. The `Fraction` views ``verdicts``,
+    ``breakpoints`` and ``first_violation`` are built on first use.
+    """
+
     subadditive_everywhere: bool
     additive_everywhere: bool
-    first_violation: Fraction | None
+    laws: tuple[DiscreteDistribution, ...]
+    denom: int
+    scale: int
+    rows: tuple[tuple, ...]
+
+    @cached_property
+    def verdicts(self) -> tuple[IntervalVerdict, ...]:
+        *ms, s = self.laws
+        return tuple(
+            IntervalVerdict(
+                Fraction(level, self.denom), s.values[ks[-1]], Fraction(sum_of_vars, self.scale),
+                _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
+            )
+            for level, ks, var_sum, sum_of_vars in self.rows
+        )
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(level, self.denom) for level, *_ in self.rows)
+
+    @cached_property
+    def first_violation(self) -> Fraction | None:
+        violations = (Fraction(level, self.denom) for level, _, vs, sv in self.rows if vs > sv)
+        return next(violations, None)
 
 
 def _relation(var_sum, sum_of_vars) -> str:
@@ -77,22 +107,21 @@ def _compared(j: JointDiscreteDistribution):
 
     One linear merge over the integer cumulative counts of the marginals and
     of the sum yields each interval and the atom every quantile takes on it.
-    Returns the marginals, the sum law, the common probability denominator D
-    and, per interval, ``(level, ks, var_sum, sum_of_vars)``: the right
-    endpoint in units of 1/D, the atom indices of `_sweep`, and both sides in
-    units of 1/``j.coord_denom``, a multiple of every marginal's scale and
-    of the sum's.
+    Returns the laws (the marginals, then the sum law), the common
+    probability denominator D and, per interval, ``(level, ks, var_sum,
+    sum_of_vars)``: the right endpoint in units of 1/D, the atom indices of
+    `_sweep`, and both sides in units of 1/``j.coord_denom``, a multiple of
+    every marginal's scale and of the sum's.
     """
-    ms = j.marginals()
-    s = j.sum_distribution()
-    denom, steps = _sweep((*ms, s))
+    laws = (*j.marginals(), j.sum_distribution())
+    denom, steps = _sweep(laws)
     scale = j.coord_denom
-    columns = [[x * (scale // m.coord_denom) for x in m.xs] for m in (*ms, s)]
+    columns = [[x * (scale // m.coord_denom) for x in m.xs] for m in laws]
     rows = []
     for level, ks in steps:
         *marginal_vars, var_sum = map(list.__getitem__, columns, ks)
         rows.append((level, ks, var_sum, sum(marginal_vars)))
-    return ms, s, denom, rows
+    return laws, denom, rows
 
 
 def _flags(rows) -> tuple[bool, bool]:
@@ -105,23 +134,9 @@ def _flags(rows) -> tuple[bool, bool]:
 
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
     """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
-    ms, s, denom, rows = _compared(j)
-    verdicts = tuple(
-        IntervalVerdict(
-            Fraction(level, denom), s.values[ks[-1]], Fraction(sum_of_vars, j.coord_denom),
-            _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
-        )
-        for level, ks, var_sum, sum_of_vars in rows
-    )
+    laws, denom, rows = _compared(j)
     subadditive, additive = _flags(rows)
-    violations = (v.alpha_star for v in verdicts if v.relation == ">")
-    return SubadditivityReport(
-        breakpoints=tuple(v.alpha_star for v in verdicts),
-        verdicts=verdicts,
-        subadditive_everywhere=subadditive,
-        additive_everywhere=additive,
-        first_violation=next(violations, None),
-    )
+    return SubadditivityReport(subadditive, additive, laws, denom, j.coord_denom, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -141,7 +156,7 @@ class TrialVerdict:
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     """Run both detectors on one instance and check that they agree."""
     como = is_comonotonic(j).comonotonic
-    subadditive, additive = _flags(_compared(j)[3])
+    subadditive, additive = _flags(_compared(j)[2])
     return TrialVerdict(
         comonotonic=como,
         subadditive_everywhere=subadditive,

@@ -3,9 +3,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
-from strategies import generated_joints
+from strategies import generated_joints, joints, open_unit_fractions
 from varlab import DiscreteDistribution, JointDiscreteDistribution, critical_alphas, equivalence_trial
 from varlab import cli
 from varlab.cli import decimal_cell, dump_csv, ingest_csv, main, run_report
@@ -84,6 +85,20 @@ class TestIngest:
         path = write(tmp_path, "a.csv", "x,weight\n0,0\n")
         with pytest.raises(ValueError, match="positive"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("weight", ["0", "-2"])
+    def test_loss_text_reused_as_bad_weight_names_its_row_and_column(self, tmp_path, weight):
+        # the text parses once, as a loss; the check on the weight still runs
+        path = write(tmp_path, "a.csv", f"x,weight\n{weight},1\n5,1\n7,{weight}\n")
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == f"row 4, column 2: weight must be positive, got {weight}"
+
+    def test_repeated_malformed_text_is_reported_at_its_first_cell(self, tmp_path):
+        rows = "".join(f"{k},1\n" for k in range(50)) + "2,1x\n" + "1x,3\n" * 50
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(write(tmp_path, "a.csv", "a,b\n" + rows))
+        assert str(exc.value) == "row 52, column 2: cannot parse '1x' as a number"
 
 
 class TestDecimalCells:
@@ -175,6 +190,58 @@ class TestRunReport:
     @settings(max_examples=15)
     def test_json_is_deterministic(self, j):
         assert run_report(j).to_json() == run_report(j).to_json()
+
+    @given(joints(), st.lists(open_unit_fractions, max_size=3))
+    @settings(max_examples=30)
+    def test_json_table_matches_the_fraction_view(self, j, alphas):
+        # the JSON rows are made from integers, the var_table view from Fractions
+        report = run_report(j, alphas or None)
+        text = "{0.numerator}/{0.denominator}".format
+        assert report.to_json_dict()["var_table"] == [
+            {
+                "alpha": text(r.alpha),
+                "marginal_vars": [text(v) for v in r.marginal_vars],
+                "var_of_sum": text(r.var_of_sum),
+                "sum_of_vars": text(r.sum_of_vars),
+                "relation": r.relation,
+            }
+            for r in report.var_table
+        ]
+        for a, r in zip(alphas, report.var_table):
+            assert r.alpha == a
+            assert r.marginal_vars == tuple(m.quantile(a) for m in j.marginals())
+            assert r.var_of_sum == j.sum_distribution().quantile(a)
+
+
+json_strings = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "é", "€", "\U0001f600"])
+    | st.characters(),
+    max_size=8,
+)
+json_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**500), 10**500)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(json_payloads)
+    @example({"a": [], "b": {}, "c": (), "d": [{}, [()]], "": -0.0})
+    @example([10**500, -(10**500), float("nan"), float("-inf"), True, False, None])
+    def test_matches_the_stdlib_indented_encoder(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_rejects_what_the_stdlib_rejects(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"x": F(1, 2)})
 
 
 class TestCommands:

@@ -2,22 +2,26 @@
 
 The digests were recorded from the Fraction-based implementation that the
 integer-lattice kernel replaced, and those of the grammar and bench inputs
-from the per-cell Fraction parser that the integer cell parse replaced, so
-any byte of difference in a report, VaR table, coupling or simulation
-summary fails here. Regenerate with ``python tests/test_golden.py`` only
-for an intended output change.
+from the per-cell Fraction parser that the integer cell parse replaced.
+Those of `elliptic`, of `var --output json` on the bench input and of the
+exit-3 case were recorded from the stdlib's indented `json.dumps`, which
+`cli._json_text` replaced. Any byte of difference in a report, VaR table,
+coupling, simulation summary or Gaussian table fails here. Regenerate with
+``python tests/test_golden.py`` only for an intended output change.
 """
 
 import hashlib
 import importlib.util
 import io
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from varlab import cli
 from varlab.cli import main
+from varlab.comonotonicity import ComonotoneVerdict
 
 
 def _bench_gen():
@@ -46,6 +50,11 @@ INPUTS = {
     ),
     # the benchmark's decimal cents, 2,000 rows
     "bench.csv": _gen.csv_text(_gen.csv_rows(1, 2_000)),
+    # a correlated 3-dimensional Gaussian
+    "spec3.json": (
+        '{"mean": [1, -0.5, 2.25], '
+        '"covariance": [[1, 0.3, -0.2], [0.3, 2, 0.5], [-0.2, 0.5, 1.5]]}'
+    ),
 }
 
 CASES = {
@@ -61,6 +70,12 @@ CASES = {
     "var-grammar-csv": ["var", "grammar.csv", "--alpha", "1/3", "--alpha", ".95", "--output", "csv"],
     "report-bench": ["report", "bench.csv"],
     "report-bench-csv": ["report", "bench.csv", "--output", "csv"],
+    "var-bench-json": [
+        "var", "bench.csv", "--alpha", "0.01", "--alpha", "1/3", "--alpha", "0.95",
+        "--output", "json",
+    ],
+    "elliptic": ["elliptic", "spec3.json"],
+    "elliptic-csv": ["elliptic", "spec3.json", "--output", "csv"],
     "couple": ["couple", "chain.csv", "one.csv"],
     "couple-json": ["couple", "bern.csv", "one.csv", "--output", "json"],
     "simulate": ["simulate", "--seed", "7", "--trials", "150"],
@@ -74,6 +89,8 @@ CASES = {
 GOLDEN = {
     "couple": "f7c4c6a0c2c18af09e800aa5470d7809dab79b1f84a84ebfcd4618c35d3c9bcc",
     "couple-json": "e415c9288468e2817bfecb91ac717ce4f38790a914a335be50915415f4d25a5b",
+    "elliptic": "2f387aa627d137150835894bf34260a9358138b643e94c9243ccf93381aa5518",
+    "elliptic-csv": "4fa2059b597a2ae06259b6ee4598a090263d088eac0451c4ef357005b8c68152",
     "report-bench": "432b72d3340e4628ffda03684b82ddee1603503f52426abf9c0be4a029aaf623",
     "report-bench-csv": "befb6590effa7940e17206af12326d10e275f4142abd781885af6e7fd3c42db2",
     "report-bern": "cc51c9b4c60bfff7ff111536004ac5cbb529de0132aa63b43579e6dee8a66f86",
@@ -86,6 +103,7 @@ GOLDEN = {
     "simulate": "83fb22f22bb399bdd2ba53539751f3632ee048ded6964fef6571d4e297d079e1",
     "simulate-coupling-csv": "e8d2541b35865847b0d0f814b89477dab2ef3f00ee1c367b5c1503386d5f6dbe",
     "simulate-csv": "988150ae556b68a880c0dd007950c9e4e81de8f5e17f905d9c41654007c9117a",
+    "var-bench-json": "1fdce75e1cb09fc87dd87550fa8b7188975bac1957c652cfe88c16b4420bfc4b",
     "var-bern": "e7a5b0e753568cc494150effb9aa6931a8f75a8e498ddb38ece1777f0327a706",
     "var-grammar-csv": "c43427e8071849fef40d8e80ce20414b376e86079e3b0ec5aa007721623eefef",
     "var-mixed-csv": "b4df67cc8c2b4cbb9c068d58444299477accfc32e76dee0d6435ed3c7b687314",
@@ -113,6 +131,28 @@ def test_stdout_matches_golden_digest(case, tmp_path):
     assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
 
 
+# `report bern.csv` with a detector that wrongly calls the independent pair
+# comonotonic: the flags disagree, so the report still prints but exits 3.
+BREACH_STDOUT = "1c3931dd0f8c86e85675203a74bee6bfafdbc69a921096345ce7e721d03d9066"
+BREACH_STDERR = "internal invariant breach: comonotonicity and subadditivity flags disagree\n"
+
+
+def _breach_run(directory: Path, monkeypatch) -> tuple[int, bytes, str]:
+    monkeypatch.setattr(cli, "is_comonotonic", lambda j: ComonotoneVerdict(True))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = _stdout(["report", "bern.csv"], directory)
+    return code, out, err.getvalue()
+
+
+def test_invariant_breach_exits_3_with_golden_output(tmp_path, monkeypatch):
+    _write_inputs(tmp_path)
+    code, out, err = _breach_run(tmp_path, monkeypatch)
+    assert code == 3
+    assert hashlib.sha256(out).hexdigest() == BREACH_STDOUT
+    assert err == BREACH_STDERR
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -121,3 +161,6 @@ if __name__ == "__main__":
         for case in sorted(CASES):
             code, out = _stdout(CASES[case], Path(tmp))
             print(f'    "{case}": "{hashlib.sha256(out).hexdigest()}",', file=sys.stderr)
+        with pytest.MonkeyPatch.context() as mp:
+            code, out, err = _breach_run(Path(tmp), mp)
+        print(f"BREACH: exit {code}, {hashlib.sha256(out).hexdigest()}, {err!r}", file=sys.stderr)

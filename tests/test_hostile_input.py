@@ -142,6 +142,25 @@ class TestLatticeBounds:
         with pytest.raises(LatticeBoundError, match="probabilities exceeds"):
             varlab.DiscreteDistribution([(0, 1 - tiny), (1, tiny)])
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_coupled_probability_denominator_bound_names_the_file(self, tmp_path, output):
+        # each file's probability denominator, 1 + w, is a 991-digit number
+        # within the bound; the lcm of the first two is not
+        rng = random.Random(3)
+        paths = [
+            write(tmp_path, f"f{k}.csv", f"x,weight\n0,1\n1,{rng.randrange(10**990, 10**991)}\n")
+            for k in range(5)
+        ]
+        assert run_main(["couple", paths[0], "--output", output])[0] == 0
+        rc, out, err, elapsed = run_main(["couple", *paths, "--output", output])
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"error: {paths[1]}: the probability denominator of the coupling "
+            f"exceeds {MAX_SCALE_BITS} bits\n"
+        )
+        assert elapsed < BUDGET_S
+
     def test_huge_weights_with_a_small_ratio_are_exact(self, tmp_path):
         j = ingest_csv(write(tmp_path, "a.csv", "x,weight\n1,2e1000\n2,6e1000\n"))
         assert j.points == (((F(1),), F(1, 4)), ((F(2),), F(3, 4)))

@@ -197,9 +197,13 @@ csv_weights = st.one_of(
 
 @given(st.integers(1, 3), st.booleans(), st.data())
 def test_csv_laws_match_fraction_oracle(ncols, weighted, data):
+    # small pools make texts repeat across rows and columns, so the
+    # per-text parse memo of ingest_csv is hit
+    cell_texts = st.sampled_from(data.draw(st.lists(csv_cells, min_size=1, max_size=3))) | csv_cells
+    weight_texts = st.sampled_from(data.draw(st.lists(csv_weights, min_size=1, max_size=2))) | csv_weights
     rows = data.draw(st.lists(
-        st.tuples(st.lists(csv_cells, min_size=ncols, max_size=ncols), csv_weights),
-        min_size=1, max_size=12,
+        st.tuples(st.lists(cell_texts, min_size=ncols, max_size=ncols), weight_texts),
+        min_size=1, max_size=24,
     ))
     header = [f"x{i}" for i in range(ncols)] + ["weight"] * weighted
     lines = [header] + [cells + [w] * weighted for cells, w in rows]
