@@ -47,7 +47,10 @@ from .gaussian import (
 )
 from .subadditivity import (
     GeneratorSpec,
+    IntervalVerdict,
     _relation,
+    _var_rows,
+    _verdicts,
     equivalence_trial,
     random_comonotonic,
     random_coupling,
@@ -293,29 +296,21 @@ class MarginalSummary:
 
 
 @dataclass(frozen=True)
-class VarRow:
-    alpha: Fraction
-    marginal_vars: tuple[Fraction, ...]
-    var_of_sum: Fraction
-    sum_of_vars: Fraction
-    relation: str
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     """Machine-readable result of a full analysis run.
 
-    ``laws`` are the marginals, then the law of the sum. Each VaR table row
-    is held in ``rows`` as ``(num, den, ks)``: the level num/den and the
-    atom each law's quantile takes there. ``var_table`` is their `Fraction`
-    view, built on first use, which `--output csv` reads; the JSON is made
-    from the integers and formats each atom once.
+    ``laws`` are the marginals, then the law of the sum. ``rows`` are the
+    VaR table's integer rows from `subadditivity._var_rows`, ``(num, den,
+    ks, var_sum, sum_of_vars)``, both sides in units of 1/``scale``; the
+    JSON and `--output csv` are both written from them. ``var_table`` is
+    their `IntervalVerdict` view, built on first use.
     """
 
     input_digest: str
     marginals_summary: tuple[MarginalSummary, ...]
     laws: tuple[DiscreteDistribution, ...]
-    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
+    scale: int
+    rows: tuple[tuple, ...]
     comonotonic: bool
     witness: tuple | None
     subadditive_everywhere: bool
@@ -323,28 +318,8 @@ class AnalysisReport:
     tool_version: str
 
     @cached_property
-    def _scale(self) -> int:
-        """The common coordinate denominator of the laws."""
-        return lcm(*(law.coord_denom for law in self.laws))
-
-    def _sides(self):
-        """Per row, ``(num, den, ks, var_sum, sum_of_vars)``, both sides in
-        units of 1/`_scale`."""
-        columns = [[x * (self._scale // law.coord_denom) for x in law.xs] for law in self.laws]
-        *marginal_columns, sum_column = columns
-        for num, den, ks in self.rows:
-            yield num, den, ks, sum_column[ks[-1]], sum(map(list.__getitem__, marginal_columns, ks))
-
-    @cached_property
-    def var_table(self) -> tuple[VarRow, ...]:
-        *ms, s = self.laws
-        return tuple(
-            VarRow(
-                Fraction(num, den), tuple(m.values[k] for m, k in zip(ms, ks)), s.values[ks[-1]],
-                Fraction(sum_of_vars, self._scale), _relation(var_sum, sum_of_vars),
-            )
-            for num, den, ks, var_sum, sum_of_vars in self._sides()
-        )
+    def var_table(self) -> tuple[IntervalVerdict, ...]:
+        return _verdicts(self.laws, self.scale, self.rows)
 
     def to_json_dict(self) -> dict:
         *marginal_texts, sum_texts = map(_AtomTexts, self.laws)
@@ -359,10 +334,10 @@ class AnalysisReport:
                     "alpha": _ratio_str(num, den),
                     "marginal_vars": [t[k] for t, k in zip(marginal_texts, ks)],
                     "var_of_sum": sum_texts[ks[-1]],
-                    "sum_of_vars": _ratio_str(sum_of_vars, self._scale),
+                    "sum_of_vars": _ratio_str(sum_of_vars, self.scale),
                     "relation": _relation(var_sum, sum_of_vars),
                 }
-                for num, den, ks, var_sum, sum_of_vars in self._sides()
+                for num, den, ks, var_sum, sum_of_vars in self.rows
             ],
             "comonotonic": {
                 "comonotonic": self.comonotonic,
@@ -393,23 +368,23 @@ def run_report(
     levels the table shows. Explicit levels must lie strictly inside (0, 1).
     """
     report = subadditivity_report(j)
-    laws = (*j.marginals(), j.sum_distribution())
-    if alphas is None:
-        rows = [(level, report.denom, ks) for level, ks, _, _ in report.rows]
-    else:
-        rows = []
-        for alpha in alphas:
-            a = Fraction(alpha)
-            rows.append((a.numerator, a.denominator, tuple(law._quantile_index(a) for law in laws)))
+    rows = report.rows
+    if alphas is not None:
+        levels = (
+            (a.numerator, a.denominator, tuple(law._quantile_index(a) for law in report.laws))
+            for a in map(Fraction, alphas)
+        )
+        rows = _var_rows(report.laws, report.scale, levels)
     verdict = is_comonotonic(j)
     return AnalysisReport(
         input_digest=_digest(j),
         marginals_summary=tuple(
             MarginalSummary(column=i + 1, atom_count=len(m), mean=m.mean())
-            for i, m in enumerate(laws[:-1])
+            for i, m in enumerate(j.marginals())
         ),
-        laws=laws,
-        rows=tuple(rows),
+        laws=report.laws,
+        scale=report.scale,
+        rows=rows,
         comonotonic=verdict.comonotonic,
         witness=verdict.witness,
         subadditive_everywhere=report.subadditive_everywhere,
@@ -419,19 +394,23 @@ def run_report(
 
 
 def _var_table_csv(report: AnalysisReport) -> str:
-    """Plot-ready CSV of the VaR table (floats, 12 significant digits)."""
+    """Plot-ready CSV of the VaR table (floats, 12 significant digits). Each
+    float is ``int / int`` of the integer rows, correctly rounded like
+    ``float(Fraction)``."""
     ncols = len(report.marginals_summary)
     header = ["alpha", *(f"var_{i + 1}" for i in range(ncols))]
     header += ["var_of_sum", "sum_of_vars", "relation"]
+    laws, scale = report.laws, report.scale
+    rows = (
+        [
+            f"{x:.12g}"
+            for x in (num / den, *(m.xs[k] / m.coord_denom for m, k in zip(laws, ks)), sv / scale)
+        ]
+        + [_relation(vs, sv)]
+        for num, den, ks, vs, sv in report.rows
+    )
     try:
-        return _csv_text(
-            header,
-            (
-                [f"{float(x):.12g}" for x in (r.alpha, *r.marginal_vars, r.var_of_sum, r.sum_of_vars)]
-                + [r.relation]
-                for r in report.var_table
-            ),
-        )
+        return _csv_text(header, rows)
     except OverflowError:
         raise ValueError(
             "a VaR is beyond the floating point range of --output csv; --output json prints it exactly"
@@ -587,8 +566,10 @@ def cmd_couple(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+    for flag, value in (("--trials", args.trials), ("--max-n", args.max_n),
+                        ("--max-atoms", args.max_atoms)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     rows = []
     for t in range(args.trials):
         meta = random.Random((args.seed << 32) ^ t)

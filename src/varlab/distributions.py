@@ -244,10 +244,6 @@ class DiscreteDistribution:
         """Cumulative probability at each atom; strictly increasing, ends at 1."""
         return tuple(Fraction(c, self.prob_denom) for c in self.cum)
 
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """Probability levels in (0, 1] where the quantile function jumps."""
-        return self.cumulative
-
     def cdf(self, x) -> Fraction:
         """P(X <= x); a right-continuous step function of x."""
         x = Fraction(x)

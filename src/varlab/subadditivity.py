@@ -33,11 +33,12 @@ from .distributions import (
 
 @dataclass(frozen=True)
 class IntervalVerdict:
-    """Comparison of the two sides of the inequality on one breakpoint interval.
+    """Comparison of the two sides of the inequality at one level.
 
-    ``alpha_star`` is the right endpoint of the interval; by left continuity
-    the quantile step functions attain their interval value there, so the
-    recorded numbers represent every level inside the interval.
+    ``alpha_star`` is the level: an explicit level of the caller's, or the
+    right endpoint of a breakpoint interval, where by left continuity the
+    quantile step functions attain their interval value, so the recorded
+    numbers represent every level inside the interval.
     ``marginal_vars`` are the marginal VaRs that ``sum_of_vars`` adds up.
     """
 
@@ -52,45 +53,66 @@ class IntervalVerdict:
 class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
-    The flags are decided on construction, from the integer ``rows`` of
-    `_compared`: per breakpoint interval, ``(level, ks, var_sum,
-    sum_of_vars)``, with the level in units of 1/``denom``, one atom index
-    per law of ``laws`` (the marginals, then the law of the sum) and both
-    sides in units of 1/``scale``. The `Fraction` views ``verdicts``,
-    ``breakpoints`` and ``first_violation`` are built on first use.
+    The flags are decided on construction, from the `_var_rows` of the
+    breakpoint intervals of ``laws`` (the marginals, then the law of the
+    sum), with both sides in units of 1/``scale``. The `Fraction` views
+    ``verdicts``, ``breakpoints`` and ``first_violation`` are built on
+    first use.
     """
 
     subadditive_everywhere: bool
     additive_everywhere: bool
     laws: tuple[DiscreteDistribution, ...]
-    denom: int
     scale: int
     rows: tuple[tuple, ...]
 
     @cached_property
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
-        *ms, s = self.laws
-        return tuple(
-            IntervalVerdict(
-                Fraction(level, self.denom), s.values[ks[-1]], Fraction(sum_of_vars, self.scale),
-                _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
-            )
-            for level, ks, var_sum, sum_of_vars in self.rows
-        )
+        return _verdicts(self.laws, self.scale, self.rows)
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(level, self.denom) for level, *_ in self.rows)
+        return tuple(Fraction(num, den) for num, den, *_ in self.rows)
 
     @cached_property
     def first_violation(self) -> Fraction | None:
-        violations = (Fraction(level, self.denom) for level, _, vs, sv in self.rows if vs > sv)
+        violations = (Fraction(num, den) for num, den, _, vs, sv in self.rows if vs > sv)
         return next(violations, None)
 
 
 def _relation(var_sum, sum_of_vars) -> str:
     """"<", "=" or ">" as VaR of the sum compares with the sum of VaRs."""
     return "<" if var_sum < sum_of_vars else "=" if var_sum == sum_of_vars else ">"
+
+
+def _var_rows(laws: tuple[DiscreteDistribution, ...], scale: int, levels) -> tuple[tuple, ...]:
+    """Both sides of the inequality at each level, in integers.
+
+    ``laws`` are the marginals, then the law of the sum, and ``scale`` a
+    multiple of every law's ``coord_denom``. Each level is ``(num, den,
+    ks)``: the level num/den and, per law, the index of the atom its
+    quantile takes there. Each row is ``(num, den, ks, var_sum,
+    sum_of_vars)``, both sides in units of 1/``scale``.
+    """
+    *marginal_columns, sum_column = (
+        [x * (scale // law.coord_denom) for x in law.xs] for law in laws
+    )
+    return tuple(
+        (num, den, ks, sum_column[ks[-1]], sum(map(list.__getitem__, marginal_columns, ks)))
+        for num, den, ks in levels
+    )
+
+
+def _verdicts(laws, scale: int, rows) -> tuple[IntervalVerdict, ...]:
+    """The `Fraction` view of `_var_rows` rows."""
+    *ms, s = laws
+    return tuple(
+        IntervalVerdict(
+            Fraction(num, den), s.values[ks[-1]], Fraction(sum_of_vars, scale),
+            _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
+        )
+        for num, den, ks, var_sum, sum_of_vars in rows
+    )
 
 
 def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
@@ -103,40 +125,30 @@ def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
 
 
 def _compared(j: JointDiscreteDistribution):
-    """Both sides of the inequality on every breakpoint interval, in integers.
+    """The laws (the marginals, then the sum law) and their `_var_rows` on
+    every breakpoint interval, both sides in units of 1/``j.coord_denom``.
 
     One linear merge over the integer cumulative counts of the marginals and
-    of the sum yields each interval and the atom every quantile takes on it.
-    Returns the laws (the marginals, then the sum law), the common
-    probability denominator D and, per interval, ``(level, ks, var_sum,
-    sum_of_vars)``: the right endpoint in units of 1/D, the atom indices of
-    `_sweep`, and both sides in units of 1/``j.coord_denom``, a multiple of
-    every marginal's scale and of the sum's.
+    of the sum yields each interval, as its right endpoint over the common
+    probability denominator, and the atom every quantile takes on it.
     """
     laws = (*j.marginals(), j.sum_distribution())
     denom, steps = _sweep(laws)
-    scale = j.coord_denom
-    columns = [[x * (scale // m.coord_denom) for x in m.xs] for m in laws]
-    rows = []
-    for level, ks in steps:
-        *marginal_vars, var_sum = map(list.__getitem__, columns, ks)
-        rows.append((level, ks, var_sum, sum(marginal_vars)))
-    return laws, denom, rows
+    return laws, _var_rows(laws, j.coord_denom, ((level, denom, ks) for level, ks in steps))
 
 
 def _flags(rows) -> tuple[bool, bool]:
-    """(subadditive everywhere, additive everywhere) of `_compared` rows."""
+    """(subadditive everywhere, additive everywhere) of `_var_rows` rows."""
     return (
-        all(var_sum <= sum_of_vars for _, _, var_sum, sum_of_vars in rows),
-        all(var_sum == sum_of_vars for _, _, var_sum, sum_of_vars in rows),
+        all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),
+        all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),
     )
 
 
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
     """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
-    laws, denom, rows = _compared(j)
-    subadditive, additive = _flags(rows)
-    return SubadditivityReport(subadditive, additive, laws, denom, j.coord_denom, tuple(rows))
+    laws, rows = _compared(j)
+    return SubadditivityReport(*_flags(rows), laws, j.coord_denom, rows)
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,7 @@ class TrialVerdict:
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     """Run both detectors on one instance and check that they agree."""
     como = is_comonotonic(j).comonotonic
-    subadditive, additive = _flags(_compared(j)[2])
+    subadditive, additive = _flags(_compared(j)[1])
     return TrialVerdict(
         comonotonic=como,
         subadditive_everywhere=subadditive,

@@ -168,7 +168,7 @@ class TestRunReport:
     def test_default_levels_are_critical_alphas(self, tmp_path):
         j = ingest_csv(self.sample_csv(tmp_path))
         report = run_report(j)
-        assert tuple(r.alpha for r in report.var_table) == critical_alphas(j)
+        assert tuple(r.alpha_star for r in report.var_table) == critical_alphas(j)
 
     def test_explicit_level_outside_interval_rejected(self, tmp_path):
         j = ingest_csv(self.sample_csv(tmp_path))
@@ -181,8 +181,8 @@ class TestRunReport:
             assert row.sum_of_vars == sum(row.marginal_vars)
             expected = (
                 "<"
-                if row.var_of_sum < row.sum_of_vars
-                else ("=" if row.var_of_sum == row.sum_of_vars else ">")
+                if row.var_sum < row.sum_of_vars
+                else ("=" if row.var_sum == row.sum_of_vars else ">")
             )
             assert row.relation == expected
 
@@ -199,18 +199,36 @@ class TestRunReport:
         text = "{0.numerator}/{0.denominator}".format
         assert report.to_json_dict()["var_table"] == [
             {
-                "alpha": text(r.alpha),
+                "alpha": text(r.alpha_star),
                 "marginal_vars": [text(v) for v in r.marginal_vars],
-                "var_of_sum": text(r.var_of_sum),
+                "var_of_sum": text(r.var_sum),
                 "sum_of_vars": text(r.sum_of_vars),
                 "relation": r.relation,
             }
             for r in report.var_table
         ]
         for a, r in zip(alphas, report.var_table):
-            assert r.alpha == a
+            assert r.alpha_star == a
             assert r.marginal_vars == tuple(m.quantile(a) for m in j.marginals())
-            assert r.var_of_sum == j.sum_distribution().quantile(a)
+            assert r.var_sum == j.sum_distribution().quantile(a)
+
+    @given(joints(), st.lists(open_unit_fractions, max_size=3))
+    @settings(max_examples=30)
+    def test_csv_table_matches_the_fraction_view(self, j, alphas):
+        # the CSV floats are int / int of the integer rows, here float(Fraction)
+        report = run_report(j, alphas or None)
+        header = ["alpha", *(f"var_{i + 1}" for i in range(j.dimension))]
+        lines = [",".join([*header, "var_of_sum", "sum_of_vars", "relation"])]
+        for r in report.var_table:
+            values = (r.alpha_star, *r.marginal_vars, r.var_sum, r.sum_of_vars)
+            lines.append(",".join([*(f"{float(x):.12g}" for x in values), r.relation]))
+        assert cli._var_table_csv(report) == "\n".join(lines) + "\n"
+
+    @given(joints())
+    @settings(max_examples=30)
+    def test_explicit_breakpoints_give_the_sweep_rows(self, j):
+        # one row builder serves the sweep's levels and explicit ones
+        assert run_report(j, critical_alphas(j)[:-1]).var_table == run_report(j).var_table[:-1]
 
 
 json_strings = st.text(

@@ -5,9 +5,11 @@ integer-lattice kernel replaced, and those of the grammar and bench inputs
 from the per-cell Fraction parser that the integer cell parse replaced.
 Those of `elliptic`, of `var --output json` on the bench input and of the
 exit-3 case were recorded from the stdlib's indented `json.dumps`, which
-`cli._json_text` replaced. Any byte of difference in a report, VaR table,
-coupling, simulation summary or Gaussian table fails here. Regenerate with
-``python tests/test_golden.py`` only for an intended output change.
+`cli._json_text` replaced, and that of `report tiny.csv --output csv` from
+the floats of the `Fraction` view, which those of the integer rows replaced.
+Any byte of difference in a report, VaR table, coupling, simulation summary
+or Gaussian table fails here. Regenerate with ``python tests/test_golden.py``
+only for an intended output change.
 """
 
 import hashlib
@@ -50,6 +52,9 @@ INPUTS = {
     ),
     # the benchmark's decimal cents, 2,000 rows
     "bench.csv": _gen.csv_text(_gen.csv_rows(1, 2_000)),
+    # a coordinate denominator of 10**400: the floats of `--output csv`
+    # must come from the exact ratios, and some round to -0 and 0
+    "tiny.csv": "1e-400,1\n2,3\n5,-1e-390\n",
     # a correlated 3-dimensional Gaussian
     "spec3.json": (
         '{"mean": [1, -0.5, 2.25], '
@@ -62,6 +67,7 @@ CASES = {
     "report-mixed-csv": ["report", "mixed.csv", "--output", "csv"],
     "report-mixed-alphas": ["report", "mixed.csv", "--alpha", "0.3", "--alpha", "39/40"],
     "report-chain": ["report", "chain.csv"],
+    "report-tiny-csv": ["report", "tiny.csv", "--output", "csv"],
     "report-bern": ["report", "bern.csv"],
     "report-one": ["report", "one.csv"],
     "var-bern": ["var", "bern.csv", "--alpha", "0.5", "--alpha", "0.95"],
@@ -100,6 +106,7 @@ GOLDEN = {
     "report-mixed-alphas": "146a45c1330d112eeb09e43ad0e175c8ba4d7a22bf456f7760e22eb07a9eb5df",
     "report-mixed-csv": "1afc7f71a86d6fb9c8f0d757d7fd0d67e479a2d2fb46e03cd00a799dc65c9767",
     "report-one": "1a09431c5fa78c7b33480fc02e42ba3d8805ddc6acd5fac432935280069fd6a9",
+    "report-tiny-csv": "641e94261c9dd9b4d18affeca787c068471dd8d8a12b86bc64e108b759ee2906",
     "simulate": "83fb22f22bb399bdd2ba53539751f3632ee048ded6964fef6571d4e297d079e1",
     "simulate-coupling-csv": "e8d2541b35865847b0d0f814b89477dab2ef3f00ee1c367b5c1503386d5f6dbe",
     "simulate-csv": "988150ae556b68a880c0dd007950c9e4e81de8f5e17f905d9c41654007c9117a",

@@ -220,6 +220,16 @@ class TestEllipticInput:
         assert "recursion depth" in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--max-n", "--max-atoms"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_simulate_size_below_one_names_its_flag(flag, value):
+    rc, out, err, elapsed = run_main(["simulate", flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1\n"
+    assert elapsed < BUDGET_S
+
+
 def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
     rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "1\n" + "9" * 200_000 + "\n")])
     assert rc == 2

@@ -58,7 +58,7 @@ class TestVar:
 
     @given(distributions())
     def test_translation_at_breakpoints(self, d):
-        for b in d.breakpoints():
+        for b in d.cumulative:
             if 0 < b < 1:
                 assert var(d.shift(F(3, 7)), b) == var(d, b) + F(3, 7)
 
