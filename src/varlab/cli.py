@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -263,11 +262,18 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _digest(j: JointDiscreteDistribution) -> str:
-    """sha256 of the law's points, one "x1;x2;...|p" line each, every value
-    reduced "num/den"; each distinct coordinate and count is formatted once."""
+def _lattice_texts(j: JointDiscreteDistribution) -> tuple[dict[int, str], dict[int, str]]:
+    """The reduced "num/den" text of each distinct lattice coordinate and
+    count of a joint law, each formatted once."""
     coords = {x: _ratio_str(x, j.coord_denom) for x in set().union(*j.xs)}
     counts = {c: _ratio_str(c, j.prob_denom) for c in set(j.counts)}
+    return coords, counts
+
+
+def _digest(j: JointDiscreteDistribution) -> str:
+    """sha256 of the law's points, one "x1;x2;...|p" line each, every value
+    reduced "num/den"."""
+    coords, counts = _lattice_texts(j)
     text = "".join([
         f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"
         for point, c in zip(j.xs, j.counts)
@@ -321,39 +327,28 @@ class AnalysisReport:
     def var_table(self) -> tuple[IntervalVerdict, ...]:
         return _verdicts(self.laws, self.scale, self.rows)
 
-    def to_json_dict(self) -> dict:
-        *marginal_texts, sum_texts = map(_AtomTexts, self.laws)
-        return {
-            "input_digest": self.input_digest,
-            "marginals_summary": [
-                {"column": m.column, "atom_count": m.atom_count, "mean": _frac_str(m.mean)}
-                for m in self.marginals_summary
-            ],
-            "var_table": [
-                {
-                    "alpha": _ratio_str(num, den),
-                    "marginal_vars": [t[k] for t, k in zip(marginal_texts, ks)],
-                    "var_of_sum": sum_texts[ks[-1]],
-                    "sum_of_vars": _ratio_str(sum_of_vars, self.scale),
-                    "relation": _relation(var_sum, sum_of_vars),
-                }
-                for num, den, ks, var_sum, sum_of_vars in self.rows
-            ],
-            "comonotonic": {
-                "comonotonic": self.comonotonic,
-                "witness": None
-                if self.witness is None
-                else [[_frac_str(c) for c in point] for point in self.witness],
-            },
-            "theorem_flags": {
-                "subadditive_everywhere": self.subadditive_everywhere,
-                "additive_everywhere": self.additive_everywhere,
-            },
-            "tool_version": self.tool_version,
-        }
-
     def to_json(self) -> str:
-        return _json_text(self.to_json_dict())
+        return _json_with_var_table(
+            {
+                "input_digest": self.input_digest,
+                "marginals_summary": [
+                    {"column": m.column, "atom_count": m.atom_count, "mean": _frac_str(m.mean)}
+                    for m in self.marginals_summary
+                ],
+                "comonotonic": {
+                    "comonotonic": self.comonotonic,
+                    "witness": None
+                    if self.witness is None
+                    else [[_frac_str(c) for c in point] for point in self.witness],
+                },
+                "theorem_flags": {
+                    "subadditive_everywhere": self.subadditive_everywhere,
+                    "additive_everywhere": self.additive_everywhere,
+                },
+                "tool_version": self.tool_version,
+            },
+            self,
+        )
 
 
 def run_report(
@@ -393,6 +388,37 @@ def run_report(
     )
 
 
+# A VaR table row as `json.dumps(..., sort_keys=True, indent=2)` writes it
+# in "var_table"; every value is ASCII text that needs no escape.
+_ROW_JSON = (
+    '    {{\n      "alpha": "{}",\n      "marginal_vars": [\n        "{}"\n      ],\n'
+    '      "relation": "{}",\n      "sum_of_vars": "{}",\n      "var_of_sum": "{}"\n    }}'
+)
+
+
+def _json_with_var_table(payload: dict, report: AnalysisReport) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with
+    the report's VaR table added as "var_table". Its rows share one key set,
+    so each is written from the integer rows by `_ROW_JSON`; each atom is
+    formatted once."""
+    *marginal_texts, sum_texts = map(_AtomTexts, report.laws)
+    rows = ",\n".join([
+        _ROW_JSON.format(
+            _ratio_str(num, den),
+            '",\n        "'.join([t[k] for t, k in zip(marginal_texts, ks)]),
+            _relation(var_sum, sum_of_vars),
+            _ratio_str(sum_of_vars, report.scale),
+            sum_texts[ks[-1]],
+        )
+        for num, den, ks, var_sum, sum_of_vars in report.rows
+    ])
+    table = f"[\n{rows}\n  ]" if rows else "[]"
+    # "var_table" sorts after every other key of the `report` and `var`
+    # payloads, so it goes last, before the closing brace.
+    head = json.dumps(payload, sort_keys=True, indent=2)[:-2]
+    return f'{head},\n  "var_table": {table}\n}}\n'
+
+
 def _var_table_csv(report: AnalysisReport) -> str:
     """Plot-ready CSV of the VaR table (floats, 12 significant digits). Each
     float is ``int / int`` of the integer rows, correctly rounded like
@@ -429,42 +455,6 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` for data of
-    dicts with str keys, lists, tuples and JSON scalars.
-
-    The stdlib encodes with indentation in pure Python, a generator per
-    container; this writes the same bytes into one list of chunks.
-    """
-    chunks: list[str] = []
-    _json_chunks(payload, "\n", chunks, {})
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _json_chunks(value, newline: str, out: list[str], texts: dict[str, str]) -> None:
-    """Append the JSON text of ``value`` to ``out``. ``texts`` maps each
-    string met so far to its JSON text, so a string that repeats through
-    the payload, such as a key or an atom, is encoded and held once."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))  # a scalar or an empty container
-        return
-    inner = newline + "  "
-    sep = "," + inner
-    is_dict = isinstance(value, dict)
-    out.append("{" if is_dict else "[")
-    for i, item in enumerate(sorted(value) if is_dict else value):
-        out.append(sep if i else inner)
-        if is_dict:
-            out += (texts.get(item) or texts.setdefault(item, _json_string(item)), ": ")
-            item = value[item]
-        if isinstance(item, str):  # the most common value, without a call
-            out.append(texts.get(item) or texts.setdefault(item, _json_string(item)))
-        else:
-            _json_chunks(item, inner, out, texts)
-    out += (newline, "}" if is_dict else "]")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -472,18 +462,25 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _collect_alphas(args, *, required: bool) -> list[tuple[str, Fraction]]:
-    """The levels of --alpha and --alphas-file, as written and as values."""
-    texts = [text.strip() for text in args.alpha or []]
+def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Fraction]]:
+    """(origin, text, value) of each level of --alpha and --alphas-file. The
+    origin, None for --alpha, is the file and line, which errors name."""
+    texts = [(None, text.strip()) for text in args.alpha or []]
     if args.alphas_file:
         lines = Path(args.alphas_file).read_text(encoding="utf-8").splitlines()
-        texts += [text for text in (line.split("#", 1)[0].strip() for line in lines) if text]
+        for number, line in enumerate(lines, 1):
+            text = line.split("#", 1)[0].strip()
+            if text:
+                texts.append((f"{args.alphas_file}: line {number}", text))
     if required and not texts:
         raise ValueError("at least one --alpha (or --alphas-file) is required")
-    alphas = [(text, Fraction(*_parse_number(text, "alpha"))) for text in texts]
-    for _, a in alphas:
+    alphas = [
+        (where, text, Fraction(*_parse_number(text, where or "alpha"))) for where, text in texts
+    ]
+    for where, _, a in alphas:
         if not 0 < a < 1:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
+            message = f"alpha must lie strictly inside (0, 1), got {a}"
+            raise ValueError(f"{where}: {message}" if where else message)
     return alphas
 
 
@@ -515,13 +512,12 @@ def cmd_report(args) -> int:
     """`report`, and `var`: the VaR table alone at required levels."""
     j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
     alphas = _collect_alphas(args, required=args.command == "var")
-    report = run_report(j, [a for _, a in alphas] if alphas else None)
+    report = run_report(j, [a for *_, a in alphas] if alphas else None)
     if args.output == "csv":
         _emit(_var_table_csv(report), args.out)
     elif args.command == "var":
-        payload = report.to_json_dict()
-        keys = ("input_digest", "var_table", "tool_version")
-        _emit(_json_text({k: payload[k] for k in keys}), args.out)
+        payload = {"input_digest": report.input_digest, "tool_version": report.tool_version}
+        _emit(_json_with_var_table(payload, report), args.out)
     else:
         _emit(report.to_json(), args.out)
     if args.command == "report" and not (
@@ -553,15 +549,16 @@ def cmd_couple(args) -> int:
         dump_csv(coupled, buf)
         _emit(buf.getvalue(), args.out)
     else:
+        coords, probs = _lattice_texts(coupled)
         payload = {
             "dimension": coupled.dimension,
             "points": [
-                {"coords": [_frac_str(c) for c in coords], "prob": _frac_str(p)}
-                for coords, p in coupled.points
+                {"coords": [coords[x] for x in point], "prob": probs[c]}
+                for point, c in zip(coupled.xs, coupled.counts)
             ],
             "tool_version": __version__,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -599,7 +596,7 @@ def cmd_simulate(args) -> int:
             "all_consistent": failures == 0,
             "tool_version": __version__,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     if failures:
         print(
             f"internal invariant breach: equivalence violated in {failures} trial(s)",
@@ -620,10 +617,11 @@ def cmd_elliptic(args) -> int:
         raise ValueError(f"dimension {len(raw['mean'])} exceeds the cap of {MAX_DIMENSION}")
     spec = GaussianSpec(mean=raw["mean"], covariance=raw["covariance"])
     alphas = _collect_alphas(args, required=False)
-    levels = [float(a) for _, a in alphas] if alphas else [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
-    for (text, _), level in zip(alphas, levels):
+    levels = [float(a) for *_, a in alphas] if alphas else [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+    for (where, text, _), level in zip(alphas, levels):
         if not 0.0 < level < 1.0:
-            raise ValueError(f"alpha {text} rounds to {level} in floating point, outside (0, 1)")
+            message = f"alpha {text} rounds to {level} in floating point, outside (0, 1)"
+            raise ValueError(f"{where}: {message}" if where else message)
     table = []
     for level in levels:
         marginal_vars = [
@@ -646,7 +644,7 @@ def cmd_elliptic(args) -> int:
             "var_table": table,
             "tool_version": __version__,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction as F
 
 import pytest
@@ -197,7 +199,7 @@ class TestRunReport:
         # the JSON rows are made from integers, the var_table view from Fractions
         report = run_report(j, alphas or None)
         text = "{0.numerator}/{0.denominator}".format
-        assert report.to_json_dict()["var_table"] == [
+        assert json.loads(report.to_json())["var_table"] == [
             {
                 "alpha": text(r.alpha_star),
                 "marginal_vars": [text(v) for v in r.marginal_vars],
@@ -231,35 +233,49 @@ class TestRunReport:
         assert run_report(j, critical_alphas(j)[:-1]).var_table == run_report(j).var_table[:-1]
 
 
-json_strings = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "é", "€", "\U0001f600"])
-    | st.characters(),
-    max_size=8,
-)
-json_payloads = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(10**500), 10**500)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
-    | json_strings,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(json_strings, inner, max_size=4),
-    max_leaves=30,
-)
+_weighted = JointDiscreteDistribution.from_weighted_points
+
+
+def _stdlib_json(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 class TestJsonText:
-    @given(json_payloads)
-    @example({"a": [], "b": {}, "c": (), "d": [{}, [()]], "": -0.0})
-    @example([10**500, -(10**500), float("nan"), float("-inf"), True, False, None])
-    def test_matches_the_stdlib_indented_encoder(self, payload):
-        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def test_rejects_what_the_stdlib_rejects(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            cli._json_text({"x": F(1, 2)})
+    # the VaR table is written by a row template, the rest by json.dumps
+    @given(
+        joints(max_n=4),
+        st.none() | st.lists(open_unit_fractions, max_size=3),
+    )
+    # a witness and empty levels; no witness and explicit levels; n = 4 and the sweep's levels
+    @example(_weighted([((F(-1, 3), F(2)), 1), ((F(1), F(-7, 6)), 2)]), [])
+    @example(_weighted([((F(-1, 3), F(1), F(0)), 1), ((F(1), F(7, 6), F(5, 11)), 2)]), [F(1, 3), F(1, 2)])
+    @example(_weighted([((F(k), F(-k), F(k, 7), F(1, 3)), k) for k in range(1, 4)]), None)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_stdlib_indented_encoder(self, j, alphas):
+        report = run_report(j, alphas)
+        text = report.to_json()
+        assert text == _stdlib_json(text)
+        if alphas == []:
+            assert '"var_table": []' in text
+        if not alphas:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/j.csv"
+            header = ",".join([f"x{i + 1}" for i in range(j.dimension)] + ["weight"])
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n" + "".join(
+                    ",".join([f"{x}/{j.coord_denom}" for x in xs] + [str(c)]) + "\n"
+                    for xs, c in zip(j.xs, j.counts)
+                ))
+            out = io.StringIO()
+            argv = ["var", path] + [f"--alpha={a}" for a in alphas]
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+        assert out.getvalue() == _stdlib_json(out.getvalue())
+        payload = json.loads(text)
+        assert json.loads(out.getvalue()) == {
+            k: payload[k] for k in ("input_digest", "tool_version", "var_table")
+        }
 
 
 class TestCommands:
@@ -395,3 +411,20 @@ class TestCommands:
         assert rc == 0
         payload = json.loads(out)
         assert [row["alpha"] for row in payload["var_table"]] == ["1/2", "3/4"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/2\na,b\n", "line 2: cannot parse 'a,b' as a number"),
+        ("# levels\n\n0.5  # median\n3/2\n", "line 4: alpha must lie strictly inside (0, 1), got 3/2"),
+    ])
+    def test_alphas_file_errors_name_file_and_line(self, tmp_path, capsys, text, message):
+        alphas = write(tmp_path, "levels.txt", text)
+        rc, out, err = run_cli(capsys, ["var", self.losses(tmp_path), "--alphas-file", alphas])
+        assert (rc, out, err) == (2, "", f"error: {alphas}: {message}\n")
+
+    @pytest.mark.parametrize("level, message", [
+        ("a,b", "alpha: cannot parse 'a,b' as a number"),
+        ("3/2", "alpha must lie strictly inside (0, 1), got 3/2"),
+    ])
+    def test_alpha_errors(self, tmp_path, capsys, level, message):
+        rc, out, err = run_cli(capsys, ["var", self.losses(tmp_path), "--alpha", level])
+        assert (rc, out, err) == (2, "", f"error: {message}\n")

@@ -5,8 +5,11 @@ integer-lattice kernel replaced, and those of the grammar and bench inputs
 from the per-cell Fraction parser that the integer cell parse replaced.
 Those of `elliptic`, of `var --output json` on the bench input and of the
 exit-3 case were recorded from the stdlib's indented `json.dumps`, which
-`cli._json_text` replaced, and that of `report tiny.csv --output csv` from
-the floats of the `Fraction` view, which those of the integer rows replaced.
+again writes every payload but the VaR table rows, which one text template
+writes; those of `couple-bench-json` and `var-one` were recorded from the
+hand-written encoder that the two replaced. That of `report tiny.csv --output
+csv` was recorded from the floats of the `Fraction` view, which those of the
+integer rows replaced.
 Any byte of difference in a report, VaR table, coupling, simulation summary
 or Gaussian table fails here. Regenerate with ``python tests/test_golden.py``
 only for an intended output change.
@@ -71,6 +74,7 @@ CASES = {
     "report-bern": ["report", "bern.csv"],
     "report-one": ["report", "one.csv"],
     "var-bern": ["var", "bern.csv", "--alpha", "0.5", "--alpha", "0.95"],
+    "var-one": ["var", "one.csv", "--alpha", "1/2"],
     "var-mixed-csv": ["var", "mixed.csv", "--alpha", "1/2", "--output", "csv"],
     "report-grammar": ["report", "grammar.csv"],
     "var-grammar-csv": ["var", "grammar.csv", "--alpha", "1/3", "--alpha", ".95", "--output", "csv"],
@@ -84,6 +88,7 @@ CASES = {
     "elliptic-csv": ["elliptic", "spec3.json", "--output", "csv"],
     "couple": ["couple", "chain.csv", "one.csv"],
     "couple-json": ["couple", "bern.csv", "one.csv", "--output", "json"],
+    "couple-bench-json": ["couple", "bench.csv", "one.csv", "--output", "json"],
     "simulate": ["simulate", "--seed", "7", "--trials", "150"],
     "simulate-csv": ["simulate", "--seed", "11", "--trials", "150", "--output", "csv"],
     "simulate-coupling-csv": [
@@ -94,6 +99,7 @@ CASES = {
 
 GOLDEN = {
     "couple": "f7c4c6a0c2c18af09e800aa5470d7809dab79b1f84a84ebfcd4618c35d3c9bcc",
+    "couple-bench-json": "7010d8cbbaa70f295e23c0ed4159e89e76e183021bb62ff25a186d77219a8f0b",
     "couple-json": "e415c9288468e2817bfecb91ac717ce4f38790a914a335be50915415f4d25a5b",
     "elliptic": "2f387aa627d137150835894bf34260a9358138b643e94c9243ccf93381aa5518",
     "elliptic-csv": "4fa2059b597a2ae06259b6ee4598a090263d088eac0451c4ef357005b8c68152",
@@ -114,6 +120,7 @@ GOLDEN = {
     "var-bern": "e7a5b0e753568cc494150effb9aa6931a8f75a8e498ddb38ece1777f0327a706",
     "var-grammar-csv": "c43427e8071849fef40d8e80ce20414b376e86079e3b0ec5aa007721623eefef",
     "var-mixed-csv": "b4df67cc8c2b4cbb9c068d58444299477accfc32e76dee0d6435ed3c7b687314",
+    "var-one": "2d19174762a2fec0b71d0d2645faa3d23e08da25da8e2513134e2481debdf601",
 }
 
 

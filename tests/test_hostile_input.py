@@ -79,16 +79,17 @@ class TestBoundedNumbers:
     @pytest.mark.parametrize("level", ["1e-3000000", "1e5000", "0." + "1" * 1200])
     def test_oversized_level(self, tmp_path, level):
         csv_path = write(tmp_path, "a.csv", "1,2\n3,4\n")
-        for argv in (
-            ["var", csv_path, "--alpha", level],
-            ["var", csv_path, "--alphas-file", write(tmp_path, "levels.txt", f"1/2\n{level}\n")],
-            ["elliptic", write(tmp_path, "g.json", '{"mean": [0], "covariance": [[1]]}'),
-             "--alpha", level],
+        levels = write(tmp_path, "levels.txt", f"1/2\n{level}\n")
+        for argv, prefix in (
+            (["var", csv_path, "--alpha", level], "alpha"),
+            (["var", csv_path, "--alphas-file", levels], f"{levels}: line 2"),
+            (["elliptic", write(tmp_path, "g.json", '{"mean": [0], "covariance": [[1]]}'),
+              "--alpha", level], "alpha"),
         ):
             rc, out, err, elapsed = run_main(argv)
             assert rc == 2
             assert out == ""
-            assert err.startswith("error: alpha: ")
+            assert err.startswith(f"error: {prefix}: number out of range")
             assert elapsed < BUDGET_S
 
 
@@ -204,6 +205,10 @@ class TestEllipticInput:
         assert out == ""
         assert f"alpha {level} rounds to" in err
         assert "floating point" in err
+        levels = write(tmp_path, "levels.txt", f"1/2\n{level}\n")
+        rc, out, err, _ = run_main(["elliptic", spec, "--alphas-file", levels])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {levels}: line 2: alpha {level} rounds to")
 
     def test_huge_integer_mean(self, tmp_path):
         spec = write(tmp_path, "g.json", '{"mean": [%s], "covariance": [[1]]}' % ("7" * 401))
