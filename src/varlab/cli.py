@@ -47,8 +47,8 @@ from .gaussian import (
 from .subadditivity import (
     GeneratorSpec,
     IntervalVerdict,
+    _level_rows,
     _relation,
-    _var_rows,
     _verdicts,
     equivalence_trial,
     random_comonotonic,
@@ -248,12 +248,8 @@ def dump_csv(j: JointDiscreteDistribution, stream: TextIO) -> None:
 # Report construction and serialization
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _ratio_str(num: int, den: int) -> str:
-    """``_frac_str(Fraction(num, den))`` for a positive ``den``."""
+    """The reduced "num/den" text of num / den, for a positive ``den``."""
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
 
@@ -328,27 +324,26 @@ class AnalysisReport:
         return _verdicts(self.laws, self.scale, self.rows)
 
     def to_json(self) -> str:
-        return _json_with_var_table(
-            {
-                "input_digest": self.input_digest,
-                "marginals_summary": [
-                    {"column": m.column, "atom_count": m.atom_count, "mean": _frac_str(m.mean)}
-                    for m in self.marginals_summary
-                ],
-                "comonotonic": {
-                    "comonotonic": self.comonotonic,
-                    "witness": None
-                    if self.witness is None
-                    else [[_frac_str(c) for c in point] for point in self.witness],
-                },
-                "theorem_flags": {
-                    "subadditive_everywhere": self.subadditive_everywhere,
-                    "additive_everywhere": self.additive_everywhere,
-                },
-                "tool_version": self.tool_version,
+        payload = {
+            "input_digest": self.input_digest,
+            "marginals_summary": [
+                {"column": m.column, "atom_count": m.atom_count,
+                 "mean": _ratio_str(*m.mean.as_integer_ratio())}
+                for m in self.marginals_summary
+            ],
+            "comonotonic": {
+                "comonotonic": self.comonotonic,
+                "witness": None
+                if self.witness is None
+                else [[_ratio_str(*c.as_integer_ratio()) for c in point] for point in self.witness],
             },
-            self,
-        )
+            "theorem_flags": {
+                "subadditive_everywhere": self.subadditive_everywhere,
+                "additive_everywhere": self.additive_everywhere,
+            },
+            "tool_version": self.tool_version,
+        }
+        return _json_with_var_table(payload, self.laws, self.scale, self.rows)
 
 
 def run_report(
@@ -363,13 +358,7 @@ def run_report(
     levels the table shows. Explicit levels must lie strictly inside (0, 1).
     """
     report = subadditivity_report(j)
-    rows = report.rows
-    if alphas is not None:
-        levels = (
-            (a.numerator, a.denominator, tuple(law._quantile_index(a) for law in report.laws))
-            for a in map(Fraction, alphas)
-        )
-        rows = _var_rows(report.laws, report.scale, levels)
+    rows = report.rows if alphas is None else _level_rows(report.laws, report.scale, alphas)
     verdict = is_comonotonic(j)
     return AnalysisReport(
         input_digest=_digest(j),
@@ -396,47 +385,45 @@ _ROW_JSON = (
 )
 
 
-def _json_with_var_table(payload: dict, report: AnalysisReport) -> str:
+def _json_with_var_table(payload: dict, laws, scale: int, rows) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with
-    the report's VaR table added as "var_table". Its rows share one key set,
-    so each is written from the integer rows by `_ROW_JSON`; each atom is
-    formatted once."""
-    *marginal_texts, sum_texts = map(_AtomTexts, report.laws)
-    rows = ",\n".join([
+    the VaR table of the integer ``rows`` of ``laws`` (`_var_rows`, both
+    sides over ``scale``) added as "var_table". The rows share one key set,
+    so each is written by `_ROW_JSON`; each atom is formatted once."""
+    *marginal_texts, sum_texts = map(_AtomTexts, laws)
+    text = ",\n".join([
         _ROW_JSON.format(
             _ratio_str(num, den),
             '",\n        "'.join([t[k] for t, k in zip(marginal_texts, ks)]),
             _relation(var_sum, sum_of_vars),
-            _ratio_str(sum_of_vars, report.scale),
+            _ratio_str(sum_of_vars, scale),
             sum_texts[ks[-1]],
         )
-        for num, den, ks, var_sum, sum_of_vars in report.rows
+        for num, den, ks, var_sum, sum_of_vars in rows
     ])
-    table = f"[\n{rows}\n  ]" if rows else "[]"
+    table = f"[\n{text}\n  ]" if text else "[]"
     # "var_table" sorts after every other key of the `report` and `var`
     # payloads, so it goes last, before the closing brace.
     head = json.dumps(payload, sort_keys=True, indent=2)[:-2]
     return f'{head},\n  "var_table": {table}\n}}\n'
 
 
-def _var_table_csv(report: AnalysisReport) -> str:
-    """Plot-ready CSV of the VaR table (floats, 12 significant digits). Each
-    float is ``int / int`` of the integer rows, correctly rounded like
-    ``float(Fraction)``."""
-    ncols = len(report.marginals_summary)
-    header = ["alpha", *(f"var_{i + 1}" for i in range(ncols))]
+def _var_table_csv(laws, scale: int, rows) -> str:
+    """Plot-ready CSV of the VaR table of the integer ``rows`` of ``laws``
+    (floats, 12 significant digits). Each float is ``int / int``, correctly
+    rounded like ``float(Fraction)``."""
+    header = ["alpha", *(f"var_{i}" for i in range(1, len(laws)))]
     header += ["var_of_sum", "sum_of_vars", "relation"]
-    laws, scale = report.laws, report.scale
-    rows = (
+    lines = (
         [
             f"{x:.12g}"
             for x in (num / den, *(m.xs[k] / m.coord_denom for m, k in zip(laws, ks)), sv / scale)
         ]
         + [_relation(vs, sv)]
-        for num, den, ks, vs, sv in report.rows
+        for num, den, ks, vs, sv in rows
     )
     try:
-        return _csv_text(header, rows)
+        return _csv_text(header, lines)
     except OverflowError:
         raise ValueError(
             "a VaR is beyond the floating point range of --output csv; --output json prints it exactly"
@@ -467,7 +454,7 @@ def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Frac
     origin, None for --alpha, is the file and line, which errors name."""
     texts = [(None, text.strip()) for text in args.alpha or []]
     if args.alphas_file:
-        lines = Path(args.alphas_file).read_text(encoding="utf-8").splitlines()
+        lines = Path(args.alphas_file).read_text(encoding="utf-8-sig").splitlines()
         for number, line in enumerate(lines, 1):
             text = line.split("#", 1)[0].strip()
             if text:
@@ -509,20 +496,25 @@ def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_report(args) -> int:
-    """`report`, and `var`: the VaR table alone at required levels."""
+    """`report`, and `var`: the VaR table alone at required levels, with
+    no sweep and no chain check."""
     j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
-    alphas = _collect_alphas(args, required=args.command == "var")
-    report = run_report(j, [a for *_, a in alphas] if alphas else None)
+    alphas = [a for *_, a in _collect_alphas(args, required=args.command == "var")]
+    if args.command == "var":
+        laws = (*j.marginals(), j.sum_distribution())
+        rows = _level_rows(laws, j.coord_denom, alphas)
+        if args.output == "csv":
+            _emit(_var_table_csv(laws, j.coord_denom, rows), args.out)
+        else:
+            payload = {"input_digest": _digest(j), "tool_version": __version__}
+            _emit(_json_with_var_table(payload, laws, j.coord_denom, rows), args.out)
+        return EXIT_OK
+    report = run_report(j, alphas or None)
     if args.output == "csv":
-        _emit(_var_table_csv(report), args.out)
-    elif args.command == "var":
-        payload = {"input_digest": report.input_digest, "tool_version": report.tool_version}
-        _emit(_json_with_var_table(payload, report), args.out)
+        _emit(_var_table_csv(report.laws, report.scale, report.rows), args.out)
     else:
         _emit(report.to_json(), args.out)
-    if args.command == "report" and not (
-        report.comonotonic == report.subadditive_everywhere == report.additive_everywhere
-    ):
+    if not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         print(
             "internal invariant breach: comonotonicity and subadditivity flags disagree",
             file=sys.stderr,
@@ -546,7 +538,10 @@ def cmd_couple(args) -> int:
     coupled = comonotonic_coupling(marginals)
     if args.output == "csv":
         buf = io.StringIO()
-        dump_csv(coupled, buf)
+        try:
+            dump_csv(coupled, buf)
+        except ValueError as exc:  # a coordinate that no decimal cell can hold
+            raise ValueError(f"{exc}; --output json prints it exactly") from None
         _emit(buf.getvalue(), args.out)
     else:
         coords, probs = _lattice_texts(coupled)
@@ -608,7 +603,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_elliptic(args) -> int:
     try:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        raw = json.loads(Path(args.spec).read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{args.spec}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or "mean" not in raw or "covariance" not in raw:

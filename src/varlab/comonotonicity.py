@@ -38,15 +38,16 @@ class ComonotoneVerdict:
 
 
 def _chain_verdict(scale: int, points: Iterable[tuple[int, ...]]) -> ComonotoneVerdict:
-    """Chain check of distinct integer points over the coordinate scale ``scale``.
+    """Chain check of distinct integer points, in increasing order, over the
+    coordinate scale ``scale``.
 
     The coordinate sum is strictly monotone along any componentwise chain, so
     sorting the points by their sum and comparing consecutive pairs is a
     complete check: if every consecutive pair is ordered the set is a chain,
-    and any consecutive pair that is not ordered is incomparable and serves
-    as the witness.
+    and the first consecutive pair that is not ordered is incomparable and
+    serves as the witness. The sort is stable, so it gives (sum, point) order.
     """
-    chain = sorted(points, key=lambda p: (sum(p), p))
+    chain = sorted(points, key=sum)
     for a, b in zip(chain, chain[1:]):
         if any(map(gt, a, b)):
             witness = tuple(tuple(Fraction(x, scale) for x in p) for p in (a, b))

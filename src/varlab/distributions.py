@@ -144,26 +144,19 @@ def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistri
 
 
 def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, list]:
-    """Merge the cumulative counts of ``laws`` into one increasing level list.
+    """The breakpoint intervals of ``laws``, in increasing order.
 
-    Returns the common denominator D and, per breakpoint interval in order,
-    ``(level, ks)``: its right endpoint in units of 1/D and, for each law,
-    the atom its left-continuous quantile takes there (the first whose
-    cumulative count reaches the level). Pointers only move forward, so the
-    merge is linear in the total number of atoms.
+    Returns the common denominator D and, per interval, ``(level, ks)``: its
+    right endpoint in units of 1/D, one of the sorted union of the laws'
+    cumulative counts over D, and, for each law, the atom its left-continuous
+    quantile takes there: the first whose cumulative count reaches the level
+    (`bisect_left`), the rule of `DiscreteDistribution._quantile_index`.
     """
     denom = math.lcm(*(m.prob_denom for m in laws))
     cums = [[c * (denom // m.prob_denom) for c in m.cum] for m in laws]
-    ks = [0] * len(laws)
-    steps = []
-    level = 0
-    while level < denom:
-        level = min(cum[k] for cum, k in zip(cums, ks))
-        steps.append((level, tuple(ks)))
-        for i, cum in enumerate(cums):
-            if cum[ks[i]] == level:
-                ks[i] += 1
-    return denom, steps
+    levels = sorted(set().union(*cums))
+    columns = [[bisect_left(cum, level) for level in levels] for cum in cums]
+    return denom, list(zip(levels, zip(*columns)))
 
 
 @dataclass(frozen=True, init=False)

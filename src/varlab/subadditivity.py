@@ -103,6 +103,15 @@ def _var_rows(laws: tuple[DiscreteDistribution, ...], scale: int, levels) -> tup
     )
 
 
+def _level_rows(laws: tuple[DiscreteDistribution, ...], scale: int, alphas) -> tuple[tuple, ...]:
+    """`_var_rows` at explicit levels, each strictly inside (0, 1); the atom
+    indices come from `DiscreteDistribution._quantile_index`."""
+    return _var_rows(laws, scale, (
+        (a.numerator, a.denominator, tuple([law._quantile_index(a) for law in laws]))
+        for a in map(Fraction, alphas)
+    ))
+
+
 def _verdicts(laws, scale: int, rows) -> tuple[IntervalVerdict, ...]:
     """The `Fraction` view of `_var_rows` rows."""
     *ms, s = laws
@@ -128,8 +137,8 @@ def _compared(j: JointDiscreteDistribution):
     """The laws (the marginals, then the sum law) and their `_var_rows` on
     every breakpoint interval, both sides in units of 1/``j.coord_denom``.
 
-    One linear merge over the integer cumulative counts of the marginals and
-    of the sum yields each interval, as its right endpoint over the common
+    `_sweep` over the integer cumulative counts of the marginals and of the
+    sum yields each interval, as its right endpoint over the common
     probability denominator, and the atom every quantile takes on it.
     """
     laws = (*j.marginals(), j.sum_distribution())

@@ -224,7 +224,7 @@ class TestRunReport:
         for r in report.var_table:
             values = (r.alpha_star, *r.marginal_vars, r.var_sum, r.sum_of_vars)
             lines.append(",".join([*(f"{float(x):.12g}" for x in values), r.relation]))
-        assert cli._var_table_csv(report) == "\n".join(lines) + "\n"
+        assert cli._var_table_csv(report.laws, report.scale, report.rows) == "\n".join(lines) + "\n"
 
     @given(joints())
     @settings(max_examples=30)
@@ -331,6 +331,25 @@ class TestCommands:
 
         assert is_comonotonic(j).comonotonic
 
+    def test_couple_csv_names_json_for_non_decimal_values(self, tmp_path, capsys):
+        m = write(tmp_path, "m.csv", "a\n1/3\n1\n")
+        rc, out, err = run_cli(capsys, ["couple", m])
+        assert (rc, out) == (2, "")
+        assert err == "error: 1/3 has no finite decimal expansion; --output json prints it exactly\n"
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_var_runs_neither_the_sweep_nor_the_chain_check(self, tmp_path, capsys, monkeypatch, output):
+        argv = ["var", self.losses(tmp_path), "--alpha", "1/2", "--alpha", "0.9", "--output", output]
+        expected = run_cli(capsys, argv)
+
+        def forbidden(j):
+            raise AssertionError("var must not run this")
+
+        monkeypatch.setattr(cli, "subadditivity_report", forbidden)
+        monkeypatch.setattr(cli, "is_comonotonic", forbidden)
+        assert run_cli(capsys, argv) == expected
+        assert expected[0] == 0
+
     def test_simulate_deterministic(self, tmp_path, capsys):
         argv = ["simulate", "--trials", "6", "--seed", "11"]
         rc1, out1, _ = run_cli(capsys, argv)
@@ -411,6 +430,21 @@ class TestCommands:
         assert rc == 0
         payload = json.loads(out)
         assert [row["alpha"] for row in payload["var_table"]] == ["1/2", "3/4"]
+
+    def test_byte_order_mark_in_alphas_file_and_spec(self, tmp_path, capsys):
+        # as CSV input, a levels file and an elliptic spec may start with a UTF-8 BOM
+        spec = '{"mean": [0, 1], "covariance": [[1, 0.5], [0.5, 2]]}'
+        for argv, name, text in [
+            (["var", self.losses(tmp_path), "--alphas-file"], "levels.txt", "1/2\n0.75\n"),
+            (["elliptic", "--alphas-file", write(tmp_path, "l.txt", "0.9\n")], "g.json", spec),
+        ]:
+            plain, bom = tmp_path / f"plain-{name}", tmp_path / f"bom-{name}"
+            plain.write_text(text, encoding="utf-8")
+            bom.write_text(text, encoding="utf-8-sig")
+            assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+            expected = run_cli(capsys, [*argv, str(plain)])
+            assert expected[0] == 0
+            assert run_cli(capsys, [*argv, str(bom)]) == expected
 
     @pytest.mark.parametrize("text, message", [
         ("1/2\na,b\n", "line 2: cannot parse 'a,b' as a number"),

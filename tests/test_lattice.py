@@ -113,6 +113,8 @@ def wide_joints(draw):
 
 
 @given(wide_joints())
+# identical marginals: every law's levels coincide, so each sweep step moves every index
+@example([((F(-1, 3), F(-1, 3)), F(1)), ((F(2), F(2)), F(3)), ((F(5), F(5)), F(1, 2))])
 def test_weighted_points_match_oracle(pairs):
     j = JointDiscreteDistribution.from_weighted_points(pairs)
     total = sum(w for _, w in pairs)
