@@ -572,7 +572,11 @@ def cmd_simulate(args) -> int:
             kind = "comonotonic" if meta.random() < 0.5 else "coupling"
         make = random_comonotonic if kind == "comonotonic" else random_coupling
         spec = GeneratorSpec(n=n, max_atoms=args.max_atoms)
-        rows.append((t, kind, n, equivalence_trial(make(gen_seed, spec))))
+        try:
+            j = make(gen_seed, spec)
+        except ValueError as exc:
+            raise ValueError(f"trial {t} ({kind}, n={n}, generator seed {gen_seed}): {exc}") from None
+        rows.append((t, kind, n, equivalence_trial(j)))
     failures = sum(not v.consistent for *_, v in rows)
     if args.output == "csv":
         header = ["trial", "kind", "n", "comonotonic", "subadditive_everywhere",

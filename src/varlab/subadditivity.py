@@ -257,21 +257,56 @@ class GeneratorSpec:
             raise ValueError(f"degenerate generator spec: {self}")
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, by ``random.randrange``'s rule.
+
+    ``k = n.bit_length()`` bits at a time, redrawn while the draw is ``>= n``:
+    CPython's ``Random._randbelow_with_getrandbits``, so ``a + _below(bits,
+    b - a + 1)`` draws what ``randint(a, b)`` draws and leaves the same state.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """Shuffle ``x`` in place, drawing exactly what ``random.shuffle`` draws.
+
+    The same Fisher-Yates loop, swapping ``x[i]`` with ``x[j]`` for ``j`` drawn
+    from ``range(i + 1)`` by the rule of `_below`, for ``i`` from the end down
+    to 1; the bit count ``k`` is found once per block of ``i`` over which
+    ``(i + 1).bit_length()`` stays constant.
+    """
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # the least i with (i + 1).bit_length() == k
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = bottom - 1
+
+
 def _random_marginal(rng: random.Random, spec: GeneratorSpec) -> DiscreteDistribution:
+    bits = rng.getrandbits
     lo, hi = spec.value_range
-    target = rng.randint(1, min(spec.max_atoms, spec.denom_bound))
+    target = 1 + _below(bits, min(spec.max_atoms, spec.denom_bound))
     values: set[tuple[int, int]] = set()  # reduced (numerator, denominator)
     for _ in range(64 * target):
         if len(values) == target:
             break
-        den = rng.randint(1, spec.denom_bound)
-        num = rng.randint(lo * den, hi * den)
+        den = 1 + _below(bits, spec.denom_bound)
+        num = lo * den + _below(bits, (hi - lo) * den + 1)
         g = gcd(num, den)
         values.add((num // g, den // g))
     scale = lcm(*(den for _, den in values))
     xs = sorted(num * (scale // den) for num, den in values)
     k = len(xs)
-    denom = rng.randint(k, spec.denom_bound)
+    denom = k + _below(bits, spec.denom_bound - k + 1)
     edges = [0, *sorted(rng.sample(range(1, denom), k - 1)), denom]
     counts = [b - a for a, b in zip(edges, edges[1:])]
     g = gcd(*counts)
@@ -295,7 +330,8 @@ def random_coupling(
     denominator D of all atom probabilities, each coordinate's cell list is
     shuffled independently, and matched cells are merged back into support
     points. The construction preserves every marginal exactly; without the
-    shuffles it reproduces the comonotonic coupling.
+    shuffles it reproduces the comonotonic coupling. Each shuffle (`_shuffle`)
+    draws from the seeded generator exactly what ``random.shuffle`` draws.
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
@@ -305,13 +341,15 @@ def random_coupling(
             f"common denominator {denom} exceeds the {MAX_JOINT_POINTS}-cell guard"
         )
     scale = lcm(*(m.coord_denom for m in ms))
+    bits = rng.getrandbits
     columns = []
     for m in ms:
-        # the value of each cell, shuffled in place: a uniform permutation
+        # the value of each cell, shuffled in place: a uniform permutation,
+        # the one random.shuffle draws
         column: list[int] = []
         for x, c in zip(m.xs, m.counts):
             column += [x * (scale // m.coord_denom)] * (c * (denom // m.prob_denom))
-        rng.shuffle(column)
+        _shuffle(bits, column)
         columns.append(column)
     cells = Counter(zip(*columns))
     return JointDiscreteDistribution._lattice(*_merged(scale, cells, cells.values()), ms)

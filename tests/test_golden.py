@@ -9,7 +9,9 @@ again writes every payload but the VaR table rows, which one text template
 writes; those of `couple-bench-json` and `var-one` were recorded from the
 hand-written encoder that the two replaced. That of `report tiny.csv --output
 csv` was recorded from the floats of the `Fraction` view, which those of the
-integer rows replaced.
+integer rows replaced. That of `simulate-coupling-atoms8-csv` was recorded
+with the generators on `random.Random`'s own `shuffle` and `randint`, which
+`_shuffle` and `_below` on its `getrandbits` replaced.
 Any byte of difference in a report, VaR table, coupling, simulation summary
 or Gaussian table fails here. Regenerate with ``python tests/test_golden.py``
 only for an intended output change.
@@ -95,6 +97,10 @@ CASES = {
         "simulate", "--seed", "3", "--trials", "100", "--kind", "coupling",
         "--max-atoms", "5", "--output", "csv",
     ],
+    "simulate-coupling-atoms8-csv": [
+        "simulate", "--kind", "coupling", "--max-n", "4", "--max-atoms", "8",
+        "--trials", "200", "--output", "csv",
+    ],
 }
 
 GOLDEN = {
@@ -114,6 +120,7 @@ GOLDEN = {
     "report-one": "1a09431c5fa78c7b33480fc02e42ba3d8805ddc6acd5fac432935280069fd6a9",
     "report-tiny-csv": "641e94261c9dd9b4d18affeca787c068471dd8d8a12b86bc64e108b759ee2906",
     "simulate": "83fb22f22bb399bdd2ba53539751f3632ee048ded6964fef6571d4e297d079e1",
+    "simulate-coupling-atoms8-csv": "bba37bd0caeac26a2ce4083650152792b0e3e359171b3f8075c5381eb20ea9e5",
     "simulate-coupling-csv": "e8d2541b35865847b0d0f814b89477dab2ef3f00ee1c367b5c1503386d5f6dbe",
     "simulate-csv": "988150ae556b68a880c0dd007950c9e4e81de8f5e17f905d9c41654007c9117a",
     "var-bench-json": "1fdce75e1cb09fc87dd87550fa8b7188975bac1957c652cfe88c16b4420bfc4b",

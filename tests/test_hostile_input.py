@@ -235,6 +235,20 @@ def test_simulate_size_below_one_names_its_flag(flag, value):
     assert elapsed < BUDGET_S
 
 
+def test_simulate_guard_names_the_trial_to_replay():
+    rc, out, err, elapsed = run_main(["simulate", "--max-n", "50", "--kind", "coupling"])
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: trial 0 (coupling, n=25, generator seed 250584532339884): "
+        "common denominator 180180 exceeds the 100000-cell guard\n"
+    )
+    assert elapsed < BUDGET_S
+    # the named seed and n rebuild the instance that tripped the guard
+    with pytest.raises(ValueError, match="^common denominator 180180 exceeds"):
+        varlab.random_coupling(250584532339884, varlab.GeneratorSpec(n=25))
+
+
 def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
     rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "1\n" + "9" * 200_000 + "\n")])
     assert rc == 2

@@ -22,7 +22,7 @@ from varlab import (
     subadditivity_report,
     var,
 )
-from varlab.subadditivity import _random_marginal
+from varlab.subadditivity import _below, _random_marginal, _shuffle
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 INDEP_3_10 = independent_product(BERN_3_10, BERN_3_10)
@@ -211,7 +211,7 @@ class TestGenerators:
         spec = GeneratorSpec(n=n, max_atoms=5)
         rng = random.Random(seed)
         ms = [_random_marginal(rng, spec) for _ in range(n)]
-        with mock.patch.object(random.Random, "shuffle", lambda self, cells: None):
+        with mock.patch("varlab.subadditivity._shuffle", lambda bits, cells: None):
             assert random_coupling(seed, spec) == comonotonic_coupling(ms)
 
     def test_degenerate_spec_rejected(self):
@@ -226,3 +226,55 @@ class TestGenerators:
         spec = GeneratorSpec(n=4, max_atoms=6, denom_bound=4000)
         with pytest.raises(ValueError, match="guard"):
             random_coupling(0, spec)
+
+
+class TestDrawRule:
+    """`_shuffle` and `_below` draw what `random.Random` draws.
+
+    Every seeded instance depends on it: `random_coupling` and
+    `_random_marginal` call them on a `random.Random`'s ``getrandbits`` in
+    place of its ``shuffle`` and ``randint``, and must consume the same bits
+    in the same order. This pins CPython's ``_randbelow_with_getrandbits``
+    (``k = n.bit_length()``, redraw while ``r >= n``).
+    """
+
+    @staticmethod
+    def _assert_same_shuffle(length, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        x, y = list(range(length)), list(range(length))
+        _shuffle(ours.getrandbits, x)
+        theirs.shuffle(y)
+        assert x == y, length
+        assert ours.getstate() == theirs.getstate(), length
+
+    def test_shuffle_matches_random_shuffle_for_every_length_to_2100(self):
+        for length in range(2101):
+            self._assert_same_shuffle(length, seed=length)
+
+    # 34,320 is the largest common denominator at the default denom_bound 16
+    @pytest.mark.parametrize("length", [9360, 34320])
+    def test_shuffle_matches_random_shuffle_on_long_columns(self, length):
+        self._assert_same_shuffle(length, seed=length)
+
+    @staticmethod
+    def _assert_same_draw(n, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "n", sorted({1} | {2**e + d for e in range(1, 65) for d in (-1, 0, 1)})
+    )
+    def test_below_matches_randrange_around_powers_of_two(self, n):
+        for seed in range(8):
+            self._assert_same_draw(n, seed)
+
+    @given(st.integers(1, 2**64), st.integers(0, 2**64))
+    def test_below_matches_randrange(self, n, seed):
+        self._assert_same_draw(n, seed)
+
+    @given(st.integers(-(2**40), 2**40), st.integers(0, 2**40), st.integers(0, 2**32))
+    def test_shifted_below_matches_randint(self, a, width, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert a + _below(ours.getrandbits, width + 1) == theirs.randint(a, a + width)
+        assert ours.getstate() == theirs.getstate()
