@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -133,6 +134,16 @@ def _row_is_numeric(row: Sequence[str]) -> bool:
     return True
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file. utf-8-sig drops a leading byte order
+    mark, which would make a headerless first row look like a header."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object follows a dropped byte order mark
+        line, byte = exc.object[: exc.start].count(b"\n") + 1, exc.object[exc.start]
+        raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})") from None
+
+
 def ingest_csv(
     path,
     *,
@@ -148,14 +159,11 @@ def ingest_csv(
     header. ``weight_column`` may be a 0-based index or a header name; when
     omitted, a header column named "weight" is used automatically.
     """
-    # utf-8-sig drops a leading byte order mark, which would otherwise make
-    # a headerless first row look non-numeric and be taken for a header.
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [row for row in reader if "".join(row).strip()]
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        rows = [row for row in reader if "".join(row).strip()]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -237,11 +245,11 @@ def dump_csv(j: JointDiscreteDistribution, stream: TextIO) -> None:
     rescaled by their common denominator so weights are exact integers and
     ``ingest_csv`` reproduces the law bit for bit.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(j.dimension)] + ["weight"])
+    header = [f"x{i + 1}" for i in range(j.dimension)] + ["weight"]
     # the minimal probability denominator makes the counts the smallest weights
-    for coords, count in zip(j.xs, j.counts):
-        writer.writerow([decimal_cell(Fraction(x, j.coord_denom)) for x in coords] + [count])
+    rows = ([decimal_cell(Fraction(x, j.coord_denom)) for x in point] + [count]
+            for point, count in zip(j.xs, j.counts))
+    stream.write(_csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -258,36 +266,28 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _lattice_texts(j: JointDiscreteDistribution) -> tuple[dict[int, str], dict[int, str]]:
-    """The reduced "num/den" text of each distinct lattice coordinate and
-    count of a joint law, each formatted once."""
-    coords = {x: _ratio_str(x, j.coord_denom) for x in set().union(*j.xs)}
-    counts = {c: _ratio_str(c, j.prob_denom) for c in set(j.counts)}
-    return coords, counts
+class _Texts(dict):
+    """The reduced "num/den" text of each lattice numerator over ``den``,
+    formatted on first use."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = _ratio_str(num, self.den)
+        return text
 
 
 def _digest(j: JointDiscreteDistribution) -> str:
     """sha256 of the law's points, one "x1;x2;...|p" line each, every value
     reduced "num/den"."""
-    coords, counts = _lattice_texts(j)
+    coords, counts = _Texts(j.coord_denom), _Texts(j.prob_denom)
     text = "".join([
         f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"
         for point, c in zip(j.xs, j.counts)
     ])
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-class _AtomTexts(dict):
-    """The reduced "num/den" text of a law's atoms by index, each formatted
-    on first use."""
-
-    def __init__(self, law: DiscreteDistribution) -> None:
-        super().__init__()
-        self.law = law
-
-    def __missing__(self, k: int) -> str:
-        text = self[k] = _ratio_str(self.law.xs[k], self.law.coord_denom)
-        return text
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class AnalysisReport:
             },
             "tool_version": self.tool_version,
         }
-        return _json_with_var_table(payload, self.laws, self.scale, self.rows)
+        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.laws, self.scale, self.rows))
 
 
 def run_report(
@@ -377,35 +377,40 @@ def run_report(
     )
 
 
-# A VaR table row as `json.dumps(..., sort_keys=True, indent=2)` writes it
-# in "var_table"; every value is ASCII text that needs no escape.
+# A VaR table row and a coupled point as `json.dumps(..., sort_keys=True, indent=2)`
+# writes them; each "{}" takes ASCII text, a list's items joined by _ITEMS.
 _ROW_JSON = (
     '    {{\n      "alpha": "{}",\n      "marginal_vars": [\n        "{}"\n      ],\n'
     '      "relation": "{}",\n      "sum_of_vars": "{}",\n      "var_of_sum": "{}"\n    }}'
 )
+_POINT_JSON = '    {{\n      "coords": [\n        "{}"\n      ],\n      "prob": "{}"\n    }}'
+_ITEMS = '",\n        "'
 
 
-def _json_with_var_table(payload: dict, laws, scale: int, rows) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with
-    the VaR table of the integer ``rows`` of ``laws`` (`_var_rows`, both
-    sides over ``scale``) added as "var_table". The rows share one key set,
-    so each is written by `_ROW_JSON`; each atom is formatted once."""
-    *marginal_texts, sum_texts = map(_AtomTexts, laws)
-    text = ",\n".join([
-        _ROW_JSON.format(
-            _ratio_str(num, den),
-            '",\n        "'.join([t[k] for t, k in zip(marginal_texts, ks)]),
-            _relation(var_sum, sum_of_vars),
-            _ratio_str(sum_of_vars, scale),
-            sum_texts[ks[-1]],
-        )
+def _json_text(payload: dict, key: str | None = None, template: str = "", rows: Iterable = ()) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with the
+    list of ``rows`` under ``key`` when one is given. Its items share one key set,
+    so each is ``template`` formatted with one row: no dict and no key sort per item."""
+    if key is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps({**payload, key: None}, sort_keys=True, indent=2)
+    # a newline and two spaces occur in the dump only before a top-level key
+    head, tail = text.split(f'\n  "{key}": null')
+    items = ",\n".join(starmap(template.format, rows))
+    if not items:
+        return f'{head}\n  "{key}": []{tail}\n'
+    return f'{head}\n  "{key}": [\n{items}\n  ]{tail}\n'
+
+
+def _row_texts(laws, scale: int, rows) -> Iterable[tuple]:
+    """The `_ROW_JSON` texts of the integer VaR table ``rows`` of ``laws`` (`_var_rows`,
+    both sides over ``scale``), one row at a time; each atom is formatted once."""
+    *marginals, (sum_texts, sum_xs) = [(_Texts(law.coord_denom), law.xs) for law in laws]
+    return (
+        (_ratio_str(num, den), _ITEMS.join([t[xs[k]] for (t, xs), k in zip(marginals, ks)]),
+         _relation(var_sum, sum_of_vars), _ratio_str(sum_of_vars, scale), sum_texts[sum_xs[ks[-1]]])
         for num, den, ks, var_sum, sum_of_vars in rows
-    ])
-    table = f"[\n{text}\n  ]" if text else "[]"
-    # "var_table" sorts after every other key of the `report` and `var`
-    # payloads, so it goes last, before the closing brace.
-    head = json.dumps(payload, sort_keys=True, indent=2)[:-2]
-    return f'{head},\n  "var_table": {table}\n}}\n'
+    )
 
 
 def _var_table_csv(laws, scale: int, rows) -> str:
@@ -454,7 +459,7 @@ def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Frac
     origin, None for --alpha, is the file and line, which errors name."""
     texts = [(None, text.strip()) for text in args.alpha or []]
     if args.alphas_file:
-        lines = Path(args.alphas_file).read_text(encoding="utf-8-sig").splitlines()
+        lines = _read_text(args.alphas_file).splitlines()
         for number, line in enumerate(lines, 1):
             text = line.split("#", 1)[0].strip()
             if text:
@@ -502,19 +507,19 @@ def cmd_report(args) -> int:
     alphas = [a for *_, a in _collect_alphas(args, required=args.command == "var")]
     if args.command == "var":
         laws = (*j.marginals(), j.sum_distribution())
-        rows = _level_rows(laws, j.coord_denom, alphas)
-        if args.output == "csv":
-            _emit(_var_table_csv(laws, j.coord_denom, rows), args.out)
-        else:
-            payload = {"input_digest": _digest(j), "tool_version": __version__}
-            _emit(_json_with_var_table(payload, laws, j.coord_denom, rows), args.out)
-        return EXIT_OK
-    report = run_report(j, alphas or None)
-    if args.output == "csv":
-        _emit(_var_table_csv(report.laws, report.scale, report.rows), args.out)
+        report, scale, rows = None, j.coord_denom, _level_rows(laws, j.coord_denom, alphas)
     else:
-        _emit(report.to_json(), args.out)
-    if not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
+        report = run_report(j, alphas or None)
+        laws, scale, rows = report.laws, report.scale, report.rows
+    if args.output == "csv":
+        text = _var_table_csv(laws, scale, rows)
+    elif report:
+        text = report.to_json()
+    else:
+        payload = {"input_digest": _digest(j), "tool_version": __version__}
+        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(laws, scale, rows))
+    _emit(text, args.out)
+    if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         print(
             "internal invariant breach: comonotonicity and subadditivity flags disagree",
             file=sys.stderr,
@@ -544,16 +549,13 @@ def cmd_couple(args) -> int:
             raise ValueError(f"{exc}; --output json prints it exactly") from None
         _emit(buf.getvalue(), args.out)
     else:
-        coords, probs = _lattice_texts(coupled)
-        payload = {
-            "dimension": coupled.dimension,
-            "points": [
-                {"coords": [coords[x] for x in point], "prob": probs[c]}
-                for point, c in zip(coupled.xs, coupled.counts)
-            ],
-            "tool_version": __version__,
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        coords, probs = _Texts(coupled.coord_denom), _Texts(coupled.prob_denom)
+        points = (
+            (_ITEMS.join(map(coords.__getitem__, point)), probs[c])
+            for point, c in zip(coupled.xs, coupled.counts)
+        )
+        payload = {"dimension": coupled.dimension, "tool_version": __version__}
+        _emit(_json_text(payload, "points", _POINT_JSON, points), args.out)
     return EXIT_OK
 
 
@@ -595,7 +597,7 @@ def cmd_simulate(args) -> int:
             "all_consistent": failures == 0,
             "tool_version": __version__,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     if failures:
         print(
             f"internal invariant breach: equivalence violated in {failures} trial(s)",
@@ -607,7 +609,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_elliptic(args) -> int:
     try:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8-sig"))
+        raw = json.loads(_read_text(args.spec))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{args.spec}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or "mean" not in raw or "covariance" not in raw:
@@ -643,7 +645,7 @@ def cmd_elliptic(args) -> int:
             "var_table": table,
             "tool_version": __version__,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 

@@ -9,7 +9,13 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from strategies import generated_joints, joints, open_unit_fractions
-from varlab import DiscreteDistribution, JointDiscreteDistribution, critical_alphas, equivalence_trial
+from varlab import (
+    DiscreteDistribution,
+    JointDiscreteDistribution,
+    comonotonic_coupling,
+    critical_alphas,
+    equivalence_trial,
+)
 from varlab import cli
 from varlab.cli import decimal_cell, dump_csv, ingest_csv, main, run_report
 from varlab.subadditivity import TrialVerdict
@@ -276,6 +282,42 @@ class TestJsonText:
         assert json.loads(out.getvalue()) == {
             k: payload[k] for k in ("input_digest", "tool_version", "var_table")
         }
+
+    @given(joints(max_n=4))
+    @settings(max_examples=30, deadline=None)
+    def test_couple_matches_the_stdlib_indented_encoder(self, j):
+        # non-decimal coordinates print only under --output json
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/j.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(
+                    ",".join([f"{x}/{j.coord_denom}" for x in xs] + [str(c)]) + "\n"
+                    for xs, c in zip(j.xs, j.counts)
+                ))
+            out = io.StringIO()
+            argv = ["couple", path, "--no-header", "--weight-column", str(j.dimension)]
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, "--output", "json"]) == 0
+        text = out.getvalue()
+        assert text == _stdlib_json(text)
+        coupled = comonotonic_coupling(j.marginals())
+        points = [(tuple(map(F, p["coords"])), F(p["prob"])) for p in json.loads(text)["points"]]
+        assert points == list(coupled.points)
+
+    @pytest.mark.parametrize("key", ["a", "m", "z"])  # sorts first, in the middle, last
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_table_at_any_sorted_position(self, key, n):
+        payload = {"d": 2, "k": [1, "x"], "q": {"r": None}, "w": "v"}
+        points = [([f"{i}/3", f"-{i}/7"][: 1 + i % 2], f"1/{i + 2}") for i in range(n)]
+        rows = [(cli._ITEMS.join(coords), prob) for coords, prob in points]
+        expected = {**payload, key: [{"coords": c, "prob": p} for c, p in points]}
+        assert cli._json_text(payload, key, cli._POINT_JSON, rows) == (
+            json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        )
+
+    def test_no_table_is_the_stdlib_dump(self):
+        payload = {"b": [float("inf"), -0.0], "a": {"c": "1/3"}}
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestCommands:

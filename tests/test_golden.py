@@ -11,7 +11,10 @@ hand-written encoder that the two replaced. That of `report tiny.csv --output
 csv` was recorded from the floats of the `Fraction` view, which those of the
 integer rows replaced. That of `simulate-coupling-atoms8-csv` was recorded
 with the generators on `random.Random`'s own `shuffle` and `randint`, which
-`_shuffle` and `_below` on its `getrandbits` replaced.
+`_shuffle` and `_below` on its `getrandbits` replaced. That of
+`couple-mixed-json` (four columns, with the coordinates 1/3 and 2/7) was
+recorded from the dict-per-point `json.dumps` that the one table writer,
+`cli._json_text`, replaced.
 Any byte of difference in a report, VaR table, coupling, simulation summary
 or Gaussian table fails here. Regenerate with ``python tests/test_golden.py``
 only for an intended output change.
@@ -91,6 +94,7 @@ CASES = {
     "couple": ["couple", "chain.csv", "one.csv"],
     "couple-json": ["couple", "bern.csv", "one.csv", "--output", "json"],
     "couple-bench-json": ["couple", "bench.csv", "one.csv", "--output", "json"],
+    "couple-mixed-json": ["couple", "mixed.csv", "chain.csv", "--output", "json"],
     "simulate": ["simulate", "--seed", "7", "--trials", "150"],
     "simulate-csv": ["simulate", "--seed", "11", "--trials", "150", "--output", "csv"],
     "simulate-coupling-csv": [
@@ -107,6 +111,7 @@ GOLDEN = {
     "couple": "f7c4c6a0c2c18af09e800aa5470d7809dab79b1f84a84ebfcd4618c35d3c9bcc",
     "couple-bench-json": "7010d8cbbaa70f295e23c0ed4159e89e76e183021bb62ff25a186d77219a8f0b",
     "couple-json": "e415c9288468e2817bfecb91ac717ce4f38790a914a335be50915415f4d25a5b",
+    "couple-mixed-json": "82a7e32845be55cbb0af278f3d01530a71f8062e16d7fb6d527ea3a6c196eb55",
     "elliptic": "2f387aa627d137150835894bf34260a9358138b643e94c9243ccf93381aa5518",
     "elliptic-csv": "4fa2059b597a2ae06259b6ee4598a090263d088eac0451c4ef357005b8c68152",
     "report-bench": "432b72d3340e4628ffda03684b82ddee1603503f52426abf9c0be4a029aaf623",

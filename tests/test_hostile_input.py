@@ -256,6 +256,36 @@ def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
     assert err.startswith("error: ") and "line 2" in err
 
 
+# A byte that is not UTF-8 on line 3 of each kind of input file. The lines are
+# so short that counting from the file's start, not from after a byte order
+# mark, would name line 1 or 2.
+UNDECODABLE = {
+    "report": (".csv", b"x\n1\n\xff\n"),
+    "couple": (".csv", b"x\n1\n\xff\n"),
+    "var": (".txt", b"#\n.5\n\xff\n"),
+    "elliptic": (".json", b'{\n"mean": [0],\n\xff"covariance": [[1]]}'),
+}
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("command", sorted(UNDECODABLE))
+def test_undecodable_input_names_its_file_and_line(tmp_path, command, bom):
+    suffix, blob = UNDECODABLE[command]
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(bom + blob)
+    ok = write(tmp_path, "ok.csv", "x,y\n1,2\n3,4\n")
+    argv = {
+        "report": ["report", str(bad)],
+        "couple": ["couple", ok, str(bad)],
+        "var": ["var", ok, "--alphas-file", str(bad)],
+        "elliptic": ["elliptic", str(bad)],
+    }[command]
+    rc, out, err, _ = run_main(argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 3: not UTF-8 (invalid start byte, byte 0xff)\n"
+
+
 def test_import_loads_no_numpy():
     src = str(Path(varlab.__file__).resolve().parents[1])
     code = "import sys, varlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
@@ -324,7 +354,20 @@ def run_file(argv, suffix, *data):
     assert elapsed < 2 * BUDGET_S
     if rc == 2:
         assert out == "" and err.startswith("error: ")
+        # each file is read whole before the next, the first before any other
+        # check, so the first that is no UTF-8 is named unless an earlier failed
+        bad = next((p for p, blob in zip(paths, data) if not _decodes(blob)), None)
+        if bad == paths[0] or (bad and "utf-8" in err.lower()):
+            assert err.startswith(f"error: {bad}: line "), err
     return rc, out
+
+
+def _decodes(blob: bytes) -> bool:
+    try:
+        blob.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 @given(spec=gaussian_specs, alphas=st.lists(st.sampled_from(["0.95", "1/2", "1e-400", "2", "x"]), max_size=2))
