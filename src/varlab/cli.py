@@ -22,7 +22,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import starmap
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import __version__
-from .comonotonicity import comonotonic_coupling, is_comonotonic
+from .comonotonicity import ComonotoneVerdict, comonotonic_coupling, is_comonotonic
 from .distributions import (
     MAX_SCALE_BITS,
     DiscreteDistribution,
@@ -48,6 +47,7 @@ from .gaussian import (
 from .subadditivity import (
     GeneratorSpec,
     IntervalVerdict,
+    SubadditivityReport,
     _level_rows,
     _relation,
     _verdicts,
@@ -246,9 +246,9 @@ def dump_csv(j: JointDiscreteDistribution, stream: TextIO) -> None:
     ``ingest_csv`` reproduces the law bit for bit.
     """
     header = [f"x{i + 1}" for i in range(j.dimension)] + ["weight"]
+    cells = _Texts(j.coord_denom, lambda num, den: decimal_cell(Fraction(num, den)))
     # the minimal probability denominator makes the counts the smallest weights
-    rows = ([decimal_cell(Fraction(x, j.coord_denom)) for x in point] + [count]
-            for point, count in zip(j.xs, j.counts))
+    rows = ([*map(cells.__getitem__, point), count] for point, count in zip(j.xs, j.counts))
     stream.write(_csv_text(header, rows))
 
 
@@ -267,15 +267,15 @@ def _round12(x: float) -> float:
 
 
 class _Texts(dict):
-    """The reduced "num/den" text of each lattice numerator over ``den``,
-    formatted on first use."""
+    """The text ``formatter(num, den)`` of each lattice numerator over ``den``,
+    formatted on first use; by default the reduced "num/den"."""
 
-    def __init__(self, den: int) -> None:
+    def __init__(self, den: int, formatter=_ratio_str) -> None:
         super().__init__()
-        self.den = den
+        self.den, self.formatter = den, formatter
 
     def __missing__(self, num: int) -> str:
-        text = self[num] = _ratio_str(num, self.den)
+        text = self[num] = self.formatter(num, self.den)
         return text
 
 
@@ -290,34 +290,29 @@ def _digest(j: JointDiscreteDistribution) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class MarginalSummary:
-    column: int
-    atom_count: int
-    mean: Fraction
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
-    """Machine-readable result of a full analysis run.
+    """Machine-readable result of a full analysis run of the joint law ``j``.
 
-    ``laws`` are the marginals, then the law of the sum. ``rows`` are the
-    VaR table's integer rows from `subadditivity._var_rows`, ``(num, den,
-    ks, var_sum, sum_of_vars)``, both sides in units of 1/``scale``; the
-    JSON and `--output csv` are both written from them. ``var_table`` is
-    their `IntervalVerdict` view, built on first use.
+    ``report`` is its `SubadditivityReport`, whose flags, ``laws`` (the
+    marginals, then the law of the sum) and ``scale`` this report reads.
+    ``rows`` are the VaR table's integer rows from `subadditivity._var_rows`,
+    ``(num, den, ks, var_sum, sum_of_vars)``, both sides in units of
+    1/``scale``; the JSON and `--output csv` are both written from them.
+    ``var_table`` is their `IntervalVerdict` view, built on first use.
+    ``verdict`` is the `ComonotoneVerdict` of ``j``.
     """
 
-    input_digest: str
-    marginals_summary: tuple[MarginalSummary, ...]
-    laws: tuple[DiscreteDistribution, ...]
-    scale: int
-    rows: tuple[tuple, ...]
-    comonotonic: bool
-    witness: tuple | None
-    subadditive_everywhere: bool
-    additive_everywhere: bool
-    tool_version: str
+    def __init__(self, j: JointDiscreteDistribution, report: SubadditivityReport, rows: tuple,
+                 verdict: ComonotoneVerdict) -> None:
+        self.input_digest = _digest(j)
+        self.means = [m.mean() for m in j.marginals()]
+        self.report, self.rows, self.verdict = report, rows, verdict
+
+    laws = property(lambda self: self.report.laws)
+    scale = property(lambda self: self.report.scale)
+    subadditive_everywhere = property(lambda self: self.report.subadditive_everywhere)
+    additive_everywhere = property(lambda self: self.report.additive_everywhere)
+    comonotonic = property(lambda self: self.verdict.comonotonic)
 
     @cached_property
     def var_table(self) -> tuple[IntervalVerdict, ...]:
@@ -327,21 +322,20 @@ class AnalysisReport:
         payload = {
             "input_digest": self.input_digest,
             "marginals_summary": [
-                {"column": m.column, "atom_count": m.atom_count,
-                 "mean": _ratio_str(*m.mean.as_integer_ratio())}
-                for m in self.marginals_summary
+                {"column": i, "atom_count": len(m), "mean": _ratio_str(*mean.as_integer_ratio())}
+                for i, (m, mean) in enumerate(zip(self.laws, self.means), 1)
             ],
             "comonotonic": {
                 "comonotonic": self.comonotonic,
                 "witness": None
-                if self.witness is None
-                else [[_ratio_str(*c.as_integer_ratio()) for c in point] for point in self.witness],
+                if self.verdict.witness is None
+                else [[_ratio_str(*c.as_integer_ratio()) for c in point] for point in self.verdict.witness],
             },
             "theorem_flags": {
                 "subadditive_everywhere": self.subadditive_everywhere,
                 "additive_everywhere": self.additive_everywhere,
             },
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
         return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.laws, self.scale, self.rows))
 
@@ -359,22 +353,7 @@ def run_report(
     """
     report = subadditivity_report(j)
     rows = report.rows if alphas is None else _level_rows(report.laws, report.scale, alphas)
-    verdict = is_comonotonic(j)
-    return AnalysisReport(
-        input_digest=_digest(j),
-        marginals_summary=tuple(
-            MarginalSummary(column=i + 1, atom_count=len(m), mean=m.mean())
-            for i, m in enumerate(j.marginals())
-        ),
-        laws=report.laws,
-        scale=report.scale,
-        rows=rows,
-        comonotonic=verdict.comonotonic,
-        witness=verdict.witness,
-        subadditive_everywhere=report.subadditive_everywhere,
-        additive_everywhere=report.additive_everywhere,
-        tool_version=__version__,
-    )
+    return AnalysisReport(j, report, rows, is_comonotonic(j))
 
 
 # A VaR table row and a coupled point as `json.dumps(..., sort_keys=True, indent=2)`

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import (
     MAX_JOINT_POINTS,
@@ -28,8 +27,7 @@ from .distributions import (
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ComonotoneVerdict:
+class ComonotoneVerdict(NamedTuple):
     """Detection result; ``witness`` is a genuinely violating pair on failure
     (one coordinate strictly rises while another strictly falls)."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -131,10 +130,46 @@ def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
     return scale // r, tuple(points), tuple(c // g for c in counts)
 
 
-def _fill(law, scale: int, xs: tuple, counts: tuple) -> None:
-    # The classes are frozen: write the fields directly, then derive prob_denom.
-    vars(law).update(coord_denom=scale, xs=xs, counts=counts)
-    law.__post_init__()
+class _Law:
+    """The lattice fields ``coord_denom``, ``xs`` and ``counts`` of both law classes,
+    their one trusted constructor, and equality of class and fields. Laws are
+    immutable; the `cached_property` views write the instance dict directly."""
+
+    @classmethod
+    def _lattice(cls, scale: int, xs: tuple, counts: tuple, marginals: tuple | None = None):
+        """Trusted constructor for data already in lattice form; ``marginals``
+        known by construction seed the cache of a joint law's ``marginals()``."""
+        law = object.__new__(cls)
+        vars(law).update(coord_denom=scale, xs=xs, counts=counts)
+        if marginals is not None:
+            vars(law)["_marginals"] = tuple(marginals)
+        law.__post_init__()  # one per class, as bench/spans.py wraps only a class's own methods
+        return law
+
+    def _key(self) -> tuple:
+        return self.coord_denom, self.xs, self.counts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "{}(coord_denom={!r}, xs={!r}, counts={!r})".format(type(self).__name__, *self._key())
+
+    def __reduce__(self):
+        return self._lattice, self._key()
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot change {name!r}: laws are immutable")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(self.xs)
 
 
 def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistribution:
@@ -159,8 +194,7 @@ def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, list]:
     return denom, list(zip(levels, zip(*columns)))
 
 
-@dataclass(frozen=True, init=False)
-class DiscreteDistribution:
+class DiscreteDistribution(_Law):
     """A finite loss distribution with exact rational atoms.
 
     Lattice form: atom ``k`` has value ``xs[k] / coord_denom`` and
@@ -174,18 +208,11 @@ class DiscreteDistribution:
     xs: tuple[int, ...]
     counts: tuple[int, ...]
 
-    def __init__(self, atoms: Iterable[tuple]) -> None:
+    def __new__(cls, atoms: Iterable[tuple]) -> "DiscreteDistribution":
         """Canonicalize (value, probability) pairs summing to exactly 1."""
         pairs = (((v,), p) for v, p in atoms)
         scale, points, counts = _canonical(pairs, normalize=False, what="atom")
-        _fill(self, scale, tuple(x for (x,) in points), counts)
-
-    @classmethod
-    def _lattice(cls, scale: int, xs: tuple, counts: tuple) -> "DiscreteDistribution":
-        """Trusted constructor for data already in lattice form."""
-        law = object.__new__(cls)
-        _fill(law, scale, xs, counts)
-        return law
+        return cls._lattice(scale, tuple(x for (x,) in points), counts)
 
     def __post_init__(self) -> None:
         vars(self)["prob_denom"] = sum(self.counts)
@@ -277,12 +304,8 @@ class DiscreteDistribution:
         xs = (x * factor.numerator for x in self.xs)
         return _law(self.coord_denom * factor.denominator, xs, self.counts)
 
-    def __len__(self) -> int:
-        return len(self.xs)
 
-
-@dataclass(frozen=True, init=False)
-class JointDiscreteDistribution:
+class JointDiscreteDistribution(_Law):
     """A finite joint law on rational points in n dimensions.
 
     This is the carrier for couplings. Lattice form: point ``k`` has
@@ -297,21 +320,9 @@ class JointDiscreteDistribution:
     xs: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
 
-    def __init__(self, points: Iterable[tuple]) -> None:
+    def __new__(cls, points: Iterable[tuple]) -> "JointDiscreteDistribution":
         """Canonicalize (coords, probability) pairs summing to exactly 1."""
-        _fill(self, *_canonical(points, normalize=False, what="point"))
-
-    @classmethod
-    def _lattice(
-        cls, scale: int, xs: tuple, counts: tuple, marginals: tuple | None = None
-    ) -> "JointDiscreteDistribution":
-        """Trusted constructor for data already in lattice form; ``marginals``
-        known by construction seed the cache of ``marginals()``."""
-        law = object.__new__(cls)
-        _fill(law, scale, xs, counts)
-        if marginals is not None:
-            vars(law)["_marginals"] = tuple(marginals)
-        return law
+        return cls._lattice(*_canonical(points, normalize=False, what="point"))
 
     def __post_init__(self) -> None:
         vars(self)["prob_denom"] = sum(self.counts)
@@ -366,9 +377,6 @@ class JointDiscreteDistribution:
     def sum_distribution(self) -> DiscreteDistribution:
         """The exact law of the coordinate sum."""
         return self._sum
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
 
 def independent_product(*marginals: DiscreteDistribution) -> JointDiscreteDistribution:

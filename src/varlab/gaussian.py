@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from statistics import NormalDist
 
 # Absolute tolerance for the perfect-correlation test, applied on the
@@ -84,7 +83,6 @@ def _floats(name: str, value, depth: int = 1) -> tuple:
         raise ValueError(f"{name} must be a regular array of numbers, got {value!r}") from None
 
 
-@dataclass
 class GaussianSpec:
     """Mean vector and covariance matrix of a Gaussian loss vector.
 
@@ -97,9 +95,9 @@ class GaussianSpec:
     mean: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        mean = _floats("mean", self.mean)
-        cov = _floats("covariance", self.covariance, depth=2)
+    def __init__(self, mean, covariance) -> None:
+        mean = _floats("mean", mean)
+        cov = _floats("covariance", covariance, depth=2)
         if not mean:
             raise ValueError("mean must be a non-empty vector")
         n = len(mean)

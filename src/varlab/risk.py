@@ -7,9 +7,9 @@ aggregate risks with fixed marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .distributions import DiscreteDistribution
 
@@ -49,8 +49,7 @@ def stop_loss(d: DiscreteDistribution, c) -> Fraction:
     return Fraction(value, scale * d.prob_denom)
 
 
-@dataclass(frozen=True)
-class ConvexOrderVerdict:
+class ConvexOrderVerdict(NamedTuple):
     """Outcome of a convex-order comparison.
 
     ``holds`` requires exactly equal means plus stop-loss dominance at every

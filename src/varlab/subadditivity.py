@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .comonotonicity import comonotonic_coupling, is_comonotonic
 from .distributions import (
@@ -31,8 +31,7 @@ from .distributions import (
     independent_product,
 )
 
-@dataclass(frozen=True)
-class IntervalVerdict:
+class IntervalVerdict(NamedTuple):
     """Comparison of the two sides of the inequality at one level.
 
     ``alpha_star`` is the level: an explicit level of the caller's, or the
@@ -49,7 +48,6 @@ class IntervalVerdict:
     marginal_vars: tuple[Fraction, ...] = ()
 
 
-@dataclass(frozen=True)
 class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
@@ -60,11 +58,9 @@ class SubadditivityReport:
     first use.
     """
 
-    subadditive_everywhere: bool
-    additive_everywhere: bool
-    laws: tuple[DiscreteDistribution, ...]
-    scale: int
-    rows: tuple[tuple, ...]
+    def __init__(self, laws: tuple[DiscreteDistribution, ...], scale: int, rows: tuple[tuple, ...]) -> None:
+        self.laws, self.scale, self.rows = laws, scale, rows
+        self.subadditive_everywhere, self.additive_everywhere = _flags(rows)
 
     @cached_property
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
@@ -157,11 +153,10 @@ def _flags(rows) -> tuple[bool, bool]:
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
     """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
     laws, rows = _compared(j)
-    return SubadditivityReport(*_flags(rows), laws, j.coord_denom, rows)
+    return SubadditivityReport(laws, j.coord_denom, rows)
 
 
-@dataclass(frozen=True)
-class TrialVerdict:
+class TrialVerdict(NamedTuple):
     """Outcome of one instance of the comonotonicity / subadditivity equivalence.
 
     ``consistent`` is false only if the three flags disagree, which would be
@@ -186,8 +181,7 @@ def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     )
 
 
-@dataclass(frozen=True)
-class BernoulliCaseVerdict:
+class BernoulliCaseVerdict(NamedTuple):
     """One independent-Bernoulli superadditivity case, evaluated exactly."""
 
     p: Fraction
@@ -236,7 +230,6 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     )
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
     """Scale knobs for the seeded instance generators.
 
@@ -246,15 +239,13 @@ class GeneratorSpec:
     convolutions fast.
     """
 
-    n: int = 2
-    max_atoms: int = 8
-    value_range: tuple[int, int] = (-10, 10)
-    denom_bound: int = 16
-
-    def __post_init__(self) -> None:
-        lo, hi = self.value_range
-        if self.n < 1 or self.max_atoms < 1 or self.denom_bound < 1 or lo > hi:
-            raise ValueError(f"degenerate generator spec: {self}")
+    def __init__(self, n: int = 2, max_atoms: int = 8, value_range: tuple[int, int] = (-10, 10),
+                 denom_bound: int = 16) -> None:
+        self.n, self.max_atoms, self.value_range, self.denom_bound = n, max_atoms, value_range, denom_bound
+        lo, hi = value_range
+        if n < 1 or max_atoms < 1 or denom_bound < 1 or lo > hi:
+            fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+            raise ValueError(f"degenerate generator spec: GeneratorSpec({fields})")
 
 
 def _below(getrandbits, n: int) -> int:

@@ -1,0 +1,121 @@
+"""Mutation gate for the decision kernel: every listed mutant must be killed.
+
+    python3 tests/mutants.py [NAME ...]
+
+Each mutant is one exact text replacement in one module of ``src/varlab``
+and the test files that must catch it. For each mutant (or each one named),
+the runner copies ``src/``, ``tests/``, ``pyproject.toml`` and ``bench/``
+(whose input generator the golden tests load) into a fresh temporary
+directory; the copy of ``src/`` is needed because pytest's ``pythonpath =
+["src"]`` would otherwise import this checkout's unmutated package. It
+applies the mutant there and runs ``pytest -x -q`` on the mutant's test
+files. The checkout itself is never written.
+
+The gate fails (exit 1) when a mutant survives, that is its tests pass, when
+its old text does not occur exactly once, so a refactor of mutated code must
+update this list, or when its tests cannot run at all. It is not part of the
+tier-1 suite; run it on a tree whose tests pass.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, module under src/varlab, old text, new text, test files that must kill it)
+MUTANTS = (
+    (
+        "sweep-bisect-right",
+        "distributions.py",
+        "columns = [[bisect_left(cum, level)",
+        "columns = [[bisect_right(cum, level)",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "quantile-floor-not-ceil",
+        "distributions.py",
+        "bisect_left(self.cum, -(-a.numerator * self.prob_denom // a.denominator))",
+        "bisect_left(self.cum, a.numerator * self.prob_denom // a.denominator)",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "flags-off-by-one",
+        "subadditivity.py",
+        "all(var_sum <= sum_of_vars for",
+        "all(var_sum <= sum_of_vars + 1 for",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "chain-check-skipped-for-n-le-2",
+        "comonotonicity.py",
+        "    return _chain_verdict(j.coord_denom, j.xs)",
+        "    return ComonotoneVerdict(True) if j.dimension <= 2 else _chain_verdict(j.coord_denom, j.xs)",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "merge-without-count-gcd",
+        "distributions.py",
+        "    g = math.gcd(*counts)\n",
+        "    g = 1\n",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "law-eq-without-coord-denom",
+        "distributions.py",
+        "return self._key() == other._key()",
+        "return self._key()[1:] == other._key()[1:]",
+        ("tests/test_distributions.py",),
+    ),
+)
+
+
+def run(module: str, old: str, new: str, tests: tuple[str, ...]) -> str | None:
+    """None if the mutant is killed, else why the gate fails on it."""
+    with tempfile.TemporaryDirectory(prefix="varlab-mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        path = work / "src" / "varlab" / module
+        text = path.read_text(encoding="utf-8")
+        found = text.count(old)
+        if found != 1:
+            return f"old text found {found} times in src/varlab/{module}, expected once"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=work,
+            env=dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True,
+            text=True,
+        )
+    if result.returncode == 0:
+        return f"survived {' '.join(tests)}"
+    if result.returncode != 1:  # 1 is failed tests; anything else is no verdict
+        return f"pytest exited {result.returncode}:\n{result.stdout[-2000:]}{result.stderr[-2000:]}"
+    return None
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name, *mutant in MUTANTS:
+        if names and name not in names:
+            continue
+        problem = run(*mutant)
+        failed += problem is not None
+        print(f"{name}: {'killed' if problem is None else 'FAIL: ' + problem}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from fractions import Fraction as F
 
@@ -237,3 +239,50 @@ class TestShiftScale:
     @given(distributions(), rational_values)
     def test_scale_scales_mean(self, d, k):
         assert d.scale(k).mean() == d.mean() * k
+
+
+class TestLawContract:
+    # equality, hashing, immutability and repr, shared by both law classes
+    def test_equal_laws_are_equal_keys(self):
+        a = DiscreteDistribution([(1, F(1, 2)), (F(3, 2), F(1, 2))])
+        b = DiscreteDistribution.from_weighted_values([(F(3, 2), 5), (1, 5), (1, 0)])
+        j = independent_product(a, BERN_3_10)
+        k = JointDiscreteDistribution(j.points)
+        for x, y in ((a, b), (j, k)):
+            assert x == y and hash(x) == hash(y) and x is not y
+            assert len({x, y}) == 1 and {x: "law"}[y] == "law"
+
+    def test_coordinate_scale_is_part_of_equality(self):
+        one, half = DiscreteDistribution.point_mass(1), DiscreteDistribution.point_mass(F(1, 2))
+        assert (one.xs, one.counts) == (half.xs, half.counts)
+        assert one != half and len({one, half}) == 2
+
+    def test_a_law_never_equals_a_joint_law(self):
+        d = DiscreteDistribution.point_mass(1)
+        j = JointDiscreteDistribution([((F(1),), F(1))])
+        assert (d.coord_denom, d.counts) == (j.coord_denom, j.counts)
+        assert d != j and j != d and j.marginal(0) == d
+
+    @pytest.mark.parametrize("field", ["xs", "counts", "coord_denom"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        for law in (BERN_3_10, independent_product(BERN_3_10, BERN_3_10)):
+            before = getattr(law, field)
+            with pytest.raises(AttributeError):
+                setattr(law, field, before)
+            with pytest.raises(AttributeError):
+                delattr(law, field)
+            assert getattr(law, field) == before
+
+    def test_repr_names_the_lattice_fields(self):
+        assert repr(DiscreteDistribution.point_mass(F(1, 2))) == (
+            "DiscreteDistribution(coord_denom=2, xs=(1,), counts=(1,))"
+        )
+        assert repr(JointDiscreteDistribution([((F(1), F(2, 3)), F(1))])) == (
+            "JointDiscreteDistribution(coord_denom=3, xs=((3, 2),), counts=(1,))"
+        )
+
+    def test_copies_and_pickles_are_equal_laws(self):
+        j = independent_product(BERN_3_10, DiscreteDistribution.point_mass(F(1, 2)))
+        for law in (BERN_3_10, j):
+            for clone in (copy.copy(law), copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
+                assert type(clone) is type(law) and clone == law and clone.prob_denom == law.prob_denom

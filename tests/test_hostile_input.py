@@ -286,9 +286,9 @@ def test_undecodable_input_names_its_file_and_line(tmp_path, command, bom):
     assert err == f"error: {bad}: line 3: not UTF-8 (invalid start byte, byte 0xff)\n"
 
 
-def test_import_loads_no_numpy():
+def _python_stdout(code: str) -> str:
+    """The stripped stdout of a fresh ``python -c code`` that imports this varlab."""
     src = str(Path(varlab.__file__).resolve().parents[1])
-    code = "import sys, varlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -298,7 +298,22 @@ def test_import_loads_no_numpy():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, varlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _python_stdout(code) == "[]"
+
+
+def test_import_loads_no_code_generation_modules():
+    # `dataclasses` imports inspect, ast, dis and tokenize and runs an exec per class;
+    # `import varlab` still imports varlab.gaussian, whose import time the bench reads
+    code = (
+        "import sys, varlab; gaussian = 'varlab.gaussian' in sys.modules; import varlab.cli; "
+        "print(gaussian, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _python_stdout(code) == "True []"
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ import hypothesis.strategies as st
 
 from strategies import joints
 from varlab import (
+    ComonotoneVerdict,
     DiscreteDistribution,
     GeneratorSpec,
+    IntervalVerdict,
     JointDiscreteDistribution,
+    TrialVerdict,
     bernoulli_counterexample,
     comonotonic_coupling,
+    convex_order_leq,
     critical_alphas,
     equivalence_trial,
     independent_product,
@@ -127,6 +131,28 @@ class TestEquivalenceTrial:
         assert equivalence_trial(j).consistent
 
 
+class TestRecords:
+    # the result records compare and hash by value, and are immutable
+    def test_records_compare_by_value(self):
+        def results():
+            j = independent_product(BERN_3_10, BERN_3_10)
+            return (
+                equivalence_trial(j), is_comonotonic(j), subadditivity_report(j).verdicts,
+                bernoulli_counterexample(F(3, 10), F(3, 10), F(3, 5)),
+                convex_order_leq(j.sum_distribution(), comonotonic_coupling(j.marginals()).sum_distribution()),
+            )
+
+        first, second = results(), results()
+        assert first == second and hash(first) == hash(second)
+        assert first[0] == TrialVerdict(
+            comonotonic=False, subadditive_everywhere=False, additive_everywhere=False, consistent=True
+        )
+        assert first[1] == ComonotoneVerdict(False, ((F(0), F(1)), (F(1), F(0))))
+        assert IntervalVerdict(F(1), F(1), F(1), "=").marginal_vars == ()
+        with pytest.raises(AttributeError):
+            first[0].consistent = False
+
+
 class TestBernoulliCounterexample:
     def test_strict_superadditivity_case(self):
         v = bernoulli_counterexample(F(3, 10), F(3, 10), F(1, 2))
@@ -215,7 +241,7 @@ class TestGenerators:
             assert random_coupling(seed, spec) == comonotonic_coupling(ms)
 
     def test_degenerate_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"GeneratorSpec\(n=0, max_atoms=8, value_range=\(-10, 10\)"):
             GeneratorSpec(n=0)
         with pytest.raises(ValueError):
             GeneratorSpec(max_atoms=0)
