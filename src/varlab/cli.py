@@ -22,6 +22,7 @@ import json
 import random
 import re
 import sys
+from array import array
 from fractions import Fraction
 from functools import cached_property
 from itertools import starmap
@@ -125,10 +126,11 @@ def _parse_number(text: str, where: str) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _row_is_numeric(row: Sequence[str]) -> bool:
+def _row_is_numeric(line: int, row: Sequence[str]) -> bool:
+    """Does every cell of ``row``, which starts on file line ``line``, parse?"""
     try:
         for col, cell in enumerate(row, 1):
-            _parse_number(cell, f"row 1, column {col}")
+            _parse_number(cell, f"row {line}, column {col}")
     except _NotANumber:
         return False
     return True
@@ -157,21 +159,27 @@ def ingest_csv(
     normalize to probabilities. With ``has_header=None`` the header is
     sniffed: a first row containing any non-numeric cell is treated as a
     header. ``weight_column`` may be a 0-based index or a header name; when
-    omitted, a header column named "weight" is used automatically.
+    omitted, a header column named "weight" is used automatically. Errors
+    name a row by the file line it starts on.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    # the nonblank rows and the file line each starts on, kept in an array: no int object per row
+    rows, lines, line = [], array("q"), 1
     try:
-        rows = [row for row in reader if "".join(row).strip()]
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
     if has_header is None:
-        has_header = not _row_is_numeric(rows[0])
+        has_header = not _row_is_numeric(lines[0], rows[0])
     header = [c.strip() for c in rows[0]] if has_header else None
-    data = rows[1:] if has_header else rows
-    first_row_number = 2 if has_header else 1
+    data, lines = (rows[1:], lines[1:]) if has_header else (rows, lines)
     if not data:
         raise ValueError(f"{path}: no data rows")
 
@@ -199,7 +207,7 @@ def ingest_csv(
     parsed: dict[str, tuple[int, int]] = {}
     cols = loss_cols if widx is None else [*loss_cols, widx]
     pairs = []
-    for rownum, row in enumerate(data, first_row_number):
+    for rownum, row in zip(lines, data):
         if len(row) != ncols:
             raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
         values = []
@@ -222,7 +230,7 @@ def ingest_csv(
         return JointDiscreteDistribution.from_weighted_points(pairs, ratios=True)
     except LatticeBoundError as exc:
         col = widx if exc.coordinate is None else loss_cols[exc.coordinate]
-        raise ValueError(f"row {first_row_number + exc.row}, column {col + 1}: {exc}") from None
+        raise ValueError(f"row {lines[exc.row]}, column {col + 1}: {exc}") from None
 
 
 def decimal_cell(value: Fraction) -> str:
@@ -293,22 +301,21 @@ def _digest(j: JointDiscreteDistribution) -> str:
 class AnalysisReport:
     """Machine-readable result of a full analysis run of the joint law ``j``.
 
-    ``report`` is its `SubadditivityReport`, whose flags, ``laws`` (the
-    marginals, then the law of the sum) and ``scale`` this report reads.
-    ``rows`` are the VaR table's integer rows from `subadditivity._var_rows`,
-    ``(num, den, ks, var_sum, sum_of_vars)``, both sides in units of
-    1/``scale``; the JSON and `--output csv` are both written from them.
-    ``var_table`` is their `IntervalVerdict` view, built on first use.
-    ``verdict`` is the `ComonotoneVerdict` of ``j``.
+    ``report`` is its `SubadditivityReport`, whose flags and ``scale`` this
+    report reads. ``rows`` are the VaR table's integer rows from
+    `subadditivity._var_rows`, ``(num, den, vs, var_sum, sum_of_vars)``, all
+    VaRs in units of 1/``scale``; the JSON and `--output csv` are both
+    written from them. ``var_table`` is their `IntervalVerdict` view, built
+    on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``.
+    ``marginals_summary`` holds each marginal's atom count and mean.
     """
 
     def __init__(self, j: JointDiscreteDistribution, report: SubadditivityReport, rows: tuple,
                  verdict: ComonotoneVerdict) -> None:
         self.input_digest = _digest(j)
-        self.means = [m.mean() for m in j.marginals()]
+        self.marginals_summary = [(len(m), m.mean()) for m in j.marginals()]
         self.report, self.rows, self.verdict = report, rows, verdict
 
-    laws = property(lambda self: self.report.laws)
     scale = property(lambda self: self.report.scale)
     subadditive_everywhere = property(lambda self: self.report.subadditive_everywhere)
     additive_everywhere = property(lambda self: self.report.additive_everywhere)
@@ -316,14 +323,14 @@ class AnalysisReport:
 
     @cached_property
     def var_table(self) -> tuple[IntervalVerdict, ...]:
-        return _verdicts(self.laws, self.scale, self.rows)
+        return _verdicts(self.scale, self.rows)
 
     def to_json(self) -> str:
         payload = {
             "input_digest": self.input_digest,
             "marginals_summary": [
-                {"column": i, "atom_count": len(m), "mean": _ratio_str(*mean.as_integer_ratio())}
-                for i, (m, mean) in enumerate(zip(self.laws, self.means), 1)
+                {"column": i, "atom_count": atoms, "mean": _ratio_str(*mean.as_integer_ratio())}
+                for i, (atoms, mean) in enumerate(self.marginals_summary, 1)
             ],
             "comonotonic": {
                 "comonotonic": self.comonotonic,
@@ -337,7 +344,7 @@ class AnalysisReport:
             },
             "tool_version": __version__,
         }
-        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.laws, self.scale, self.rows))
+        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows))
 
 
 def run_report(
@@ -352,7 +359,7 @@ def run_report(
     levels the table shows. Explicit levels must lie strictly inside (0, 1).
     """
     report = subadditivity_report(j)
-    rows = report.rows if alphas is None else _level_rows(report.laws, report.scale, alphas)
+    rows = report.rows if alphas is None else _level_rows(j, alphas)
     return AnalysisReport(j, report, rows, is_comonotonic(j))
 
 
@@ -381,30 +388,27 @@ def _json_text(payload: dict, key: str | None = None, template: str = "", rows: 
     return f'{head}\n  "{key}": [\n{items}\n  ]{tail}\n'
 
 
-def _row_texts(laws, scale: int, rows) -> Iterable[tuple]:
-    """The `_ROW_JSON` texts of the integer VaR table ``rows`` of ``laws`` (`_var_rows`,
-    both sides over ``scale``), one row at a time; each atom is formatted once."""
-    *marginals, (sum_texts, sum_xs) = [(_Texts(law.coord_denom), law.xs) for law in laws]
+def _row_texts(scale: int, rows) -> Iterable[tuple]:
+    """The `_ROW_JSON` texts of the integer VaR table ``rows`` (`_var_rows`, all
+    VaRs over ``scale``), one row at a time; each value is formatted once."""
+    texts = _Texts(scale)
     return (
-        (_ratio_str(num, den), _ITEMS.join([t[xs[k]] for (t, xs), k in zip(marginals, ks)]),
-         _relation(var_sum, sum_of_vars), _ratio_str(sum_of_vars, scale), sum_texts[sum_xs[ks[-1]]])
-        for num, den, ks, var_sum, sum_of_vars in rows
+        (_ratio_str(num, den), _ITEMS.join(map(texts.__getitem__, vs)),
+         _relation(var_sum, sum_of_vars), _ratio_str(sum_of_vars, scale), texts[var_sum])
+        for num, den, vs, var_sum, sum_of_vars in rows
     )
 
 
-def _var_table_csv(laws, scale: int, rows) -> str:
-    """Plot-ready CSV of the VaR table of the integer ``rows`` of ``laws``
-    (floats, 12 significant digits). Each float is ``int / int``, correctly
-    rounded like ``float(Fraction)``."""
-    header = ["alpha", *(f"var_{i}" for i in range(1, len(laws)))]
+def _var_table_csv(n: int, scale: int, rows) -> str:
+    """Plot-ready CSV of the VaR table of the integer ``rows`` of an
+    ``n``-dimensional law (floats, 12 significant digits). Each float is
+    ``int / int``, correctly rounded like ``float(Fraction)``."""
+    header = ["alpha", *(f"var_{i}" for i in range(1, n + 1))]
     header += ["var_of_sum", "sum_of_vars", "relation"]
     lines = (
-        [
-            f"{x:.12g}"
-            for x in (num / den, *(m.xs[k] / m.coord_denom for m, k in zip(laws, ks)), sv / scale)
-        ]
-        + [_relation(vs, sv)]
-        for num, den, ks, vs, sv in rows
+        [f"{x:.12g}" for x in (num / den, *(v / scale for v in vs), var_sum / scale, sv / scale)]
+        + [_relation(var_sum, sv)]
+        for num, den, vs, var_sum, sv in rows
     )
     try:
         return _csv_text(header, lines)
@@ -484,19 +488,15 @@ def cmd_report(args) -> int:
     no sweep and no chain check."""
     j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
     alphas = [a for *_, a in _collect_alphas(args, required=args.command == "var")]
-    if args.command == "var":
-        laws = (*j.marginals(), j.sum_distribution())
-        report, scale, rows = None, j.coord_denom, _level_rows(laws, j.coord_denom, alphas)
-    else:
-        report = run_report(j, alphas or None)
-        laws, scale, rows = report.laws, report.scale, report.rows
+    report = None if args.command == "var" else run_report(j, alphas or None)
+    rows = report.rows if report else _level_rows(j, alphas)
     if args.output == "csv":
-        text = _var_table_csv(laws, scale, rows)
+        text = _var_table_csv(j.dimension, j.coord_denom, rows)
     elif report:
         text = report.to_json()
     else:
         payload = {"input_digest": _digest(j), "tool_version": __version__}
-        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(laws, scale, rows))
+        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
     _emit(text, args.out)
     if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         print(

@@ -83,11 +83,9 @@ def comonotonic_coupling(
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
-    _, steps = _sweep(ms)
     scale = math.lcm(*(m.coord_denom for m in ms))
-    factors = [scale // m.coord_denom for m in ms]
-    points = tuple(tuple(m.xs[k] * f for m, k, f in zip(ms, ks, factors)) for _, ks in steps)
-    levels = [level for level, _ in steps]
+    _, levels, columns = _sweep(ms, scale)
+    points = tuple(zip(*columns))
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
     lengths = tuple(b - a for a, b in zip([0, *levels], levels))

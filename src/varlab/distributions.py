@@ -178,20 +178,24 @@ def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistri
     return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
 
 
-def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, list]:
-    """The breakpoint intervals of ``laws``, in increasing order.
+def _sweep(laws: Sequence[DiscreteDistribution], scale: int) -> tuple[int, list, list]:
+    """The breakpoint intervals of ``laws`` and every law's VaR on each.
 
-    Returns the common denominator D and, per interval, ``(level, ks)``: its
-    right endpoint in units of 1/D, one of the sorted union of the laws'
-    cumulative counts over D, and, for each law, the atom its left-continuous
-    quantile takes there: the first whose cumulative count reaches the level
-    (`bisect_left`), the rule of `DiscreteDistribution._quantile_index`.
+    Returns the common probability denominator D, the intervals' right
+    endpoints over D (the sorted union of the laws' cumulative counts), and
+    per law a column of its left-continuous quantile at each endpoint, over
+    ``scale``, a multiple of every ``coord_denom``. The quantile takes the
+    first atom whose cumulative count reaches the level (`bisect_left`), the
+    rule of `DiscreteDistribution._quantile_index`.
     """
     denom = math.lcm(*(m.prob_denom for m in laws))
     cums = [[c * (denom // m.prob_denom) for c in m.cum] for m in laws]
     levels = sorted(set().union(*cums))
-    columns = [[bisect_left(cum, level) for level in levels] for cum in cums]
-    return denom, list(zip(levels, zip(*columns)))
+    columns = []
+    for m, cum in zip(laws, cums):
+        xs = [x * (scale // m.coord_denom) for x in m.xs]
+        columns.append([xs[bisect_left(cum, level)] for level in levels])
+    return denom, levels, columns
 
 
 class DiscreteDistribution(_Law):

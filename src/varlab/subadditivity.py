@@ -51,20 +51,19 @@ class IntervalVerdict(NamedTuple):
 class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
-    The flags are decided on construction, from the `_var_rows` of the
-    breakpoint intervals of ``laws`` (the marginals, then the law of the
-    sum), with both sides in units of 1/``scale``. The `Fraction` views
-    ``verdicts``, ``breakpoints`` and ``first_violation`` are built on
-    first use.
+    The flags are decided on construction, from the `_var_rows` ``rows`` of
+    every breakpoint interval, with all VaRs in units of 1/``scale``. The
+    `Fraction` views ``verdicts``, ``breakpoints`` and ``first_violation``
+    are built on first use.
     """
 
-    def __init__(self, laws: tuple[DiscreteDistribution, ...], scale: int, rows: tuple[tuple, ...]) -> None:
-        self.laws, self.scale, self.rows = laws, scale, rows
+    def __init__(self, scale: int, rows: tuple[tuple, ...]) -> None:
+        self.scale, self.rows = scale, rows
         self.subadditive_everywhere, self.additive_everywhere = _flags(rows)
 
     @cached_property
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
-        return _verdicts(self.laws, self.scale, self.rows)
+        return _verdicts(self.scale, self.rows)
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -81,42 +80,41 @@ def _relation(var_sum, sum_of_vars) -> str:
     return "<" if var_sum < sum_of_vars else "=" if var_sum == sum_of_vars else ">"
 
 
-def _var_rows(laws: tuple[DiscreteDistribution, ...], scale: int, levels) -> tuple[tuple, ...]:
+def _var_rows(levels, columns) -> tuple[tuple, ...]:
     """Both sides of the inequality at each level, in integers.
 
-    ``laws`` are the marginals, then the law of the sum, and ``scale`` a
-    multiple of every law's ``coord_denom``. Each level is ``(num, den,
-    ks)``: the level num/den and, per law, the index of the atom its
-    quantile takes there. Each row is ``(num, den, ks, var_sum,
-    sum_of_vars)``, both sides in units of 1/``scale``.
+    ``levels`` are pairs ``(num, den)``, the level num/den, and ``columns``
+    hold one VaR per level for each marginal, then for the law of the sum.
+    Each row is ``(num, den, vs, var_sum, sum_of_vars)``: the marginal VaRs
+    ``vs``, the VaR of the sum and the sum of ``vs``.
     """
-    *marginal_columns, sum_column = (
-        [x * (scale // law.coord_denom) for x in law.xs] for law in laws
-    )
+    *marginal_columns, sum_column = columns
     return tuple(
-        (num, den, ks, sum_column[ks[-1]], sum(map(list.__getitem__, marginal_columns, ks)))
-        for num, den, ks in levels
+        (num, den, vs, var_sum, sum(vs))
+        for (num, den), vs, var_sum in zip(levels, zip(*marginal_columns), sum_column)
     )
 
 
-def _level_rows(laws: tuple[DiscreteDistribution, ...], scale: int, alphas) -> tuple[tuple, ...]:
-    """`_var_rows` at explicit levels, each strictly inside (0, 1); the atom
-    indices come from `DiscreteDistribution._quantile_index`."""
-    return _var_rows(laws, scale, (
-        (a.numerator, a.denominator, tuple([law._quantile_index(a) for law in laws]))
-        for a in map(Fraction, alphas)
-    ))
+def _level_rows(j: JointDiscreteDistribution, alphas) -> tuple[tuple, ...]:
+    """`_var_rows` of ``j`` at explicit levels, each strictly inside (0, 1),
+    VaRs in units of 1/``j.coord_denom``; each law's atom comes from
+    `DiscreteDistribution._quantile_index`."""
+    alphas = [Fraction(a) for a in alphas]
+    columns = [
+        [law.xs[law._quantile_index(a)] * (j.coord_denom // law.coord_denom) for a in alphas]
+        for law in (*j.marginals(), j.sum_distribution())
+    ]
+    return _var_rows([a.as_integer_ratio() for a in alphas], columns)
 
 
-def _verdicts(laws, scale: int, rows) -> tuple[IntervalVerdict, ...]:
-    """The `Fraction` view of `_var_rows` rows."""
-    *ms, s = laws
+def _verdicts(scale: int, rows) -> tuple[IntervalVerdict, ...]:
+    """The `Fraction` view of `_var_rows` rows over ``scale``."""
     return tuple(
         IntervalVerdict(
-            Fraction(num, den), s.values[ks[-1]], Fraction(sum_of_vars, scale),
-            _relation(var_sum, sum_of_vars), tuple(m.values[k] for m, k in zip(ms, ks)),
+            Fraction(num, den), Fraction(var_sum, scale), Fraction(sum_of_vars, scale),
+            _relation(var_sum, sum_of_vars), tuple([Fraction(v, scale) for v in vs]),
         )
-        for num, den, ks, var_sum, sum_of_vars in rows
+        for num, den, vs, var_sum, sum_of_vars in rows
     )
 
 
@@ -129,17 +127,13 @@ def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
     return subadditivity_report(j).breakpoints
 
 
-def _compared(j: JointDiscreteDistribution):
-    """The laws (the marginals, then the sum law) and their `_var_rows` on
-    every breakpoint interval, both sides in units of 1/``j.coord_denom``.
-
-    `_sweep` over the integer cumulative counts of the marginals and of the
-    sum yields each interval, as its right endpoint over the common
-    probability denominator, and the atom every quantile takes on it.
-    """
-    laws = (*j.marginals(), j.sum_distribution())
-    denom, steps = _sweep(laws)
-    return laws, _var_rows(laws, j.coord_denom, ((level, denom, ks) for level, ks in steps))
+def _compared(j: JointDiscreteDistribution) -> tuple[tuple, ...]:
+    """The `_var_rows` of ``j`` on every breakpoint interval, VaRs in units
+    of 1/``j.coord_denom``: `_sweep` of the marginals and of the sum law
+    gives each interval's right endpoint, over the common probability
+    denominator, and every law's VaR on it."""
+    denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), j.coord_denom)
+    return _var_rows([(level, denom) for level in levels], columns)
 
 
 def _flags(rows) -> tuple[bool, bool]:
@@ -152,8 +146,7 @@ def _flags(rows) -> tuple[bool, bool]:
 
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
     """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
-    laws, rows = _compared(j)
-    return SubadditivityReport(laws, j.coord_denom, rows)
+    return SubadditivityReport(j.coord_denom, _compared(j))
 
 
 class TrialVerdict(NamedTuple):
@@ -172,7 +165,7 @@ class TrialVerdict(NamedTuple):
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     """Run both detectors on one instance and check that they agree."""
     como = is_comonotonic(j).comonotonic
-    subadditive, additive = _flags(_compared(j)[1])
+    subadditive, additive = _flags(_compared(j))
     return TrialVerdict(
         comonotonic=como,
         subadditive_everywhere=subadditive,

@@ -33,9 +33,16 @@ MUTANTS = (
     (
         "sweep-bisect-right",
         "distributions.py",
-        "columns = [[bisect_left(cum, level)",
-        "columns = [[bisect_right(cum, level)",
+        "columns.append([xs[bisect_left(cum, level)]",
+        "columns.append([xs[bisect_right(cum, level)]",
         ("tests/test_golden.py",),
+    ),
+    (
+        "sweep-atom-one-too-high",
+        "distributions.py",
+        "columns.append([xs[bisect_left(cum, level)]",
+        "columns.append([xs[min(bisect_left(cum, level) + 1, len(xs) - 1)]",
+        ("tests/test_subadditivity.py",),
     ),
     (
         "quantile-floor-not-ceil",
@@ -56,6 +63,20 @@ MUTANTS = (
         "comonotonicity.py",
         "    return _chain_verdict(j.coord_denom, j.xs)",
         "    return ComonotoneVerdict(True) if j.dimension <= 2 else _chain_verdict(j.coord_denom, j.xs)",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "coupling-columns-reversed",
+        "comonotonicity.py",
+        "points = tuple(zip(*columns))",
+        "points = tuple(zip(*columns[::-1]))",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "level-rows-unscaled",
+        "subadditivity.py",
+        "law.xs[law._quantile_index(a)] * (j.coord_denom // law.coord_denom)",
+        "law.xs[law._quantile_index(a)]",
         ("tests/test_golden.py",),
     ),
     (

@@ -220,17 +220,19 @@ class TestRunReport:
             assert r.marginal_vars == tuple(m.quantile(a) for m in j.marginals())
             assert r.var_sum == j.sum_distribution().quantile(a)
 
-    @given(joints(), st.lists(open_unit_fractions, max_size=3))
+    @given(joints(), st.none() | st.lists(open_unit_fractions, max_size=3))
+    @example(JointDiscreteDistribution.from_weighted_points([((F(1), F(-2), F(1, 3)), 1)]), [])
     @settings(max_examples=30)
     def test_csv_table_matches_the_fraction_view(self, j, alphas):
-        # the CSV floats are int / int of the integer rows, here float(Fraction)
-        report = run_report(j, alphas or None)
+        # the CSV floats are int / int of the integer rows, here float(Fraction);
+        # no levels give the header alone
+        report = run_report(j, alphas)
         header = ["alpha", *(f"var_{i + 1}" for i in range(j.dimension))]
         lines = [",".join([*header, "var_of_sum", "sum_of_vars", "relation"])]
         for r in report.var_table:
             values = (r.alpha_star, *r.marginal_vars, r.var_sum, r.sum_of_vars)
             lines.append(",".join([*(f"{float(x):.12g}" for x in values), r.relation]))
-        assert cli._var_table_csv(report.laws, report.scale, report.rows) == "\n".join(lines) + "\n"
+        assert cli._var_table_csv(j.dimension, report.scale, report.rows) == "\n".join(lines) + "\n"
 
     @given(joints())
     @settings(max_examples=30)

@@ -249,6 +249,23 @@ def test_simulate_guard_names_the_trial_to_replay():
         varlab.random_coupling(250584532339884, varlab.GeneratorSpec(n=25))
 
 
+# An error names a row by the file line it starts on, past blank lines,
+# whitespace-only lines and a quoted cell that spans two lines.
+@pytest.mark.parametrize("text, message", [
+    ("x,y\n1,2\n\n\n3,abc\n", "row 5, column 2: cannot parse 'abc' as a number"),
+    ("x,y\n1,2\n\n3,4,5\n", "row 4: expected 2 cells, got 3 (ragged row)"),
+    ("x,y\n1,2\n  \n3,abc\n", "row 4, column 2: cannot parse 'abc' as a number"),
+    ('x,y\n"1\n",2\n3,abc\n', "row 4, column 2: cannot parse 'abc' as a number"),
+    ("x,weight\n1,1\n\n2,0\n", "row 4, column 2: weight must be positive, got 0"),
+    ("\n\n1e5000,2\n3,4\n", "row 3, column 1: number out of range"),
+    ("x,weight\n1,4e1000\n\n2,4e1000\n3,4\n", "row 4, column 2: the probability denominator"),
+])
+def test_rows_are_named_by_their_file_line(tmp_path, text, message):
+    rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", text)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_csv_field_over_the_reader_limit_names_its_line(tmp_path):
     rc, out, err, _ = run_main(["report", write(tmp_path, "a.csv", "1\n" + "9" * 200_000 + "\n")])
     assert rc == 2

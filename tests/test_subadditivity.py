@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -102,6 +103,41 @@ class TestSubadditivityReport:
             verdict = report.verdicts[k]
             assert var_sum == verdict.var_sum
             assert sum_of_vars == verdict.sum_of_vars
+
+
+def _mean_identity_breaches(j):
+    """The laws whose sweep column breaks the mean identity, then whether the
+    gap between the two sides breaks it.
+
+    Over the sweep rows, with D the last level's denominator and Δ_k the
+    difference of consecutive levels, Σ Δ_k·VaR_k = E[X]·scale·D for every
+    marginal and for the sum law, which is ∫₀¹ VaR_α(X) dα = E[X]; so
+    Σ Δ_k·(var_sum_k − sum_of_vars_k) = 0, E[S] being Σ E[X_i].
+    """
+    rows = subadditivity_report(j).rows
+    nums = [num for num, *_ in rows]
+    deltas = [b - a for a, b in zip([0, *nums], nums)]
+    denom = rows[-1][1]
+    columns = [*zip(*(vs for _, _, vs, _, _ in rows)), [var_sum for *_, var_sum, _ in rows]]
+    laws = (*j.marginals(), j.sum_distribution())
+    breaches = [
+        i for i, (law, column) in enumerate(zip(laws, columns))
+        if sum(map(mul, deltas, column)) != law.mean() * j.coord_denom * denom
+    ]
+    gap = sum(d * (var_sum - sum_of_vars) for d, (*_, var_sum, sum_of_vars) in zip(deltas, rows))
+    return breaches, gap != 0
+
+
+class TestMeanIdentity:
+    @given(joints())
+    def test_rows_integrate_to_the_means(self, j):
+        assert _mean_identity_breaches(j) == ([], False)
+
+    def test_seeded_instances(self):
+        for seed in range(1500):
+            spec = GeneratorSpec(n=1 + seed % 4)
+            make = random_comonotonic if seed % 8 < 4 else random_coupling
+            assert _mean_identity_breaches(make(seed, spec)) == ([], False), seed
 
 
 class TestEquivalenceTrial:
