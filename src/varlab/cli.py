@@ -142,7 +142,8 @@ def _read_text(path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object follows a dropped byte order mark
-        line, byte = exc.object[: exc.start].count(b"\n") + 1, exc.object[exc.start]
+        # \r\n, a lone \r and a lone \n each end a line, as in the CSV reader
+        line, byte = len(re.split(rb"\r\n?|\n", exc.object[: exc.start])), exc.object[exc.start]
         raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})") from None
 
 
@@ -187,7 +188,7 @@ def ingest_csv(
     lowered = [h.lower() for h in header] if header is not None else []
     if weight_column is None:
         widx = lowered.index("weight") if "weight" in lowered else None
-    elif isinstance(weight_column, str) and not weight_column.lstrip("-").isdigit():
+    elif isinstance(weight_column, str) and not weight_column.removeprefix("-").isdecimal():
         if header is None:
             raise ValueError("named weight column requires a header row")
         if weight_column.lower() not in lowered:

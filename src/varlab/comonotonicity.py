@@ -21,6 +21,7 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     _canonical,
+    _common_lattice,
     _sweep,
 )
 
@@ -83,8 +84,7 @@ def comonotonic_coupling(
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
-    scale = math.lcm(*(m.coord_denom for m in ms))
-    _, levels, columns = _sweep(ms, scale)
+    scale, _, levels, columns = _sweep(ms)
     points = tuple(zip(*columns))
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
@@ -108,8 +108,10 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
         raise ValueError(
             f"min-copula grid of {total} cells exceeds the {MAX_JOINT_POINTS}-cell guard"
         )
-    index = [{x * (j.coord_denom // m.coord_denom): k for k, x in enumerate(m.xs)} for m in ms]
-    cums = [[c * (j.prob_denom // m.prob_denom) for c in m.cum] for m in ms]
+    # the marginals' L is j.coord_denom; their D divides j.prob_denom
+    _, denom, values, counts = _common_lattice(ms)
+    index = [{x: k for k, x in enumerate(xs)} for xs in values]
+    cums = [[c * (j.prob_denom // denom) for c in itertools.accumulate(cs)] for cs in counts]
 
     strides = [0] * n
     stride = 1

@@ -178,24 +178,33 @@ def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistri
     return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
 
 
-def _sweep(laws: Sequence[DiscreteDistribution], scale: int) -> tuple[int, list, list]:
+def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
+    """Where laws meet: L, the lcm of the laws' ``coord_denom``, D, the lcm of
+    their ``prob_denom``, and per law its ``xs`` over L and its counts over D."""
+    scale = math.lcm(*[m.coord_denom for m in laws])
+    denom = math.lcm(*[m.prob_denom for m in laws])
+    values, counts = [], []
+    for m in laws:
+        f, g = scale // m.coord_denom, denom // m.prob_denom
+        values.append([x * f for x in m.xs])
+        counts.append([c * g for c in m.counts])
+    return scale, denom, values, counts
+
+
+def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
     """The breakpoint intervals of ``laws`` and every law's VaR on each.
 
-    Returns the common probability denominator D, the intervals' right
+    Returns the laws' `_common_lattice` scales L and D, the intervals' right
     endpoints over D (the sorted union of the laws' cumulative counts), and
     per law a column of its left-continuous quantile at each endpoint, over
-    ``scale``, a multiple of every ``coord_denom``. The quantile takes the
-    first atom whose cumulative count reaches the level (`bisect_left`), the
-    rule of `DiscreteDistribution._quantile_index`.
+    L. The quantile takes the first atom whose cumulative count reaches the
+    level (`bisect_left`), the rule of `DiscreteDistribution._quantile_index`.
     """
-    denom = math.lcm(*(m.prob_denom for m in laws))
-    cums = [[c * (denom // m.prob_denom) for c in m.cum] for m in laws]
+    scale, denom, values, counts = _common_lattice(laws)
+    cums = [list(itertools.accumulate(c)) for c in counts]
     levels = sorted(set().union(*cums))
-    columns = []
-    for m, cum in zip(laws, cums):
-        xs = [x * (scale // m.coord_denom) for x in m.xs]
-        columns.append([xs[bisect_left(cum, level)] for level in levels])
-    return denom, levels, columns
+    columns = [[xs[bisect_left(cum, level)] for level in levels] for xs, cum in zip(values, cums)]
+    return scale, denom, levels, columns
 
 
 class DiscreteDistribution(_Law):
@@ -297,10 +306,8 @@ class DiscreteDistribution(_Law):
 
     def shift(self, c) -> "DiscreteDistribution":
         """The law of X + c."""
-        c = Fraction(c)
-        scale = math.lcm(self.coord_denom, c.denominator)
-        f, offset = scale // self.coord_denom, c.numerator * (scale // c.denominator)
-        return _law(scale, (x * f + offset for x in self.xs), self.counts)
+        scale, _, (xs, (offset,)), _ = _common_lattice((self, self.point_mass(c)))
+        return _law(scale, (x + offset for x in xs), self.counts)
 
     def scale(self, factor) -> "DiscreteDistribution":
         """The law of factor * X."""
@@ -392,8 +399,7 @@ def independent_product(*marginals: DiscreteDistribution) -> JointDiscreteDistri
         raise ValueError(
             f"independent product of {size} points exceeds the {MAX_JOINT_POINTS}-point guard"
         )
-    scale = math.lcm(*(m.coord_denom for m in marginals))
-    axes = [[x * (scale // m.coord_denom) for x in m.xs] for m in marginals]
+    scale, _, axes, _ = _common_lattice(marginals)
     # Products of coprime-count marginals stay coprime, and the product order
     # of increasing axes is already increasing, so this is the lattice form.
     return JointDiscreteDistribution._lattice(

@@ -8,10 +8,9 @@ aggregate risks with fixed marginals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _common_lattice
 
 
 def var(d: DiscreteDistribution, alpha) -> Fraction:
@@ -19,13 +18,11 @@ def var(d: DiscreteDistribution, alpha) -> Fraction:
     return d.quantile(alpha)
 
 
-def _stop_losses(d: DiscreteDistribution, scale: int, denom: int, kinks) -> list[int]:
-    """E[(X - c / scale)^+] * scale * denom at each of the increasing integer
-    ``kinks``; one pointer drops the atoms at or below each threshold from the
-    running mass and first moment of those above it."""
-    f, g = scale // d.coord_denom, denom // d.prob_denom
-    xs = [x * f for x in d.xs]
-    ws = [w * g for w in d.counts]
+def _stop_losses(xs: list[int], ws: list[int], denom: int, kinks) -> list[int]:
+    """E[(X - c / L)^+] * L * denom at each of the increasing integer ``kinks``
+    for atoms ``xs`` over L with counts ``ws`` over ``denom``; one pointer drops
+    the atoms at or below each threshold from the running mass and first
+    moment of those above it."""
     mass, moment = denom, sum(x * w for x, w in zip(xs, ws))
     k, out = 0, []
     for c in kinks:
@@ -43,10 +40,9 @@ def stop_loss(d: DiscreteDistribution, c) -> Fraction:
     As a function of c this is convex, non-increasing, and piecewise linear
     with kinks only at support values.
     """
-    c = Fraction(c)
-    scale = lcm(d.coord_denom, c.denominator)
-    (value,) = _stop_losses(d, scale, d.prob_denom, [c.numerator * (scale // c.denominator)])
-    return Fraction(value, scale * d.prob_denom)
+    scale, denom, (xs, kinks), (ws, _) = _common_lattice((d, DiscreteDistribution.point_mass(c)))
+    (value,) = _stop_losses(xs, ws, denom, kinks)
+    return Fraction(value, scale * denom)
 
 
 class ConvexOrderVerdict(NamedTuple):
@@ -73,12 +69,9 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     """
     if a.mean() != b.mean():
         return ConvexOrderVerdict(holds=False, mean_equal=False)
-    scale = lcm(a.coord_denom, b.coord_denom)
-    denom = lcm(a.prob_denom, b.prob_denom)
-    kinks = sorted(
-        {x * (scale // a.coord_denom) for x in a.xs} | {x * (scale // b.coord_denom) for x in b.xs}
-    )
-    curves = zip(kinks, _stop_losses(a, scale, denom, kinks), _stop_losses(b, scale, denom, kinks))
+    scale, denom, (xa, xb), (wa, wb) = _common_lattice((a, b))
+    kinks = sorted({*xa, *xb})
+    curves = zip(kinks, _stop_losses(xa, wa, denom, kinks), _stop_losses(xb, wb, denom, kinks))
     for c, sa, sb in curves:
         if sa > sb:
             return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=Fraction(c, scale))

@@ -26,6 +26,7 @@ from .distributions import (
     MAX_JOINT_POINTS,
     DiscreteDistribution,
     JointDiscreteDistribution,
+    _common_lattice,
     _merged,
     _sweep,
     independent_product,
@@ -100,10 +101,9 @@ def _level_rows(j: JointDiscreteDistribution, alphas) -> tuple[tuple, ...]:
     VaRs in units of 1/``j.coord_denom``; each law's atom comes from
     `DiscreteDistribution._quantile_index`."""
     alphas = [Fraction(a) for a in alphas]
-    columns = [
-        [law.xs[law._quantile_index(a)] * (j.coord_denom // law.coord_denom) for a in alphas]
-        for law in (*j.marginals(), j.sum_distribution())
-    ]
+    laws = (*j.marginals(), j.sum_distribution())
+    _, _, values, _ = _common_lattice(laws)
+    columns = [[xs[law._quantile_index(a)] for a in alphas] for law, xs in zip(laws, values)]
     return _var_rows([a.as_integer_ratio() for a in alphas], columns)
 
 
@@ -132,7 +132,7 @@ def _compared(j: JointDiscreteDistribution) -> tuple[tuple, ...]:
     of 1/``j.coord_denom``: `_sweep` of the marginals and of the sum law
     gives each interval's right endpoint, over the common probability
     denominator, and every law's VaR on it."""
-    denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), j.coord_denom)
+    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()))
     return _var_rows([(level, denom) for level in levels], columns)
 
 
@@ -319,20 +319,19 @@ def random_coupling(
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
-    denom = lcm(*(m.prob_denom for m in ms))
+    scale, denom, values, counts = _common_lattice(ms)
     if denom > MAX_JOINT_POINTS:
         raise ValueError(
             f"common denominator {denom} exceeds the {MAX_JOINT_POINTS}-cell guard"
         )
-    scale = lcm(*(m.coord_denom for m in ms))
     bits = rng.getrandbits
     columns = []
-    for m in ms:
+    for xs, cs in zip(values, counts):
         # the value of each cell, shuffled in place: a uniform permutation,
         # the one random.shuffle draws
         column: list[int] = []
-        for x, c in zip(m.xs, m.counts):
-            column += [x * (scale // m.coord_denom)] * (c * (denom // m.prob_denom))
+        for x, c in zip(xs, cs):
+            column += [x] * c
         _shuffle(bits, column)
         columns.append(column)
     cells = Counter(zip(*columns))

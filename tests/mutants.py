@@ -33,15 +33,15 @@ MUTANTS = (
     (
         "sweep-bisect-right",
         "distributions.py",
-        "columns.append([xs[bisect_left(cum, level)]",
-        "columns.append([xs[bisect_right(cum, level)]",
+        "[xs[bisect_left(cum, level)] for level in levels]",
+        "[xs[bisect_right(cum, level)] for level in levels]",
         ("tests/test_golden.py",),
     ),
     (
         "sweep-atom-one-too-high",
         "distributions.py",
-        "columns.append([xs[bisect_left(cum, level)]",
-        "columns.append([xs[min(bisect_left(cum, level) + 1, len(xs) - 1)]",
+        "[xs[bisect_left(cum, level)] for level in levels]",
+        "[xs[min(bisect_left(cum, level) + 1, len(xs) - 1)] for level in levels]",
         ("tests/test_subadditivity.py",),
     ),
     (
@@ -75,8 +75,22 @@ MUTANTS = (
     (
         "level-rows-unscaled",
         "subadditivity.py",
-        "law.xs[law._quantile_index(a)] * (j.coord_denom // law.coord_denom)",
-        "law.xs[law._quantile_index(a)]",
+        "[xs[law._quantile_index(a)] for a in alphas]",
+        "[law.xs[law._quantile_index(a)] for a in alphas]",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "common-lattice-values-unscaled",
+        "distributions.py",
+        "values.append([x * f for x in m.xs])",
+        "values.append(list(m.xs))",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "common-lattice-counts-unscaled",
+        "distributions.py",
+        "counts.append([c * g for c in m.counts])",
+        "counts.append(list(m.counts))",
         ("tests/test_golden.py",),
     ),
     (

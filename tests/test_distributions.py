@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import time
 from fractions import Fraction as F
@@ -10,6 +11,7 @@ import hypothesis.strategies as st
 import oracles
 from strategies import distributions, joints, open_unit_fractions, rational_values
 from varlab import DiscreteDistribution, JointDiscreteDistribution, independent_product
+from varlab.distributions import _common_lattice, _sweep
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 
@@ -239,6 +241,23 @@ class TestShiftScale:
     @given(distributions(), rational_values)
     def test_scale_scales_mean(self, d, k):
         assert d.scale(k).mean() == d.mean() * k
+
+
+class TestCommonLattice:
+    # _common_lattice is the one place where laws meet; oracles read the Fraction views
+    @given(st.lists(distributions(), min_size=1, max_size=4))
+    def test_laws_meet_on_the_lcms_of_their_denominators(self, laws):
+        scale, denom, values, counts = _common_lattice(laws)
+        assert scale == math.lcm(*(v.denominator for m in laws for v in m.values))
+        assert denom == math.lcm(*(p.denominator for m in laws for p in m.probs))
+        assert len(values) == len(counts) == len(laws)
+        for m, xs, cs in zip(laws, values, counts):
+            assert [F(x, scale) for x in xs] == list(m.values)
+            assert [F(c, denom) for c in cs] == list(m.probs)
+
+    @given(joints())
+    def test_the_sweep_of_a_joint_law_is_over_its_coord_denom(self, j):
+        assert _sweep((*j.marginals(), j.sum_distribution()))[0] == j.coord_denom
 
 
 class TestLawContract:

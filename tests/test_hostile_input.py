@@ -303,6 +303,36 @@ def test_undecodable_input_names_its_file_and_line(tmp_path, command, bom):
     assert err == f"error: {bad}: line 3: not UTF-8 (invalid start byte, byte 0xff)\n"
 
 
+# The CSV reader and --alphas-file end a line at \r\n, at a lone \r and at a
+# lone \n; "|" marks each line end and the byte that is not UTF-8 is on line 3.
+@pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize(
+    "command, blob", [("report", b"x,y|1,2|\xff,3|"), ("var", b"0.5|0.7|\xff|")], ids=["report", "var"]
+)
+def test_undecodable_input_counts_every_line_ending(tmp_path, command, blob, end):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(blob.replace(b"|", end))
+    ok = write(tmp_path, "ok.csv", "x,y\n1,2\n")
+    argv = ["report", str(bad)] if command == "report" else ["var", ok, "--alphas-file", str(bad)]
+    rc, out, err, _ = run_main(argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {bad}: line 3: not UTF-8 (invalid start byte, byte 0xff)\n"
+
+
+@pytest.mark.parametrize("header, value, message", [
+    (True, "²", "weight column '²' not found in header"),
+    (True, "--1", "weight column '--1' not found in header"),
+    (False, "²", "named weight column requires a header row"),
+    (False, "--1", "named weight column requires a header row"),
+    (True, "-1", "weight column index -1 out of range"),
+    (True, "٣", "weight column index 3 out of range"),
+])
+def test_weight_column_that_is_no_index_is_a_header_name(tmp_path, header, value, message):
+    path = write(tmp_path, "a.csv", ("x,weight\n" if header else "") + "1,2\n3,4\n")
+    rc, out, err, _ = run_main(["report", path, f"--weight-column={value}"])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def _python_stdout(code: str) -> str:
     """The stripped stdout of a fresh ``python -c code`` that imports this varlab."""
     src = str(Path(varlab.__file__).resolve().parents[1])
