@@ -136,14 +136,17 @@ def _row_is_numeric(line: int, row: Sequence[str]) -> bool:
     return True
 
 
+# \r\n, a lone \r and a lone \n each end a line of input, as in the CSV reader
+_LINE_END = r"\r\n?|\n"
+
+
 def _read_text(path) -> str:
     """The text of a UTF-8 input file. utf-8-sig drops a leading byte order
     mark, which would make a headerless first row look like a header."""
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object follows a dropped byte order mark
-        # \r\n, a lone \r and a lone \n each end a line, as in the CSV reader
-        line, byte = len(re.split(rb"\r\n?|\n", exc.object[: exc.start])), exc.object[exc.start]
+        line, byte = len(re.split(_LINE_END.encode(), exc.object[: exc.start])), exc.object[exc.start]
         raise ValueError(f"{path}: line {line}: not UTF-8 ({exc.reason}, byte 0x{byte:02x})") from None
 
 
@@ -443,7 +446,7 @@ def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Frac
     origin, None for --alpha, is the file and line, which errors name."""
     texts = [(None, text.strip()) for text in args.alpha or []]
     if args.alphas_file:
-        lines = _read_text(args.alphas_file).splitlines()
+        lines = re.split(_LINE_END, _read_text(args.alphas_file))
         for number, line in enumerate(lines, 1):
             text = line.split("#", 1)[0].strip()
             if text:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import gt
+from operator import gt, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import (
@@ -88,7 +88,7 @@ def comonotonic_coupling(
     points = tuple(zip(*columns))
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
-    lengths = tuple(b - a for a, b in zip([0, *levels], levels))
+    lengths = tuple(map(sub, levels, [0, *levels]))
     return JointDiscreteDistribution._lattice(scale, points, lengths, ms)
 
 
@@ -101,7 +101,6 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
     sizes, which must not exceed ``MAX_JOINT_POINTS``.
     """
     ms = j.marginals()
-    n = j.dimension
     sizes = [len(m) for m in ms]
     total = math.prod(sizes)
     if total > MAX_JOINT_POINTS:
@@ -110,30 +109,30 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
         )
     # the marginals' L is j.coord_denom; their D divides j.prob_denom
     _, denom, values, counts = _common_lattice(ms)
-    index = [{x: k for k, x in enumerate(xs)} for xs in values]
-    cums = [[c * (j.prob_denom // denom) for c in itertools.accumulate(cs)] for cs in counts]
+    unit = j.prob_denom // denom
+    cums = [[c * unit for c in itertools.accumulate(cs)] for cs in counts]
 
-    strides = [0] * n
-    stride = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = stride
-        stride *= sizes[i]
-
+    # Each point's row-major grid index, built one axis at a time.
+    flat = [0] * len(j.xs)
+    for xs, size, column in zip(values, sizes, zip(*j.xs)):
+        index = {x: k for k, x in enumerate(xs)}
+        flat = [f * size + index[x] for f, x in zip(flat, column)]
     grid = [0] * total
-    for coords, c in zip(j.xs, j.counts):
-        grid[sum(index[i][coords[i]] * strides[i] for i in range(n))] += c
+    for f, c in zip(flat, j.counts):
+        grid[f] = c  # points are distinct
 
-    # Running prefix sums along each axis turn the pmf grid into the joint
-    # CDF at every corner.
-    for i in range(n):
-        stride = strides[i]
-        size = sizes[i]
-        for flat in range(total):
-            if (flat // stride) % size:
-                grid[flat] += grid[flat - stride]
+    # Prefix sums along each axis turn the pmf grid into the joint CDF at
+    # every corner. Along an axis the grid is blocks of ``size`` rows of
+    # ``stride`` cells, and every row but a block's first adds the row before.
+    stride = total
+    for size in sizes:
+        block, stride = stride, stride // size
+        for start in range(0, total, block):
+            for k in range(start + stride, start + block):
+                grid[k] += grid[k - stride]
 
     # The grid is row-major, which is the order itertools.product walks.
-    return all(cell == min(corner) for cell, corner in zip(grid, itertools.product(*cums)))
+    return grid == list(map(min, itertools.product(*cums)))
 
 
 def convex_order_max_check(j: JointDiscreteDistribution) -> bool:

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -172,8 +172,21 @@ class _Law:
         return len(self.xs)
 
 
-def _law(scale: int, xs: Iterable[int], counts: Iterable[int]) -> DiscreteDistribution:
-    """The law putting ``counts[k]`` on ``xs[k] / scale``; values may repeat."""
+def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistribution:
+    """The law putting positive ``counts[k]`` on ``xs[k] / scale``; values may
+    repeat. Strictly increasing values, as the coordinate sums of a comonotonic
+    joint law (its lexicographic order is its sum order), skip the merge and the
+    sort: they are distinct and in order, so dividing the scale and the values by
+    their gcd, and the counts by theirs, gives the minimal lattice form. Such a
+    law has no more points than its source, so the merge's size guard holds."""
+    xs = tuple(xs)
+    if all(map(lt, xs, xs[1:])):
+        r, g = math.gcd(scale, *xs), math.gcd(*counts)
+        if r > 1:
+            scale, xs = scale // r, tuple([x // r for x in xs])
+        if g > 1:
+            counts = [c // g for c in counts]
+        return DiscreteDistribution._lattice(scale, xs, tuple(counts))
     scale, points, counts = _merged(scale, ((x,) for x in xs), counts)
     return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
 
@@ -200,8 +213,14 @@ def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
     L. The quantile takes the first atom whose cumulative count reaches the
     level (`bisect_left`), the rule of `DiscreteDistribution._quantile_index`.
     """
-    scale, denom, values, counts = _common_lattice(laws)
-    cums = [list(itertools.accumulate(c)) for c in counts]
+    # `_common_lattice`'s L, D and values; counts accumulate as they scale to D
+    scale = math.lcm(*[m.coord_denom for m in laws])
+    denom = math.lcm(*[m.prob_denom for m in laws])
+    values, cums = [], []
+    for m in laws:
+        f, g = scale // m.coord_denom, denom // m.prob_denom
+        values.append([x * f for x in m.xs])
+        cums.append([c * g for c in itertools.accumulate(m.counts)])
     levels = sorted(set().union(*cums))
     columns = [[xs[bisect_left(cum, level)] for level in levels] for xs, cum in zip(values, cums)]
     return scale, denom, levels, columns

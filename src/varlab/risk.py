@@ -8,6 +8,7 @@ aggregate risks with fixed marginals.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, _common_lattice
@@ -23,10 +24,10 @@ def _stop_losses(xs: list[int], ws: list[int], denom: int, kinks) -> list[int]:
     for atoms ``xs`` over L with counts ``ws`` over ``denom``; one pointer drops
     the atoms at or below each threshold from the running mass and first
     moment of those above it."""
-    mass, moment = denom, sum(x * w for x, w in zip(xs, ws))
-    k, out = 0, []
+    mass, moment = denom, sum(map(mul, xs, ws))
+    k, n, out = 0, len(xs), []
     for c in kinks:
-        while k < len(xs) and xs[k] <= c:
+        while k < n and xs[k] <= c:
             mass -= ws[k]
             moment -= xs[k] * ws[k]
             k += 1
@@ -67,9 +68,10 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     Arithmetic is exact integer work on a common lattice; there is no
     tolerance.
     """
-    if a.mean() != b.mean():
-        return ConvexOrderVerdict(holds=False, mean_equal=False)
     scale, denom, (xa, xb), (wa, wb) = _common_lattice((a, b))
+    # both means are over scale * denom, so their numerators decide
+    if sum(map(mul, xa, wa)) != sum(map(mul, xb, wb)):
+        return ConvexOrderVerdict(holds=False, mean_equal=False)
     kinks = sorted({*xa, *xb})
     curves = zip(kinks, _stop_losses(xa, wa, denom, kinks), _stop_losses(xb, wb, denom, kinks))
     for c, sa, sb in curves:

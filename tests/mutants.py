@@ -82,9 +82,51 @@ MUTANTS = (
     (
         "common-lattice-values-unscaled",
         "distributions.py",
-        "values.append([x * f for x in m.xs])",
-        "values.append(list(m.xs))",
+        "values.append([x * f for x in m.xs])\n        counts.append",
+        "values.append(list(m.xs))\n        counts.append",
         ("tests/test_golden.py",),
+    ),
+    (
+        "sweep-values-unscaled",
+        "distributions.py",
+        "values.append([x * f for x in m.xs])\n        cums.append",
+        "values.append(list(m.xs))\n        cums.append",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "sweep-counts-unscaled",
+        "distributions.py",
+        "cums.append([c * g for c in itertools.accumulate(m.counts)])",
+        "cums.append(list(itertools.accumulate(m.counts)))",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "law-fast-path-on-nonstrict-order",
+        "distributions.py",
+        "if all(map(lt, xs, xs[1:])):",
+        "if all(x <= y for x, y in zip(xs, xs[1:])):",
+        ("tests/test_lattice.py",),
+    ),
+    (
+        "law-fast-path-without-scale-gcd",
+        "distributions.py",
+        "r, g = math.gcd(scale, *xs), math.gcd(*counts)",
+        "r, g = 1, math.gcd(*counts)",
+        ("tests/test_lattice.py",),
+    ),
+    (
+        "min-copula-prefix-one-cell-late",
+        "comonotonicity.py",
+        "for k in range(start + stride, start + block):",
+        "for k in range(start + stride + 1, start + block):",
+        ("tests/test_lattice.py",),
+    ),
+    (
+        "convex-order-mean-unchecked",
+        "risk.py",
+        "if sum(map(mul, xa, wa)) != sum(map(mul, xb, wb)):",
+        "if False:",
+        ("tests/test_risk.py",),
     ),
     (
         "common-lattice-counts-unscaled",

@@ -319,6 +319,23 @@ def test_undecodable_input_counts_every_line_ending(tmp_path, command, blob, end
     assert err == f"error: {bad}: line 3: not UTF-8 (invalid start byte, byte 0xff)\n"
 
 
+# Only \r\n, \r and \n end a line of an --alphas-file, as in the CSV reader: a
+# form feed, a vertical tab or U+2028 is part of its line's text, so a parse
+# error and a byte that is not UTF-8 at the same place name the same line.
+@pytest.mark.parametrize("sep", ["\f", "\v", "\u2028"], ids=["ff", "vt", "ls"])
+def test_alphas_file_lines_end_only_at_csv_line_ends(tmp_path, sep):
+    ok = write(tmp_path, "ok.csv", "x,y\n1,2\n")
+    levels = tmp_path / "levels.txt"
+    for blob, message in [
+        (f"0.5{sep}0.7\nabc\n".encode(), f"line 1: cannot parse {f'0.5{sep}0.7'!r} as a number"),
+        (f"0.5 # a{sep}b\nabc\n".encode(), "line 2: cannot parse 'abc' as a number"),
+        (f"0.5 # a{sep}b\n".encode() + b"\xff\n", "line 2: not UTF-8 (invalid start byte, byte 0xff)"),
+    ]:
+        levels.write_bytes(blob)
+        rc, out, err, _ = run_main(["var", ok, "--alphas-file", str(levels)])
+        assert (rc, out, err) == (2, "", f"error: {levels}: {message}\n")
+
+
 @pytest.mark.parametrize("header, value, message", [
     (True, "²", "weight column '²' not found in header"),
     (True, "--1", "weight column '--1' not found in header"),

@@ -11,6 +11,7 @@ straight to integer pairs, must give the oracle's Fraction parse and laws.
 import random
 import tempfile
 from fractions import Fraction as F
+from operator import add, lt
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -35,6 +36,7 @@ from varlab import (
     subadditivity_report,
 )
 from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber, _parse_number, ingest_csv
+from varlab.distributions import _law
 
 N_PER_KIND = 1000
 MAX_ATOMS = 8
@@ -144,6 +146,84 @@ def test_distribution_queries_match_oracle(pairs_a, pairs_b, alpha, x):
     assert a.scale(x).atoms == oracle.canonical((v * x, p) for v, p in a.atoms)
     leq = convex_order_leq(a, b)
     assert (leq.holds, leq.mean_equal, leq.witness_c) == oracle.convex_order_leq(a.atoms, b.atoms)
+
+
+# `_law` skips the merge and the sort when its values come in strictly
+# increasing, and merges them otherwise; both branches must give the oracle's
+# law in the lattice form the public constructor gives.
+@given(
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 9)), min_size=1, max_size=8),
+    st.booleans(),
+)
+@example(2, [(2, 1)], True)  # one value, 2/2: the scale must reduce to 1
+@example(6, [(-3, 2), (3, 4), (9, 2)], True)  # values and counts share factors
+@example(4, [(1, 1), (1, 1), (-2, 3)], False)  # a repeated value, out of order
+def test_law_matches_oracle_on_both_branches(scale, pairs, increasing):
+    if increasing:  # distinct and sorted: the branch without the merge
+        pairs = sorted(dict(pairs).items())
+    xs, counts = zip(*pairs)
+    total = sum(counts)
+    want = oracle.canonical((F(x, scale), F(c, total)) for x, c in pairs)
+    law = _law(scale, iter(xs), counts)
+    assert law.atoms == want
+    assert law == DiscreteDistribution(want)
+
+
+@st.composite
+def chains(draw):
+    """Weighted points of a comonotonic joint law: a start and componentwise
+    nondecreasing steps in halves and thirds, so sums can reduce (1/2 + 1/2)
+    and single coordinates can repeat."""
+    n = draw(st.integers(1, 4))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    step = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    points = [draw(st.tuples(*[coord] * n))]
+    for delta in draw(st.lists(st.tuples(*[step] * n).filter(any), max_size=7)):
+        points.append(tuple(map(add, points[-1], delta)))
+    return [(p, draw(st.integers(1, 9))) for p in points]
+
+
+@given(chains())
+@example([((F(1, 2), F(1, 2)), 1)])  # one point whose sum 2/2 must reduce to 1
+@example([((F(1, 2),), 1), ((F(3, 2),), 2)])  # n = 1: the marginal is the sum
+@example([((F(0), F(1, 2)), 1), ((F(0), F(3, 2)), 1), ((F(1), F(3, 2)), 1)])  # repeats
+def test_chain_sum_and_marginals_match_oracle(pairs):
+    j = JointDiscreteDistribution.from_weighted_points(pairs)
+    assert is_comonotonic(j).comonotonic
+    sums = list(map(sum, j.xs))
+    assert all(map(lt, sums, sums[1:]))  # so the sum law skips the merge
+    s = oracle.sum_law(j.points)
+    assert j.sum_distribution().atoms == s
+    assert j.sum_distribution() == DiscreteDistribution(s)
+    for i, m in enumerate(j.marginals()):
+        assert m.atoms == oracle.marginal(j.points, i)
+        assert m == DiscreteDistribution(oracle.marginal(j.points, i))
+
+
+@given(st.data())
+def test_min_copula_on_a_full_grid(data):
+    """n = 4 marginals of 4 atoms each, so the grid has 256 cells: each column
+    is 8 unit cells of mass 1/8, sorted for the comonotonic coupling and
+    shuffled for the other joint law."""
+    sorted_columns, shuffled_columns = [], []
+    for _ in range(4):
+        values = sorted(data.draw(st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=4, max_size=4, unique=True
+        )))
+        cuts = sorted(data.draw(st.lists(st.integers(1, 7), min_size=3, max_size=3, unique=True)))
+        cells = [v for v, a, b in zip(values, [0, *cuts], [*cuts, 8]) for _ in range(b - a)]
+        sorted_columns.append(cells)
+        shuffled_columns.append(data.draw(st.permutations(cells)))
+    comonotone, shuffled = (
+        JointDiscreteDistribution.from_weighted_points([(p, 1) for p in zip(*columns)])
+        for columns in (sorted_columns, shuffled_columns)
+    )
+    assert is_comonotonic(comonotone).comonotonic
+    for j in (comonotone, shuffled):
+        assert [len(m) for m in j.marginals()] == [4] * 4
+        assert min_copula_check(j) == oracles.min_copula_holds_direct(j)
+        assert min_copula_check(j) == is_comonotonic(j).comonotonic
 
 
 def parse_outcome(parse, text):
