@@ -180,7 +180,7 @@ def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistri
     their gcd, and the counts by theirs, gives the minimal lattice form. Such a
     law has no more points than its source, so the merge's size guard holds."""
     xs = tuple(xs)
-    if all(map(lt, xs, xs[1:])):
+    if all(map(lt, xs, itertools.islice(xs, 1, None))):  # no copy of a long xs
         r, g = math.gcd(scale, *xs), math.gcd(*counts)
         if r > 1:
             scale, xs = scale // r, tuple([x // r for x in xs])
