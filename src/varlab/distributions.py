@@ -182,10 +182,8 @@ def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistri
     xs = tuple(xs)
     if all(map(lt, xs, itertools.islice(xs, 1, None))):  # no copy of a long xs
         r, g = math.gcd(scale, *xs), math.gcd(*counts)
-        if r > 1:
-            scale, xs = scale // r, tuple([x // r for x in xs])
-        if g > 1:
-            counts = [c // g for c in counts]
+        if r > 1 or g > 1:
+            scale, xs, counts = scale // r, tuple([x // r for x in xs]), [c // g for c in counts]
         return DiscreteDistribution._lattice(scale, xs, tuple(counts))
     scale, points, counts = _merged(scale, ((x,) for x in xs), counts)
     return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
