@@ -49,7 +49,7 @@ from .subadditivity import (
     GeneratorSpec,
     IntervalVerdict,
     SubadditivityReport,
-    _level_rows,
+    _compared,
     _relation,
     _verdicts,
     equivalence_trial,
@@ -307,7 +307,7 @@ class AnalysisReport:
 
     ``report`` is its `SubadditivityReport`, whose flags and ``scale`` this
     report reads. ``rows`` are the VaR table's integer rows from
-    `subadditivity._var_rows`, ``(num, den, vs, var_sum, sum_of_vars)``, all
+    `subadditivity._compared`, ``(num, den, vs, var_sum, sum_of_vars)``, all
     VaRs in units of 1/``scale``; the JSON and `--output csv` are both
     written from them. ``var_table`` is their `IntervalVerdict` view, built
     on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``.
@@ -363,7 +363,7 @@ def run_report(
     levels the table shows. Explicit levels must lie strictly inside (0, 1).
     """
     report = subadditivity_report(j)
-    rows = report.rows if alphas is None else _level_rows(j, alphas)
+    rows = report.rows if alphas is None else _compared(j, alphas)
     return AnalysisReport(j, report, rows, is_comonotonic(j))
 
 
@@ -393,7 +393,7 @@ def _json_text(payload: dict, key: str | None = None, template: str = "", rows: 
 
 
 def _row_texts(scale: int, rows) -> Iterable[tuple]:
-    """The `_ROW_JSON` texts of the integer VaR table ``rows`` (`_var_rows`, all
+    """The `_ROW_JSON` texts of the integer VaR table ``rows`` (`_compared`, all
     VaRs over ``scale``), one row at a time; each value is formatted once."""
     texts = _Texts(scale)
     return (
@@ -493,7 +493,7 @@ def cmd_report(args) -> int:
     j = ingest_csv(args.csv, has_header=args.header, weight_column=args.weight_column)
     alphas = [a for *_, a in _collect_alphas(args, required=args.command == "var")]
     report = None if args.command == "var" else run_report(j, alphas or None)
-    rows = report.rows if report else _level_rows(j, alphas)
+    rows = report.rows if report else _compared(j, alphas)
     if args.output == "csv":
         text = _var_table_csv(j.dimension, j.coord_denom, rows)
     elif report:

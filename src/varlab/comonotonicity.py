@@ -85,6 +85,8 @@ def comonotonic_coupling(
     if not ms:
         raise ValueError("at least one marginal is required")
     scale, _, levels, columns = _sweep(ms)
+    if len(levels) > MAX_JOINT_POINTS:  # before any column is evaluated
+        raise ValueError(f"support of {len(levels)} points exceeds the {MAX_JOINT_POINTS}-point guard")
     points = tuple(zip(*columns))
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.

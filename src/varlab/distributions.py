@@ -202,14 +202,15 @@ def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, lis
     return scale, denom, values, counts
 
 
-def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
-    """The breakpoint intervals of ``laws`` and every law's VaR on each.
+def _sweep(laws: Sequence[DiscreteDistribution], alphas: Iterable | None = None):
+    """Every law's VaR at each level: the one evaluator of VaR in the package.
 
-    Returns the laws' `_common_lattice` scales L and D, the intervals' right
-    endpoints over D (the sorted union of the laws' cumulative counts), and
-    per law a column of its left-continuous quantile at each endpoint, over
-    L. The quantile takes the first atom whose cumulative count reaches the
-    level (`bisect_left`), the rule of `DiscreteDistribution._quantile_index`.
+    Returns the laws' `_common_lattice` scales L and D, the levels over D and
+    an iterator of per-law columns of the left-continuous quantile at each
+    level, over L: the first atom whose cumulative count reaches the level
+    (`bisect_left`). The levels are the breakpoint intervals' right endpoints
+    (the sorted union of the laws' cumulative counts), or ceil(alpha * D) for
+    each of explicit ``alphas``, in order, each strictly inside (0, 1).
     """
     # `_common_lattice`'s L, D and values; counts accumulate as they scale to D
     scale = math.lcm(*[m.coord_denom for m in laws])
@@ -219,8 +220,15 @@ def _sweep(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
         f, g = scale // m.coord_denom, denom // m.prob_denom
         values.append([x * f for x in m.xs])
         cums.append([c * g for c in itertools.accumulate(m.counts)])
-    levels = sorted(set().union(*cums))
-    columns = [[xs[bisect_left(cum, level)] for level in levels] for xs, cum in zip(values, cums)]
+    if alphas is None:
+        levels = sorted(set().union(*cums))
+    else:
+        levels = []
+        for a in map(Fraction, alphas):
+            if not 0 < a < 1:
+                raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
+            levels.append(-(-a.numerator * denom // a.denominator))
+    columns = ([xs[bisect_left(cum, level)] for level in levels] for xs, cum in zip(values, cums))
     return scale, denom, levels, columns
 
 
@@ -273,11 +281,6 @@ class DiscreteDistribution(_Law):
         return cls._lattice(1, (0, 1), (p.denominator - p.numerator, p.numerator))
 
     @cached_property
-    def cum(self) -> tuple[int, ...]:
-        """Cumulative count at each atom; strictly increasing, ends at ``prob_denom``."""
-        return tuple(itertools.accumulate(self.counts))
-
-    @cached_property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.coord_denom) for x in self.xs)
 
@@ -292,30 +295,23 @@ class DiscreteDistribution(_Law):
     @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
         """Cumulative probability at each atom; strictly increasing, ends at 1."""
-        return tuple(Fraction(c, self.prob_denom) for c in self.cum)
+        return tuple(Fraction(c, self.prob_denom) for c in itertools.accumulate(self.counts))
 
     def cdf(self, x) -> Fraction:
         """P(X <= x); a right-continuous step function of x."""
         x = Fraction(x)
         i = bisect_right(self.xs, x.numerator * self.coord_denom // x.denominator)
-        return Fraction(self.cum[i - 1], self.prob_denom) if i else Fraction(0)
+        return self.cumulative[i - 1] if i else Fraction(0)
 
     def quantile(self, alpha) -> Fraction:
         """Left-continuous generalized inverse, inf{x : F(x) >= alpha}.
 
         At a cumulative-probability breakpoint this returns the value attained
         on the interval ending there. ``alpha`` must lie strictly inside
-        (0, 1).
+        (0, 1). This is the one-law `_sweep` at the one level.
         """
-        return Fraction(self.xs[self._quantile_index(alpha)], self.coord_denom)
-
-    def _quantile_index(self, alpha) -> int:
-        """Index of the atom that `quantile` returns at ``alpha``."""
-        a = Fraction(alpha)
-        if not 0 < a < 1:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a}")
-        # the first atom whose cumulative count reaches ceil(alpha * prob_denom)
-        return bisect_left(self.cum, -(-a.numerator * self.prob_denom // a.denominator))
+        scale, _, _, ((x,),) = _sweep((self,), (alpha,))
+        return Fraction(x, scale)
 
     def mean(self) -> Fraction:
         """Exact expectation."""

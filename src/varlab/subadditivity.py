@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .comonotonicity import comonotonic_coupling, is_comonotonic
 from .distributions import (
@@ -52,7 +52,7 @@ class IntervalVerdict(NamedTuple):
 class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
-    The flags are decided on construction, from the `_var_rows` ``rows`` of
+    The flags are decided on construction, from the `_compared` ``rows`` of
     every breakpoint interval, with all VaRs in units of 1/``scale``. The
     `Fraction` views ``verdicts``, ``breakpoints`` and ``first_violation``
     are built on first use.
@@ -81,34 +81,8 @@ def _relation(var_sum, sum_of_vars) -> str:
     return "<" if var_sum < sum_of_vars else "=" if var_sum == sum_of_vars else ">"
 
 
-def _var_rows(levels, columns) -> tuple[tuple, ...]:
-    """Both sides of the inequality at each level, in integers.
-
-    ``levels`` are pairs ``(num, den)``, the level num/den, and ``columns``
-    hold one VaR per level for each marginal, then for the law of the sum.
-    Each row is ``(num, den, vs, var_sum, sum_of_vars)``: the marginal VaRs
-    ``vs``, the VaR of the sum and the sum of ``vs``.
-    """
-    *marginal_columns, sum_column = columns
-    return tuple(
-        (num, den, vs, var_sum, sum(vs))
-        for (num, den), vs, var_sum in zip(levels, zip(*marginal_columns), sum_column)
-    )
-
-
-def _level_rows(j: JointDiscreteDistribution, alphas) -> tuple[tuple, ...]:
-    """`_var_rows` of ``j`` at explicit levels, each strictly inside (0, 1),
-    VaRs in units of 1/``j.coord_denom``; each law's atom comes from
-    `DiscreteDistribution._quantile_index`."""
-    alphas = [Fraction(a) for a in alphas]
-    laws = (*j.marginals(), j.sum_distribution())
-    _, _, values, _ = _common_lattice(laws)
-    columns = [[xs[law._quantile_index(a)] for a in alphas] for law, xs in zip(laws, values)]
-    return _var_rows([a.as_integer_ratio() for a in alphas], columns)
-
-
 def _verdicts(scale: int, rows) -> tuple[IntervalVerdict, ...]:
-    """The `Fraction` view of `_var_rows` rows over ``scale``."""
+    """The `Fraction` view of `_compared` rows over ``scale``."""
     return tuple(
         IntervalVerdict(
             Fraction(num, den), Fraction(var_sum, scale), Fraction(sum_of_vars, scale),
@@ -127,17 +101,25 @@ def critical_alphas(j: JointDiscreteDistribution) -> tuple[Fraction, ...]:
     return subadditivity_report(j).breakpoints
 
 
-def _compared(j: JointDiscreteDistribution) -> tuple[tuple, ...]:
-    """The `_var_rows` of ``j`` on every breakpoint interval, VaRs in units
-    of 1/``j.coord_denom``: `_sweep` of the marginals and of the sum law
-    gives each interval's right endpoint, over the common probability
-    denominator, and every law's VaR on it."""
-    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()))
-    return _var_rows([(level, denom) for level in levels], columns)
+def _compared(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> tuple[tuple, ...]:
+    """Both sides of the inequality in integers at each level of `_sweep` of
+    the marginals and the sum law of ``j``: the explicit ``alphas``, or by
+    default every breakpoint. Each row is ``(num, den, vs, var_sum,
+    sum_of_vars)``: the level num/den, the marginal VaRs ``vs``, the VaR of the
+    sum and the sum of ``vs``, all VaRs in units of 1/``j.coord_denom``."""
+    if alphas is not None:
+        alphas = [Fraction(a) for a in alphas]
+    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), alphas)
+    *marginal_columns, sum_column = columns
+    ratios = [a.as_integer_ratio() for a in alphas] if alphas else [(x, denom) for x in levels]
+    return tuple(
+        (num, den, vs, var_sum, sum(vs))
+        for (num, den), vs, var_sum in zip(ratios, zip(*marginal_columns), sum_column)
+    )
 
 
 def _flags(rows) -> tuple[bool, bool]:
-    """(subadditive everywhere, additive everywhere) of `_var_rows` rows."""
+    """(subadditive everywhere, additive everywhere) of `_compared` rows."""
     return (
         all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),
         all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),

@@ -8,6 +8,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+import fraction_oracle
 from strategies import generated_joints, joints, open_unit_fractions
 from varlab import (
     DiscreteDistribution,
@@ -239,6 +240,27 @@ class TestRunReport:
     def test_explicit_breakpoints_give_the_sweep_rows(self, j):
         # one row builder serves the sweep's levels and explicit ones
         assert run_report(j, critical_alphas(j)[:-1]).var_table == run_report(j).var_table[:-1]
+
+    @given(joints(), st.lists(open_unit_fractions, max_size=3))
+    # marginals and sum law on different coordinate and probability denominators
+    @example(JointDiscreteDistribution.from_weighted_points(
+        [((F(1, 3), F(1)), 1), ((F(1, 3), F(5, 4)), 2), ((F(1, 2), F(5, 4)), 3)]), [F(1, 4)])
+    @settings(max_examples=40)
+    def test_explicit_levels_match_the_fraction_oracle(self, j, drawn):
+        # the Fraction oracle bisects each law's own cumulative probabilities, at
+        # every breakpoint but 1, strictly between consecutive ones, and at drawn levels
+        laws = [*fraction_oracle.marginals(j.points), fraction_oracle.sum_law(j.points)]
+        cums = [fraction_oracle.cumulative(law) for law in laws]
+        breakpoints = sorted(set().union(*cums))
+        between = [(a + b) / 2 for a, b in zip([0, *breakpoints], breakpoints)]
+        alphas = [*breakpoints[:-1], *between, *drawn]
+        table = run_report(j, alphas).var_table
+        assert len(table) == len(alphas)
+        for a, row in zip(alphas, table):
+            *vs, var_sum = (fraction_oracle.quantile_step(law, cum, a) for law, cum in zip(laws, cums))
+            assert row.alpha_star == a
+            assert row.marginal_vars == tuple(vs)
+            assert (row.var_sum, row.sum_of_vars) == (var_sum, sum(vs))
 
 
 _weighted = JointDiscreteDistribution.from_weighted_points

@@ -120,6 +120,21 @@ class TestCoupling:
         for i, m in enumerate(ms):
             assert j.marginal(i) == m
 
+    def test_support_guard_fires_before_any_column(self, monkeypatch):
+        # uniform laws on 60,000 and on 59,999 values share only the level 1,
+        # so their coupling would have 119,998 points; 60,000 and 40,001 give
+        # 100,000, which the guard admits
+        a, b, c = (DiscreteDistribution.from_weighted_values([(v, 1) for v in range(n)])
+                   for n in (60_000, 59_999, 40_001))
+        assert len(comonotonic_coupling([a, c])) == 100_000
+
+        def bisect_left(*_):
+            raise AssertionError("a column was evaluated")
+
+        monkeypatch.setattr("varlab.distributions.bisect_left", bisect_left)
+        with pytest.raises(ValueError, match="^support of 119998 points exceeds the 100000-point guard$"):
+            comonotonic_coupling([a, b])
+
 
 class TestMinCopula:
     @given(marginal_lists())

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import math
 import pickle
@@ -258,6 +259,16 @@ class TestCommonLattice:
     @given(joints())
     def test_the_sweep_of_a_joint_law_is_over_its_coord_denom(self, j):
         assert _sweep((*j.marginals(), j.sum_distribution()))[0] == j.coord_denom
+
+    @given(st.lists(distributions(), min_size=1, max_size=4), st.lists(open_unit_fractions, max_size=4))
+    def test_explicit_levels_read_the_breakpoint_columns(self, laws, alphas):
+        # the level ceil(alpha * D) lies in one breakpoint interval, whose VaRs it takes
+        scale, denom, breakpoints, columns = _sweep(laws)
+        assert _sweep(laws, alphas)[:2] == (scale, denom)
+        _, _, levels, at_levels = _sweep(laws, alphas)
+        assert levels == [math.ceil(a * denom) for a in alphas]
+        for column, values in zip(columns, at_levels, strict=True):
+            assert values == [column[bisect.bisect_left(breakpoints, level)] for level in levels]
 
 
 class TestLawContract:

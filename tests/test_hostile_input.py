@@ -162,6 +162,15 @@ class TestLatticeBounds:
         )
         assert elapsed < BUDGET_S
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_coupling_past_the_support_guard(self, tmp_path, output):
+        # 119,998 coupled points: more than `ingest_csv` reads back
+        a = write(tmp_path, "a.csv", "a\n" + "".join(f"{k}\n" for k in range(60_000)))
+        b = write(tmp_path, "b.csv", "b\n" + "".join(f"{k}\n" for k in range(59_999)))
+        rc, out, err, _ = run_main(["couple", a, b, "--output", output])
+        assert (rc, out) == (2, "")
+        assert err == "error: support of 119998 points exceeds the 100000-point guard\n"
+
     def test_huge_weights_with_a_small_ratio_are_exact(self, tmp_path):
         j = ingest_csv(write(tmp_path, "a.csv", "x,weight\n1,2e1000\n2,6e1000\n"))
         assert j.points == (((F(1),), F(1, 4)), ((F(2),), F(3, 4)))

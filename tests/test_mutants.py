@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,3 +22,28 @@ def test_mutant_applies_once(name, module, old, new, tests):
 
 def test_mutant_names_are_unique():
     assert len({m[0] for m in MUTANTS}) == len(MUTANTS)
+
+
+def _toy_checkout(root: Path, test_text: str) -> None:
+    """A checkout with one module, ``X = 1``, and one test file."""
+    (root / "src" / "varlab").mkdir(parents=True)
+    (root / "src" / "varlab" / "__init__.py").write_text("")
+    (root / "src" / "varlab" / "m.py").write_text("X = 1\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_m.py").write_text(test_text)
+    (root / "bench").mkdir()
+    (root / "pyproject.toml").write_text("")
+
+
+@pytest.mark.parametrize("test_text, code, out", [
+    ("from varlab.m import X\n\ndef test_x():\n    assert X == 1\n", 0, "x-changed: killed\n"),
+    ("def test_broken():\n    assert False\n", 1, ""),
+])
+def test_gate_judges_no_mutant_on_a_tree_whose_tests_fail(tmp_path, monkeypatch, capsys, test_text, code, out):
+    _toy_checkout(tmp_path, test_text)
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "MUTANTS", (("x-changed", "m.py", "X = 1", "X = 2", ("tests/test_m.py",)),))
+    assert mutants.main([]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert ("the unmutated tree fails its own tests" in captured.err) == bool(code)
