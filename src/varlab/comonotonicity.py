@@ -17,11 +17,11 @@ from operator import gt, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import (
-    MAX_JOINT_POINTS,
     DiscreteDistribution,
     JointDiscreteDistribution,
     _canonical,
     _common_lattice,
+    _size_guard,
     _sweep,
 )
 
@@ -85,8 +85,7 @@ def comonotonic_coupling(
     if not ms:
         raise ValueError("at least one marginal is required")
     scale, _, levels, columns = _sweep(ms)
-    if len(levels) > MAX_JOINT_POINTS:  # before any column is evaluated
-        raise ValueError(f"support of {len(levels)} points exceeds the {MAX_JOINT_POINTS}-point guard")
+    _size_guard(len(levels), "support of {} points")  # before any column is evaluated
     points = tuple(zip(*columns))
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
@@ -105,14 +104,11 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
     ms = j.marginals()
     sizes = [len(m) for m in ms]
     total = math.prod(sizes)
-    if total > MAX_JOINT_POINTS:
-        raise ValueError(
-            f"min-copula grid of {total} cells exceeds the {MAX_JOINT_POINTS}-cell guard"
-        )
+    _size_guard(total, "min-copula grid of {} cells", "cell")
     # the marginals' L is j.coord_denom; their D divides j.prob_denom
-    _, denom, values, counts = _common_lattice(ms)
+    _, denom, values, cums = _common_lattice(ms)
     unit = j.prob_denom // denom
-    cums = [[c * unit for c in itertools.accumulate(cs)] for cs in counts]
+    cums = [[c * unit for c in cum] for cum in cums]
 
     # Each point's row-major grid index, built one axis at a time.
     flat = [0] * len(j.xs)

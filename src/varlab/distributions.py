@@ -110,6 +110,13 @@ def _lcm_within(dens: list[int]) -> tuple[int, int | None]:
     return acc, None
 
 
+def _size_guard(size: int, what: str, unit: str = "point") -> None:
+    """Raise ValueError if ``size`` passes `MAX_JOINT_POINTS`; ``what``, with
+    ``{}`` for the size, names the thing counted in ``unit``s."""
+    if size > MAX_JOINT_POINTS:
+        raise ValueError(f"{what.format(size)} exceeds the {MAX_JOINT_POINTS}-{unit} guard")
+
+
 def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
     """Lattice form of integer points over ``scale`` with nonnegative counts:
     duplicates merge, zeros drop, points sort, scale and counts reduce."""
@@ -117,10 +124,7 @@ def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
     for key, c in zip(keys, counts):
         acc[key] = acc.get(key, 0) + c
     points = [key for key, c in acc.items() if c]
-    if len(points) > MAX_JOINT_POINTS:
-        raise ValueError(
-            f"support of {len(points)} points exceeds the {MAX_JOINT_POINTS}-point guard"
-        )
+    _size_guard(len(points), "support of {} points")
     points.sort()
     counts = [acc[key] for key in points]
     g = math.gcd(*counts)
@@ -191,28 +195,8 @@ def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistri
 
 def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
     """Where laws meet: L, the lcm of the laws' ``coord_denom``, D, the lcm of
-    their ``prob_denom``, and per law its ``xs`` over L and its counts over D."""
-    scale = math.lcm(*[m.coord_denom for m in laws])
-    denom = math.lcm(*[m.prob_denom for m in laws])
-    values, counts = [], []
-    for m in laws:
-        f, g = scale // m.coord_denom, denom // m.prob_denom
-        values.append([x * f for x in m.xs])
-        counts.append([c * g for c in m.counts])
-    return scale, denom, values, counts
-
-
-def _sweep(laws: Sequence[DiscreteDistribution], alphas: Iterable | None = None):
-    """Every law's VaR at each level: the one evaluator of VaR in the package.
-
-    Returns the laws' `_common_lattice` scales L and D, the levels over D and
-    an iterator of per-law columns of the left-continuous quantile at each
-    level, over L: the first atom whose cumulative count reaches the level
-    (`bisect_left`). The levels are the breakpoint intervals' right endpoints
-    (the sorted union of the laws' cumulative counts), or ceil(alpha * D) for
-    each of explicit ``alphas``, in order, each strictly inside (0, 1).
-    """
-    # `_common_lattice`'s L, D and values; counts accumulate as they scale to D
+    their ``prob_denom``, and per law its ``xs`` over L and its cumulative
+    counts over D, accumulated in the pass that scales them."""
     scale = math.lcm(*[m.coord_denom for m in laws])
     denom = math.lcm(*[m.prob_denom for m in laws])
     values, cums = [], []
@@ -220,6 +204,21 @@ def _sweep(laws: Sequence[DiscreteDistribution], alphas: Iterable | None = None)
         f, g = scale // m.coord_denom, denom // m.prob_denom
         values.append([x * f for x in m.xs])
         cums.append([c * g for c in itertools.accumulate(m.counts)])
+    return scale, denom, values, cums
+
+
+def _sweep(laws: Sequence[DiscreteDistribution], alphas: Iterable | None = None):
+    """Every law's VaR at each level: the one evaluator of VaR in the package.
+
+    Returns the laws' `_common_lattice` scales L and D, the levels over D and
+    an iterator of per-law columns of the left-continuous quantile at each
+    level, over L: the first atom whose cumulative count from that helper
+    reaches the level (`bisect_left`). The levels are the breakpoint
+    intervals' right endpoints (the sorted union of the laws' cumulative
+    counts), or ceil(alpha * D) for each of explicit ``alphas``, in order,
+    each strictly inside (0, 1).
+    """
+    scale, denom, values, cums = _common_lattice(laws)
     if alphas is None:
         levels = sorted(set().union(*cums))
     else:
@@ -407,11 +406,7 @@ def independent_product(*marginals: DiscreteDistribution) -> JointDiscreteDistri
     """Joint law with the given marginals and independent coordinates."""
     if not marginals:
         raise ValueError("at least one marginal is required")
-    size = math.prod(len(m) for m in marginals)
-    if size > MAX_JOINT_POINTS:
-        raise ValueError(
-            f"independent product of {size} points exceeds the {MAX_JOINT_POINTS}-point guard"
-        )
+    _size_guard(math.prod(len(m) for m in marginals), "independent product of {} points")
     scale, _, axes, _ = _common_lattice(marginals)
     # Products of coprime-count marginals stay coprime, and the product order
     # of increasing axes is already increasing, so this is the lattice form.

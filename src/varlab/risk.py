@@ -8,7 +8,6 @@ aggregate risks with fixed marginals.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .distributions import DiscreteDistribution, _common_lattice
@@ -19,31 +18,16 @@ def var(d: DiscreteDistribution, alpha) -> Fraction:
     return d.quantile(alpha)
 
 
-def _stop_losses(xs: list[int], ws: list[int], denom: int, kinks) -> list[int]:
-    """E[(X - c / L)^+] * L * denom at each of the increasing integer ``kinks``
-    for atoms ``xs`` over L with counts ``ws`` over ``denom``; one pointer drops
-    the atoms at or below each threshold from the running mass and first
-    moment of those above it."""
-    mass, moment = denom, sum(map(mul, xs, ws))
-    k, n, out = 0, len(xs), []
-    for c in kinks:
-        while k < n and xs[k] <= c:
-            mass -= ws[k]
-            moment -= xs[k] * ws[k]
-            k += 1
-        out.append(moment - c * mass)
-    return out
-
-
 def stop_loss(d: DiscreteDistribution, c) -> Fraction:
     """E[(X - c)^+], exactly.
 
     As a function of c this is convex, non-increasing, and piecewise linear
     with kinks only at support values.
     """
-    scale, denom, (xs, kinks), (ws, _) = _common_lattice((d, DiscreteDistribution.point_mass(c)))
-    (value,) = _stop_losses(xs, ws, denom, kinks)
-    return Fraction(value, scale * denom)
+    scale, denom, (xs, (k,)), (cum, _) = _common_lattice((d, DiscreteDistribution.point_mass(c)))
+    # an atom's count over D is the step of the cumulative counts at it
+    above = sum((x - k) * (b - a) for x, a, b in zip(xs, [0, *cum], cum) if x > k)
+    return Fraction(above, scale * denom)
 
 
 class ConvexOrderVerdict(NamedTuple):
@@ -65,16 +49,27 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     Both stop-loss transforms are piecewise linear with kinks only at support
     values, and they share asymptotes when the means agree, so dominance at
     the union of the two supports decides dominance at every real threshold.
+    As E[(X - c)^+] = E[X] - c + the integral of the CDF F up to c, one
+    ascending pass over the kinks integrates F_a - F_b and decides both: the
+    means are equal exactly when the integral is 0 at the top kink, and then
+    the stop-loss transforms differ by the integral at every kink.
     Arithmetic is exact integer work on a common lattice; there is no
     tolerance.
     """
-    scale, denom, (xa, xb), (wa, wb) = _common_lattice((a, b))
-    # both means are over scale * denom, so their numerators decide
-    if sum(map(mul, xa, wa)) != sum(map(mul, xb, wb)):
-        return ConvexOrderVerdict(holds=False, mean_equal=False)
+    scale, _, (xa, xb), (ca, cb) = _common_lattice((a, b))
     kinks = sorted({*xa, *xb})
-    curves = zip(kinks, _stop_losses(xa, wa, denom, kinks), _stop_losses(xb, wb, denom, kinks))
-    for c, sa, sb in curves:
-        if sa > sb:
-            return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=Fraction(c, scale))
+    at_a, at_b = dict(zip(xa, ca)), dict(zip(xb, cb))
+    # gap is the integral up to each kink, times L * D; fa and fb are F_a and
+    # F_b times D on the piece [lo, hi) between kinks
+    gap = fa = fb = 0
+    witness = None
+    for lo, hi in zip(kinks, kinks[1:]):
+        fa, fb = at_a.get(lo, fa), at_b.get(lo, fb)
+        gap += (fa - fb) * (hi - lo)
+        if gap > 0 and witness is None:
+            witness = hi
+    if gap != 0:
+        return ConvexOrderVerdict(holds=False, mean_equal=False)
+    if witness is not None:
+        return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=Fraction(witness, scale))
     return ConvexOrderVerdict(holds=True, mean_equal=True)

@@ -23,11 +23,11 @@ from typing import Iterable, NamedTuple
 
 from .comonotonicity import comonotonic_coupling, is_comonotonic
 from .distributions import (
-    MAX_JOINT_POINTS,
     DiscreteDistribution,
     JointDiscreteDistribution,
     _common_lattice,
     _merged,
+    _size_guard,
     _sweep,
     independent_product,
 )
@@ -301,19 +301,16 @@ def random_coupling(
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
-    scale, denom, values, counts = _common_lattice(ms)
-    if denom > MAX_JOINT_POINTS:
-        raise ValueError(
-            f"common denominator {denom} exceeds the {MAX_JOINT_POINTS}-cell guard"
-        )
+    scale, denom, values, cums = _common_lattice(ms)
+    _size_guard(denom, "common denominator {}", "cell")
     bits = rng.getrandbits
     columns = []
-    for xs, cs in zip(values, counts):
+    for xs, cum in zip(values, cums):
         # the value of each cell, shuffled in place: a uniform permutation,
         # the one random.shuffle draws
         column: list[int] = []
-        for x, c in zip(xs, cs):
-            column += [x] * c
+        for x, a, b in zip(xs, [0, *cum], cum):
+            column += [x] * (b - a)
         _shuffle(bits, column)
         columns.append(column)
     cells = Counter(zip(*columns))

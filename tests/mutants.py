@@ -77,19 +77,12 @@ MUTANTS = (
     (
         "common-lattice-values-unscaled",
         "distributions.py",
-        "values.append([x * f for x in m.xs])\n        counts.append",
-        "values.append(list(m.xs))\n        counts.append",
+        "values.append([x * f for x in m.xs])",
+        "values.append(list(m.xs))",
         ("tests/test_golden.py",),
     ),
     (
-        "sweep-values-unscaled",
-        "distributions.py",
-        "values.append([x * f for x in m.xs])\n        cums.append",
-        "values.append(list(m.xs))\n        cums.append",
-        ("tests/test_golden.py",),
-    ),
-    (
-        "sweep-counts-unscaled",
+        "common-lattice-counts-unscaled",
         "distributions.py",
         "cums.append([c * g for c in itertools.accumulate(m.counts)])",
         "cums.append(list(itertools.accumulate(m.counts)))",
@@ -119,16 +112,9 @@ MUTANTS = (
     (
         "convex-order-mean-unchecked",
         "risk.py",
-        "if sum(map(mul, xa, wa)) != sum(map(mul, xb, wb)):",
+        "if gap != 0:",
         "if False:",
         ("tests/test_risk.py",),
-    ),
-    (
-        "common-lattice-counts-unscaled",
-        "distributions.py",
-        "counts.append([c * g for c in m.counts])",
-        "counts.append(list(m.counts))",
-        ("tests/test_golden.py",),
     ),
     (
         "merge-without-count-gcd",
@@ -154,9 +140,23 @@ MUTANTS = (
     (
         "coupling-guard-skipped",
         "comonotonicity.py",
-        "if len(levels) > MAX_JOINT_POINTS:",
-        "if False:",
+        '_size_guard(len(levels), "support of {} points")',
+        "None",
         ("tests/test_comonotonicity.py", "tests/test_hostile_input.py"),
+    ),
+    (
+        "joint-guard-admits-the-bound",
+        "distributions.py",
+        "if size > MAX_JOINT_POINTS:",
+        "if size >= MAX_JOINT_POINTS:",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "verdicts-divide-to-float",
+        "subadditivity.py",
+        "Fraction(var_sum, scale)",
+        "var_sum / scale",
+        ("tests/test_float_free.py",),
     ),
 )
 

@@ -155,7 +155,7 @@ class TestMinCopula:
         m = DiscreteDistribution.from_weighted_values([(v, 1) for v in range(50)])
         j = comonotonic_coupling([m, m.shift(F(1, 3)), m.scale(2)])
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(ValueError, match="^min-copula grid of 125000 cells exceeds the 100000-cell guard$"):
             min_copula_check(j)
         assert time.perf_counter() - start < 1.0
 
