@@ -75,9 +75,13 @@ EXIT_INVARIANT = 3
 # 1.07 * 10**1000, see `distributions`), the largest printed integer, the
 # numerator of a mean, has under 4,000 digits.
 MAX_NUMBER_DIGITS = 1000
-# Cap on the dimension of an `elliptic` spec, checked before the covariance
-# is read. Its positive-semidefiniteness check is O(n^3) pure Python:
-# n = 200 validates in about 0.26 s on a 2-vCPU x86-64 host, n = 300 in 0.87 s.
+# Cap on a dimension read from input, checked before anything of that size
+# is built: of an `elliptic` spec, before the covariance is read, and of
+# `simulate --max-n`, before the first trial. The spec's positive-
+# semidefiniteness check is O(n^3) pure Python: n = 200 validates in about
+# 0.26 s on a 2-vCPU x86-64 host, n = 300 in 0.87 s. A trial's cost grows
+# with its n: 20 comonotonic trials take about 0.1 s at --max-n 200 and 1.3 s
+# at 2,000 on the same host.
 MAX_DIMENSION = 200
 
 # The grammar of Fraction(str): a decimal with an optional exponent, or
@@ -547,6 +551,8 @@ def cmd_simulate(args) -> int:
                         ("--max-atoms", args.max_atoms)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1")
+    if args.max_n > MAX_DIMENSION:
+        raise ValueError(f"--max-n must be at most {MAX_DIMENSION}")
     rows = []
     for t in range(args.trials):
         meta = random.Random((args.seed << 32) ^ t)

@@ -3,15 +3,14 @@
 A point set is comonotonic when it is totally ordered by the componentwise
 order; a random vector is comonotonic when its support is. This module
 detects that property, constructs the comonotonic coupling of given marginals
-by the quantile transform, and provides two independently computed
-characterizations (the min copula identity and convex-order maximality of the
-coordinate sum) used to cross-check the detector.
+by the quantile transform, and provides two characterizations (the min copula
+identity and convex-order maximality of the coordinate sum) used to
+cross-check the detector. Both are computed from that comonotonic
+rearrangement of the marginals, independently of the detector's chain check.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from operator import gt, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -20,7 +19,6 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     _canonical,
-    _common_lattice,
     _size_guard,
     _sweep,
 )
@@ -96,41 +94,11 @@ def comonotonic_coupling(
 def min_copula_check(j: JointDiscreteDistribution) -> bool:
     """Test whether the joint CDF equals the minimum of the marginal CDFs.
 
-    Both sides are step functions determined by their values on the grid of
-    per-coordinate support values, so checking every grid corner decides the
-    identity everywhere. Cost grows with the product of the marginal support
-    sizes, which must not exceed ``MAX_JOINT_POINTS``.
+    The law whose CDF is that minimum is the comonotonic coupling of the
+    marginals, and equal laws have equal lattice forms, so one law comparison
+    decides the identity.
     """
-    ms = j.marginals()
-    sizes = [len(m) for m in ms]
-    total = math.prod(sizes)
-    _size_guard(total, "min-copula grid of {} cells", "cell")
-    # the marginals' L is j.coord_denom; their D divides j.prob_denom
-    _, denom, values, cums = _common_lattice(ms)
-    unit = j.prob_denom // denom
-    cums = [[c * unit for c in cum] for cum in cums]
-
-    # Each point's row-major grid index, built one axis at a time.
-    flat = [0] * len(j.xs)
-    for xs, size, column in zip(values, sizes, zip(*j.xs)):
-        index = {x: k for k, x in enumerate(xs)}
-        flat = [f * size + index[x] for f, x in zip(flat, column)]
-    grid = [0] * total
-    for f, c in zip(flat, j.counts):
-        grid[f] = c  # points are distinct
-
-    # Prefix sums along each axis turn the pmf grid into the joint CDF at
-    # every corner. Along an axis the grid is blocks of ``size`` rows of
-    # ``stride`` cells, and every row but a block's first adds the row before.
-    stride = total
-    for size in sizes:
-        block, stride = stride, stride // size
-        for start in range(0, total, block):
-            for k in range(start + stride, start + block):
-                grid[k] += grid[k - stride]
-
-    # The grid is row-major, which is the order itertools.product walks.
-    return grid == list(map(min, itertools.product(*cums)))
+    return j == comonotonic_coupling(j.marginals())
 
 
 def convex_order_max_check(j: JointDiscreteDistribution) -> bool:

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 Rational = Fraction
 
-# Practical ceiling on support and grid sizes; exact enumeration past this
-# point is no longer desk-scale.
+# Practical ceiling on support sizes and on the cells of `random_coupling`;
+# exact enumeration past this point is no longer desk-scale.
 MAX_JOINT_POINTS = 100_000
 # Bound on the bits of the common denominators of a law built from caller
 # data: of its coordinates, of its weights and of its probabilities. It is

@@ -103,11 +103,11 @@ MUTANTS = (
         ("tests/test_lattice.py",),
     ),
     (
-        "min-copula-prefix-one-cell-late",
+        "min-copula-compares-marginals-only",
         "comonotonicity.py",
-        "for k in range(start + stride, start + block):",
-        "for k in range(start + stride + 1, start + block):",
-        ("tests/test_lattice.py",),
+        "return j == comonotonic_coupling(j.marginals())",
+        "return j.marginals() == comonotonic_coupling(j.marginals()).marginals()",
+        ("tests/test_comonotonicity.py",),
     ),
     (
         "convex-order-mean-unchecked",
@@ -150,6 +150,20 @@ MUTANTS = (
         "if size > MAX_JOINT_POINTS:",
         "if size >= MAX_JOINT_POINTS:",
         ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "simulate-max-n-unbounded",
+        "cli.py",
+        "if args.max_n > MAX_DIMENSION:",
+        "if False:",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "simulate-max-n-rejects-the-cap",
+        "cli.py",
+        "if args.max_n > MAX_DIMENSION:",
+        "if args.max_n >= MAX_DIMENSION:",
+        ("tests/test_hostile_input.py",),
     ),
     (
         "verdicts-divide-to-float",

@@ -150,14 +150,19 @@ class TestMinCopula:
         j = JointDiscreteDistribution((((F(3), F(1)), F(1)),))
         assert min_copula_check(j)
 
-    def test_grid_guard_fires_before_allocating(self):
-        # three 50-atom marginals: 50 support points but a 125,000-cell grid
+    def test_cost_is_linear_in_the_support(self):
+        # three 50-atom marginals: 50 support points, where a CDF grid would
+        # have 125,000 cells
         m = DiscreteDistribution.from_weighted_values([(v, 1) for v in range(50)])
         j = comonotonic_coupling([m, m.shift(F(1, 3)), m.scale(2)])
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="^min-copula grid of 125000 cells exceeds the 100000-cell guard$"):
-            min_copula_check(j)
-        assert time.perf_counter() - start < 1.0
+        points, probs = zip(*j.points)
+        a, b, c = zip(*points)
+        crossed = JointDiscreteDistribution(list(zip(zip(a, b, c[::-1]), probs)))
+        for law, expected in ((j, True), (crossed, False)):
+            start = time.perf_counter()
+            assert min_copula_check(law) is expected
+            assert time.perf_counter() - start < 1.0
+            assert is_comonotonic(law).comonotonic is expected
 
     @given(joints())
     def test_agrees_with_direct_grid_oracle(self, j):

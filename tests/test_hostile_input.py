@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given
 
 import varlab
+from varlab import cli
 from varlab.cli import MAX_DIMENSION, MAX_NUMBER_DIGITS, ingest_csv, main
 from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError
 
@@ -242,6 +243,35 @@ def test_simulate_size_below_one_names_its_flag(flag, value):
     assert out == ""
     assert err == f"error: {flag} must be at least 1\n"
     assert elapsed < BUDGET_S
+
+
+@pytest.mark.parametrize("value", [str(MAX_DIMENSION + 1), "100000000"])
+def test_simulate_max_n_above_the_cap_exits_before_any_trial(value, monkeypatch):
+    def forbidden(seed, spec):
+        raise AssertionError("no trial may be generated")
+
+    monkeypatch.setattr(cli, "random_comonotonic", forbidden)
+    monkeypatch.setattr(cli, "random_coupling", forbidden)
+    rc, out, err, elapsed = run_main(["simulate", "--max-n", value])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --max-n must be at most {MAX_DIMENSION}\n"
+    assert elapsed < BUDGET_S
+
+
+def test_simulate_max_n_at_the_cap_runs():
+    argv = ["simulate", "--max-n", str(MAX_DIMENSION), "--trials", "1", "--kind", "comonotonic"]
+    rc, out, err, _ = run_main(argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["all_consistent"] is True
+
+
+def test_simulate_max_atoms_needs_no_cap():
+    # the generator draws at most min(max_atoms, denom_bound=16) atoms
+    runs = [run_main(["simulate", "--trials", "50", "--max-atoms", atoms])
+            for atoms in ("1000000000000000000", "16")]
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][0] == 0
 
 
 def test_simulate_guard_names_the_trial_to_replay():
