@@ -9,7 +9,8 @@ the Gaussian subcommand's floating point outputs round to 12 significant
 digits so identical inputs always produce identical bytes.
 
 Exit codes: 0 on success, 2 on input validation failure, 3 on an internal
-invariant breach (an equivalence violation, which should never occur).
+invariant breach (an equivalence violation, which should never occur). A
+subcommand returns 0 or raises; `main` maps the raised error to 2 or 3.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ from .subadditivity import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
+
+
+class _InvariantBreach(Exception):
+    """A verdict that must never occur, raised after the output is written;
+    `main` exits 3 on it. Not a ValueError, LookupError or OSError, which exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +513,7 @@ def cmd_report(args) -> int:
         text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
     _emit(text, args.out)
     if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
-        print(
-            "internal invariant breach: comonotonicity and subadditivity flags disagree",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
+        raise _InvariantBreach("comonotonicity and subadditivity flags disagree")
     return EXIT_OK
 
 
@@ -588,11 +590,7 @@ def cmd_simulate(args) -> int:
         }
         _emit(_json_text(payload), args.out)
     if failures:
-        print(
-            f"internal invariant breach: equivalence violated in {failures} trial(s)",
-            file=sys.stderr,
-        )
-        return EXIT_INVARIANT
+        raise _InvariantBreach(f"equivalence violated in {failures} trial(s)")
     return EXIT_OK
 
 
@@ -693,6 +691,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _InvariantBreach as exc:
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

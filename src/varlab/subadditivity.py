@@ -26,6 +26,7 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     _common_lattice,
+    _law,
     _merged,
     _size_guard,
     _sweep,
@@ -53,14 +54,16 @@ class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
     The flags are decided on construction, from the `_compared` ``rows`` of
-    every breakpoint interval, with all VaRs in units of 1/``scale``. The
+    every breakpoint interval, with all VaRs in units of 1/``scale``; no
+    other code decides them. The
     `Fraction` views ``verdicts``, ``breakpoints`` and ``first_violation``
     are built on first use.
     """
 
     def __init__(self, scale: int, rows: tuple[tuple, ...]) -> None:
         self.scale, self.rows = scale, rows
-        self.subadditive_everywhere, self.additive_everywhere = _flags(rows)
+        self.subadditive_everywhere = all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
+        self.additive_everywhere = all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
 
     @cached_property
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
@@ -118,14 +121,6 @@ def _compared(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> t
     )
 
 
-def _flags(rows) -> tuple[bool, bool]:
-    """(subadditive everywhere, additive everywhere) of `_compared` rows."""
-    return (
-        all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),
-        all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows),
-    )
-
-
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
     """Evaluate the aggregate-vs-sum-of-VaRs comparison on every interval."""
     return SubadditivityReport(j.coord_denom, _compared(j))
@@ -147,13 +142,9 @@ class TrialVerdict(NamedTuple):
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
     """Run both detectors on one instance and check that they agree."""
     como = is_comonotonic(j).comonotonic
-    subadditive, additive = _flags(_compared(j))
-    return TrialVerdict(
-        comonotonic=como,
-        subadditive_everywhere=subadditive,
-        additive_everywhere=additive,
-        consistent=como == subadditive == additive,
-    )
+    report = subadditivity_report(j)
+    subadditive, additive = report.subadditive_everywhere, report.additive_everywhere
+    return TrialVerdict(como, subadditive, additive, consistent=como == subadditive == additive)
 
 
 class BernoulliCaseVerdict(NamedTuple):
@@ -186,22 +177,18 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     for name, val in (("p", p), ("q", q), ("alpha", a)):
         if not 0 < val < 1:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {val}")
-    x = DiscreteDistribution.bernoulli(p)
-    y = DiscreteDistribution.bernoulli(q)
-    joint = independent_product(x, y)
-    var_x = x.quantile(a)
-    var_y = y.quantile(a)
-    var_sum = joint.sum_distribution().quantile(a)
-    precondition = (1 - p) * (1 - q) < a < 1 - max(p, q)
+    joint = independent_product(DiscreteDistribution.bernoulli(p), DiscreteDistribution.bernoulli(q))
+    # the values are 0 and 1, so the lattice's coord_denom is 1 and the VaRs are integers
+    ((_, _, (var_x, var_y), var_sum, sum_of_vars),) = _compared(joint, [a])
     return BernoulliCaseVerdict(
         p=p,
         q=q,
         alpha=a,
-        precondition=precondition,
-        superadditive=var_sum > var_x + var_y,
-        var_sum=var_sum,
-        var_x=var_x,
-        var_y=var_y,
+        precondition=(1 - p) * (1 - q) < a < 1 - max(p, q),
+        superadditive=var_sum > sum_of_vars,
+        var_sum=Fraction(var_sum),
+        var_x=Fraction(var_x),
+        var_y=Fraction(var_y),
     )
 
 
@@ -274,9 +261,7 @@ def _random_marginal(rng: random.Random, spec: GeneratorSpec) -> DiscreteDistrib
     k = len(xs)
     denom = k + _below(bits, spec.denom_bound - k + 1)
     edges = [0, *sorted(rng.sample(range(1, denom), k - 1)), denom]
-    counts = [b - a for a, b in zip(edges, edges[1:])]
-    g = gcd(*counts)
-    return DiscreteDistribution._lattice(scale, tuple(xs), tuple(c // g for c in counts))
+    return _law(scale, xs, [b - a for a, b in zip(edges, edges[1:])])
 
 
 def random_comonotonic(

@@ -13,10 +13,13 @@ files. The checkout itself is never written.
 
 Before any mutant, the union of the chosen mutants' test files runs once on
 an unmutated copy: a test that already fails would "kill" every mutant, so
-the gate fails (exit 1) at once if that run does not pass. It also fails when
-a mutant survives, that is its tests pass, when its old text does not occur
-exactly once, so a refactor of mutated code must update this list, or when
-its tests cannot run at all. It is not part of the tier-1 suite.
+the gate fails (exit 1) at once if that run does not pass. That run is timed,
+and a mutant's pytest is stopped after `TIMEOUT_FACTOR` times its seconds: a
+mutant that makes a test loop is killed, on a line that says it timed out.
+The gate also fails when a mutant survives, that is its tests pass, when its
+old text does not occur exactly once, so a refactor of mutated code must
+update this list, or when its tests cannot run at all. It is not part of the
+tier-1 suite.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# A mutant's pytest runs a subset of the unmutated run's tests, so this many
+# times that run's seconds is time enough for any mutant that ends.
+TIMEOUT_FACTOR = 3
 
 # (name, module under src/varlab, old text, new text, test files that must kill it)
 MUTANTS = (
@@ -166,6 +173,27 @@ MUTANTS = (
         ("tests/test_hostile_input.py",),
     ),
     (
+        "elliptic-dimension-cap-skipped",
+        "cli.py",
+        'len(raw["mean"]) > MAX_DIMENSION',
+        "False",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "invariant-breach-exits-0",
+        "cli.py",
+        "return EXIT_INVARIANT",
+        "return EXIT_OK",
+        ("tests/test_golden.py", "tests/test_cli.py"),
+    ),
+    (
+        "trial-subadditive-always",
+        "subadditivity.py",
+        "subadditive, additive = report.subadditive_everywhere, report.additive_everywhere",
+        "subadditive, additive = True, report.additive_everywhere",
+        ("tests/test_subadditivity.py",),
+    ),
+    (
         "verdicts-divide-to-float",
         "subadditivity.py",
         "Fraction(var_sum, scale)",
@@ -175,10 +203,13 @@ MUTANTS = (
 )
 
 
-def _pytest_in_copy(tests: tuple[str, ...], module: str = "", old: str = "", new: str = ""):
+def _pytest_in_copy(tests: tuple[str, ...], module: str = "", old: str = "", new: str = "",
+                    timeout: float | None = None):
     """``pytest -x -q`` of ``tests`` in a fresh copy of the checkout, with
     ``old`` replaced by ``new`` in ``src/varlab/module`` when a module is
-    given: the completed process, or why the replacement cannot be made."""
+    given: the completed process, or why the replacement cannot be made.
+    A pytest still running after ``timeout`` seconds is killed, and
+    `subprocess.TimeoutExpired` is raised."""
     with tempfile.TemporaryDirectory(prefix="varlab-mutant-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests", "bench"):
@@ -197,6 +228,7 @@ def _pytest_in_copy(tests: tuple[str, ...], module: str = "", old: str = "", new
             env=dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1"),
             capture_output=True,
             text=True,
+            timeout=timeout,
         )
 
 
@@ -204,16 +236,22 @@ def _tail(result: subprocess.CompletedProcess) -> str:
     return f"{result.stdout[-2000:]}{result.stderr[-2000:]}"
 
 
-def run(module: str, old: str, new: str, tests: tuple[str, ...]) -> str | None:
-    """None if the mutant is killed, else why the gate fails on it."""
-    result = _pytest_in_copy(tests, module, old, new)
+def run(module: str, old: str, new: str, tests: tuple[str, ...], baseline_s: float) -> str:
+    """The mutant's verdict: "killed", killed by a timeout of `TIMEOUT_FACTOR`
+    times ``baseline_s``, the seconds of the unmutated run, or "FAIL: " and why
+    the gate fails on it."""
+    start = time.monotonic()
+    try:
+        result = _pytest_in_copy(tests, module, old, new, TIMEOUT_FACTOR * baseline_s)
+    except subprocess.TimeoutExpired:
+        return f"killed (timed out after {time.monotonic() - start:.1f} s)"
     if isinstance(result, str):
-        return result
+        return f"FAIL: {result}"
     if result.returncode == 0:
-        return f"survived {' '.join(tests)}"
+        return f"FAIL: survived {' '.join(tests)}"
     if result.returncode != 1:  # 1 is failed tests; anything else is no verdict
-        return f"pytest exited {result.returncode}:\n{_tail(result)}"
-    return None
+        return f"FAIL: pytest exited {result.returncode}:\n{_tail(result)}"
+    return "killed"
 
 
 def main(names: list[str]) -> int:
@@ -224,7 +262,9 @@ def main(names: list[str]) -> int:
     chosen = [m for m in MUTANTS if not names or m[0] in names]
     # a failing test kills every mutant, so the tests must pass before any is applied
     tests = tuple(sorted({path for *_, paths in chosen for path in paths}))
+    start = time.monotonic()
     baseline = _pytest_in_copy(tests)
+    baseline_s = time.monotonic() - start
     if baseline.returncode != 0:
         print(
             f"the unmutated tree fails its own tests (pytest exited {baseline.returncode} on "
@@ -234,9 +274,9 @@ def main(names: list[str]) -> int:
         return 1
     failed = 0
     for name, *mutant in chosen:
-        problem = run(*mutant)
-        failed += problem is not None
-        print(f"{name}: {'killed' if problem is None else 'FAIL: ' + problem}", flush=True)
+        verdict = run(*mutant, baseline_s)
+        failed += not verdict.startswith("killed")
+        print(f"{name}: {verdict}", flush=True)
     return 1 if failed else 0
 
 

@@ -443,9 +443,12 @@ class TestCommands:
             consistent=False,
         )
         monkeypatch.setattr(cli, "equivalence_trial", lambda j: broken)
-        rc, _, err = run_cli(capsys, ["simulate", "--trials", "2", "--seed", "0"])
+        rc, out, err = run_cli(capsys, ["simulate", "--trials", "2", "--seed", "0"])
         assert rc == 3
-        assert "invariant" in err
+        assert err == "internal invariant breach: equivalence violated in 2 trial(s)\n"
+        # the output is written before the breach is reported
+        payload = json.loads(out)
+        assert (payload["trials"], payload["consistent_trials"], payload["all_consistent"]) == (2, 0, False)
 
     def test_elliptic_json(self, tmp_path, capsys):
         spec = write(

@@ -3,6 +3,7 @@
 different replacement, and test files that exist. A refactor that moves
 mutated code fails here, in the tier-1 suite, without running the gate."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,13 @@ def test_gate_judges_no_mutant_on_a_tree_whose_tests_fail(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == out
     assert ("the unmutated tree fails its own tests" in captured.err) == bool(code)
+
+
+def test_gate_stops_a_mutant_that_loops(tmp_path, monkeypatch):
+    # with X = 2 the test never ends; one pytest runs, stopped after 1 x 2 s
+    _toy_checkout(tmp_path, "from varlab.m import X\n\ndef test_x():\n    while X == 2:\n        pass\n")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "TIMEOUT_FACTOR", 1)
+    verdict = mutants.run("m.py", "X = 1", "X = 2", ("tests/test_m.py",), baseline_s=2.0)
+    assert re.fullmatch(r"killed \(timed out after \d+\.\d s\)", verdict)
+    assert 2.0 <= float(verdict.split()[-2]) < 30

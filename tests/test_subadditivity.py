@@ -216,6 +216,17 @@ class TestBernoulliCounterexample:
         with pytest.raises(ValueError):
             bernoulli_counterexample(F(1, 2), F(1, 2), bad)
 
+    def test_reads_the_row_builder_not_quantile(self, monkeypatch):
+        cases = [(F(3, 10), F(3, 10), F(1, 2)), (F(3, 10), F(3, 10), F(95, 100)), (F(1, 2), F(1, 2), F(1, 4))]
+        expected = [bernoulli_counterexample(*case) for case in cases]
+
+        def refuse(self, alpha):
+            raise AssertionError("quantile called")
+
+        monkeypatch.setattr(DiscreteDistribution, "quantile", refuse)
+        assert [bernoulli_counterexample(*case) for case in cases] == expected
+        assert all(type(v) is F for verdict in expected for v in verdict[-3:])  # the three VaRs
+
     @given(st.integers(0, 2**32))
     def test_precondition_always_implies_strictness(self, seed):
         rng = random.Random(seed)
