@@ -25,7 +25,6 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import cached_property
 from itertools import starmap
 from math import gcd, lcm
 from pathlib import Path
@@ -38,6 +37,7 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     LatticeBoundError,
+    _view,
 )
 from .gaussian import (
     GaussianSpec,
@@ -335,7 +335,7 @@ class AnalysisReport:
     additive_everywhere = property(lambda self: self.report.additive_everywhere)
     comonotonic = property(lambda self: self.verdict.comonotonic)
 
-    @cached_property
+    @_view
     def var_table(self) -> tuple[IntervalVerdict, ...]:
         return _verdicts(self.scale, self.rows)
 

@@ -5,8 +5,11 @@ order; a random vector is comonotonic when its support is. This module
 detects that property, constructs the comonotonic coupling of given marginals
 by the quantile transform, and provides two characterizations (the min copula
 identity and convex-order maximality of the coordinate sum) used to
-cross-check the detector. Both are computed from that comonotonic
-rearrangement of the marginals, independently of the detector's chain check.
+cross-check the detector. Both compare a law with that comonotonic
+rearrangement of its own marginals, independently of the detector's chain
+check. The rearrangement is built at most once per law and kept in the law's
+instance dict, like its cached views; a law that `comonotonic_coupling`
+returned is marked as its own rearrangement, so it is never built again.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .distributions import (
 )
 
 Point = tuple[Fraction, ...]
+
+# The instance-dict entry of a joint law's comonotonic rearrangement, and the
+# mark that the law is its own: a reference to itself would make every
+# coupling cyclic garbage.
+_REARRANGED = "_rearranged"
+_ITSELF = object()
 
 
 class ComonotoneVerdict(NamedTuple):
@@ -88,7 +97,17 @@ def comonotonic_coupling(
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
     lengths = tuple(map(sub, levels, [0, *levels]))
-    return JointDiscreteDistribution._lattice(scale, points, lengths, ms)
+    coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
+    vars(coupling)[_REARRANGED] = _ITSELF  # the coupling of its marginals, ms, is itself
+    return coupling
+
+
+def _rearrangement(j: JointDiscreteDistribution) -> JointDiscreteDistribution:
+    """The comonotonic coupling of the marginals of ``j``, built on first use."""
+    rearranged = vars(j).get(_REARRANGED)
+    if rearranged is None:
+        rearranged = vars(j)[_REARRANGED] = comonotonic_coupling(j.marginals())
+    return j if rearranged is _ITSELF else rearranged
 
 
 def min_copula_check(j: JointDiscreteDistribution) -> bool:
@@ -98,7 +117,7 @@ def min_copula_check(j: JointDiscreteDistribution) -> bool:
     marginals, and equal laws have equal lattice forms, so one law comparison
     decides the identity.
     """
-    return j == comonotonic_coupling(j.marginals())
+    return j == _rearrangement(j)
 
 
 def convex_order_max_check(j: JointDiscreteDistribution) -> bool:
@@ -109,5 +128,4 @@ def convex_order_max_check(j: JointDiscreteDistribution) -> bool:
     order separates distributions, so a single distribution comparison
     against the rearranged sum decides the question exactly.
     """
-    rearranged = comonotonic_coupling(j.marginals())
-    return j.sum_distribution() == rearranged.sum_distribution()
+    return j.sum_distribution() == _rearrangement(j).sum_distribution()

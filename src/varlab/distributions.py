@@ -17,7 +17,6 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from operator import lt, mul
 from typing import Iterable, Sequence
 
@@ -134,10 +133,29 @@ def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
     return scale // r, tuple(points), tuple(c // g for c in counts)
 
 
+class _view:
+    """A view computed on first read and written into the instance dict.
+
+    A non-data descriptor, so every later read finds the dict entry and never
+    reaches it. Unlike `functools.cached_property` it takes no lock: the views
+    are pure functions of immutable fields, so two threads that race on a first
+    read compute equal values and either write is right. The write goes around
+    `_Law.__setattr__`, which keeps laws immutable."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.fn(obj)
+        return value
+
+
 class _Law:
     """The lattice fields ``coord_denom``, ``xs`` and ``counts`` of both law classes,
     their one trusted constructor, and equality of class and fields. Laws are
-    immutable; the `cached_property` views write the instance dict directly."""
+    immutable; the `_view` views write the instance dict directly."""
 
     @classmethod
     def _lattice(cls, scale: int, xs: tuple, counts: tuple, marginals: tuple | None = None):
@@ -178,19 +196,24 @@ class _Law:
 
 def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistribution:
     """The law putting positive ``counts[k]`` on ``xs[k] / scale``; values may
-    repeat. Strictly increasing values, as the coordinate sums of a comonotonic
-    joint law (its lexicographic order is its sum order), skip the merge and the
-    sort: they are distinct and in order, so dividing the scale and the values by
-    their gcd, and the counts by theirs, gives the minimal lattice form. Such a
-    law has no more points than its source, so the merge's size guard holds."""
+    repeat. Values that are not strictly increasing merge in an int-keyed dict
+    and their distinct keys sort; strictly increasing ones, as the coordinate
+    sums of a comonotonic joint law (its lexicographic order is its sum order),
+    are already distinct and in order. Either way, dividing the scale and the
+    values by their gcd, and the counts by theirs, gives the minimal lattice
+    form. Such a law has no more points than its source, so the size guard of
+    `_merged` holds, and positive counts leave no zero to drop."""
     xs = tuple(xs)
-    if all(map(lt, xs, itertools.islice(xs, 1, None))):  # no copy of a long xs
-        r, g = math.gcd(scale, *xs), math.gcd(*counts)
-        if r > 1 or g > 1:
-            scale, xs, counts = scale // r, tuple([x // r for x in xs]), [c // g for c in counts]
-        return DiscreteDistribution._lattice(scale, xs, tuple(counts))
-    scale, points, counts = _merged(scale, ((x,) for x in xs), counts)
-    return DiscreteDistribution._lattice(scale, tuple(x for (x,) in points), counts)
+    if not all(map(lt, xs, itertools.islice(xs, 1, None))):  # no copy of a long xs
+        acc: dict[int, int] = {}
+        for x, c in zip(xs, counts):
+            acc[x] = acc.get(x, 0) + c
+        xs = tuple(sorted(acc))
+        counts = [acc[x] for x in xs]
+    r, g = math.gcd(scale, *xs), math.gcd(*counts)
+    if r > 1 or g > 1:
+        scale, xs, counts = scale // r, tuple([x // r for x in xs]), [c // g for c in counts]
+    return DiscreteDistribution._lattice(scale, xs, tuple(counts))
 
 
 def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
@@ -279,19 +302,19 @@ class DiscreteDistribution(_Law):
             raise ValueError("bernoulli parameter must lie strictly inside (0, 1)")
         return cls._lattice(1, (0, 1), (p.denominator - p.numerator, p.numerator))
 
-    @cached_property
+    @_view
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.coord_denom) for x in self.xs)
 
-    @cached_property
+    @_view
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.prob_denom) for c in self.counts)
 
-    @cached_property
+    @_view
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.values, self.probs))
 
-    @cached_property
+    @_view
     def cumulative(self) -> tuple[Fraction, ...]:
         """Cumulative probability at each atom; strictly increasing, ends at 1."""
         return tuple(Fraction(c, self.prob_denom) for c in itertools.accumulate(self.counts))
@@ -363,7 +386,7 @@ class JointDiscreteDistribution(_Law):
         form = _lattice_form if ratios else _canonical
         return cls._lattice(*form(pairs, normalize=True, what="(coords, weight) pair"))
 
-    @cached_property
+    @_view
     def points(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         return tuple(
             (tuple(Fraction(x, self.coord_denom) for x in coords), Fraction(c, self.prob_denom))
@@ -378,11 +401,11 @@ class JointDiscreteDistribution(_Law):
         """The distinct coordinate tuples carrying positive probability."""
         return tuple(coords for coords, _ in self.points)
 
-    @cached_property
+    @_view
     def _marginals(self) -> tuple[DiscreteDistribution, ...]:
         return tuple(_law(self.coord_denom, column, self.counts) for column in zip(*self.xs))
 
-    @cached_property
+    @_view
     def _sum(self) -> DiscreteDistribution:
         return _law(self.coord_denom, map(sum, self.xs), self.counts)
 

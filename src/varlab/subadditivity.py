@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
@@ -30,6 +29,7 @@ from .distributions import (
     _merged,
     _size_guard,
     _sweep,
+    _view,
     independent_product,
 )
 
@@ -65,15 +65,15 @@ class SubadditivityReport:
         self.subadditive_everywhere = all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
         self.additive_everywhere = all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
 
-    @cached_property
+    @_view
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
         return _verdicts(self.scale, self.rows)
 
-    @cached_property
+    @_view
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(num, den) for num, den, *_ in self.rows)
 
-    @cached_property
+    @_view
     def first_violation(self) -> Fraction | None:
         violations = (Fraction(num, den) for num, den, _, vs, sv in self.rows if vs > sv)
         return next(violations, None)

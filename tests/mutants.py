@@ -98,8 +98,15 @@ MUTANTS = (
     (
         "law-fast-path-on-nonstrict-order",
         "distributions.py",
-        "if all(map(lt, xs, itertools.islice(xs, 1, None))):",
-        "if all(x <= y for x, y in zip(xs, xs[1:])):",
+        "if not all(map(lt, xs, itertools.islice(xs, 1, None))):",
+        "if not all(x <= y for x, y in zip(xs, xs[1:])):",
+        ("tests/test_lattice.py",),
+    ),
+    (
+        "law-merge-overwrites-count",
+        "distributions.py",
+        "acc.get(x, 0) + c",
+        "c",
         ("tests/test_lattice.py",),
     ),
     (
@@ -112,8 +119,15 @@ MUTANTS = (
     (
         "min-copula-compares-marginals-only",
         "comonotonicity.py",
-        "return j == comonotonic_coupling(j.marginals())",
-        "return j.marginals() == comonotonic_coupling(j.marginals()).marginals()",
+        "return j == _rearrangement(j)",
+        "return j.marginals() == _rearrangement(j).marginals()",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "every-law-its-own-rearrangement",
+        "comonotonicity.py",
+        "rearranged = vars(j).get(_REARRANGED)",
+        "rearranged = _ITSELF",
         ("tests/test_comonotonicity.py",),
     ),
     (

@@ -1,12 +1,14 @@
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 import oracles
-from strategies import distributions, generated_joints, joints, marginal_lists
+from strategies import distributions, generated_joints, joints, marginal_lists, weighted_joints
+from varlab import comonotonicity
 from varlab import (
     DiscreteDistribution,
     JointDiscreteDistribution,
@@ -202,3 +204,40 @@ class TestDetectorAgreement:
         rearranged = comonotonic_coupling(j.marginals())
         verdict = convex_order_leq(j.sum_distribution(), rearranged.sum_distribution())
         assert verdict.holds
+
+
+def cross_checked(j):
+    """The min-copula and convex-order-max verdicts on ``j``, in that order,
+    and how many comonotonic rearrangements the two built."""
+    calls = []
+
+    def counted(ms):
+        calls.append(ms)
+        return comonotonic_coupling(ms)
+
+    with mock.patch.object(comonotonicity, "comonotonic_coupling", counted):
+        verdicts = min_copula_check(j), convex_order_max_check(j)
+    return verdicts, len(calls)
+
+
+class TestSharedRearrangement:
+    """Both cross-checks compare a law with the comonotonic rearrangement of
+    its marginals, which is built at most once per law, and never for a law
+    that `comonotonic_coupling` returned: that law is its own rearrangement."""
+
+    def test_independent_pair_builds_it_once(self):
+        j = independent_product(BERN_HALF, BERN_HALF)
+        assert cross_checked(j) == ((False, False), 1)
+        assert cross_checked(j) == ((False, False), 0)
+
+    @given(weighted_joints())
+    def test_a_fresh_law_builds_it_once(self, j):
+        como = is_comonotonic(j).comonotonic
+        assert oracles.min_copula_holds_direct(j) == como
+        assert cross_checked(j) == ((como, como), 1)
+
+    @given(marginal_lists())
+    def test_a_coupling_builds_it_never(self, ms):
+        j = comonotonic_coupling(ms)
+        assert oracles.min_copula_holds_direct(j) and is_comonotonic(j).comonotonic
+        assert cross_checked(j) == ((True, True), 0)

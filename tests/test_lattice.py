@@ -117,6 +117,13 @@ def wide_joints(draw):
 @given(wide_joints())
 # identical marginals: every law's levels coincide, so each sweep step moves every index
 @example([((F(-1, 3), F(-1, 3)), F(1)), ((F(2), F(2)), F(3)), ((F(5), F(5)), F(1, 2))])
+# the second marginal repeats a negative value out of order, the sum repeats
+# both of its negative and positive values, and both merge to counts (2, 2) with
+# a common factor; the first marginal's values are multiples of the scale 3
+@example([((F(4), F(-2, 3)), F(1)), ((F(-2), F(-2, 3)), F(1)), ((F(2), F(4, 3)), F(1)),
+          ((F(-4), F(4, 3)), F(1))])
+# every sum is 2: the sum law merges (6, 6, 6) over 3 into one atom at 2 / 1
+@example([((F(2, 3), F(4, 3)), F(1)), ((F(4, 3), F(2, 3)), F(1)), ((F(-2, 3), F(8, 3)), F(2))])
 def test_weighted_points_match_oracle(pairs):
     j = JointDiscreteDistribution.from_weighted_points(pairs)
     total = sum(w for _, w in pairs)
@@ -148,26 +155,33 @@ def test_distribution_queries_match_oracle(pairs_a, pairs_b, alpha, x):
     assert (leq.holds, leq.mean_equal, leq.witness_c) == oracle.convex_order_leq(a.atoms, b.atoms)
 
 
-# `_law` skips the merge and the sort when its values come in strictly
-# increasing, and merges them otherwise; both branches must give the oracle's
-# law in the lattice form the public constructor gives.
+# `_law` merges values that are not strictly increasing in an int-keyed dict
+# and skips the merge otherwise; both branches must give the oracle's law in
+# the lattice form the public constructors give. ``r`` puts a common factor in
+# the scale and the values, ``g`` one in the counts.
 @given(
     st.integers(1, 12),
     st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 9)), min_size=1, max_size=8),
     st.booleans(),
+    st.integers(1, 6),
+    st.integers(1, 6),
 )
-@example(2, [(2, 1)], True)  # one value, 2/2: the scale must reduce to 1
-@example(6, [(-3, 2), (3, 4), (9, 2)], True)  # values and counts share factors
-@example(4, [(1, 1), (1, 1), (-2, 3)], False)  # a repeated value, out of order
-def test_law_matches_oracle_on_both_branches(scale, pairs, increasing):
+@example(2, [(2, 1)], True, 1, 1)  # one value, 2/2: the scale must reduce to 1
+@example(6, [(-3, 2), (3, 4), (9, 2)], True, 1, 1)  # values and counts share factors
+@example(4, [(1, 1), (1, 1), (-2, 3)], False, 1, 1)  # a repeated value, out of order
+@example(3, [(4, 1), (-2, 2), (4, 3), (-5, 1)], False, 2, 3)  # negatives repeated, both factors
+def test_law_matches_oracle_on_both_branches(scale, pairs, increasing, r, g):
     if increasing:  # distinct and sorted: the branch without the merge
         pairs = sorted(dict(pairs).items())
+    pairs = [(x * r, c * g) for x, c in pairs]
+    scale *= r
     xs, counts = zip(*pairs)
     total = sum(counts)
     want = oracle.canonical((F(x, scale), F(c, total)) for x, c in pairs)
     law = _law(scale, iter(xs), counts)
     assert law.atoms == want
     assert law == DiscreteDistribution(want)
+    assert law == DiscreteDistribution.from_weighted_values([(F(x, scale), c) for x, c in pairs])
 
 
 @st.composite
