@@ -50,6 +50,7 @@ from .subadditivity import (
     GeneratorSpec,
     IntervalVerdict,
     SubadditivityReport,
+    TrialVerdict,
     _compared,
     _relation,
     _verdicts,
@@ -572,13 +573,8 @@ def cmd_simulate(args) -> int:
         rows.append((t, kind, n, equivalence_trial(j)))
     failures = sum(not v.consistent for *_, v in rows)
     if args.output == "csv":
-        header = ["trial", "kind", "n", "comonotonic", "subadditive_everywhere",
-                  "additive_everywhere", "consistent"]
-        _emit(_csv_text(header, (
-            [t, kind, n, v.comonotonic, v.subadditive_everywhere, v.additive_everywhere,
-             v.consistent]
-            for t, kind, n, v in rows
-        )), args.out)
+        header = ["trial", "kind", "n", *TrialVerdict._fields]
+        _emit(_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows)), args.out)
     else:
         payload = {
             "seed": args.seed,

@@ -54,12 +54,13 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
 def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
     """Lattice form ``(L, points, counts)`` of raw (coords, probability) rows.
 
-    Every coordinate and probability is an integer pair ``(numerator,
-    denominator)`` with a positive denominator. Points come back distinct and
-    increasing, as integer tuples over the minimal scale L, with positive
-    counts whose gcd is 1. A negative entry is rejected before duplicates
-    merge. With ``normalize`` the probabilities are weights with a positive
-    total; otherwise they must sum to exactly 1. L, the lcm of the
+    Every coordinate and probability is a reduced integer pair ``(numerator,
+    denominator)`` with a positive denominator. A negative entry is rejected
+    before duplicates merge; then rows of zero mass leave, so L, the lcm of
+    the other rows' coordinate denominators, is minimal. Points come back
+    distinct and increasing, as integer tuples over L, with positive counts
+    whose gcd is 1. With ``normalize`` the probabilities are weights with a
+    positive total; otherwise they must sum to exactly 1. L, the lcm of the
     probability denominators and the probability denominator of the merged
     law may each have at most `MAX_SCALE_BITS` bits: the entry that takes one
     past raises `LatticeBoundError`.
@@ -76,23 +77,24 @@ def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
         raise ValueError(f"{kind} must be nonnegative")
 
     bound = f"exceeds {MAX_SCALE_BITS} bits"
-    scale, over = _lcm_within([d for coords, _ in rows for _, d in coords])
+    # a row of zero mass leaves before L is fixed: its denominators count as 1
+    scale, over = _lcm_within([d if p else 1 for coords, (p, _) in rows for _, d in coords])
     if over is not None:
         raise LatticeBoundError(f"the common denominator of the coordinates {bound}", *divmod(over, n))
     denom, over = _lcm_within([d for _, (_, d) in rows])
     if over is not None:
         raise LatticeBoundError(f"the common denominator of the {kind} {bound}", over, None)
-    keys = [tuple([x * (scale // d) for x, d in coords]) for coords, _ in rows]
-    weights = [p * (denom // d) for _, (p, d) in rows]
+    keys = [tuple([x * (scale // d) for x, d in coords]) for coords, (p, _) in rows if p]
+    weights = [p * (denom // d) for _, (p, d) in rows if p]
     total = sum(weights)
     if normalize and total == 0:
         raise ValueError("total weight must be positive")
     if not normalize and total != denom:
         raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
-    scale, points, counts = _merged(scale, keys, weights)
+    points, counts = _merged(keys, weights)
     if sum(counts).bit_length() > MAX_SCALE_BITS:
         unit = total // sum(counts)  # the weight of one count
-        totals = itertools.accumulate(weights)
+        totals = itertools.accumulate(p * (denom // d) for _, (p, d) in rows)
         k = next(k for k, t in enumerate(totals) if (t // unit).bit_length() > MAX_SCALE_BITS)
         raise LatticeBoundError(f"the probability denominator {bound}", k, None)
     return scale, points, counts
@@ -116,21 +118,22 @@ def _size_guard(size: int, what: str, unit: str = "point") -> None:
         raise ValueError(f"{what.format(size)} exceeds the {MAX_JOINT_POINTS}-{unit} guard")
 
 
-def _merged(scale: int, keys: Iterable[tuple], counts: Iterable[int]):
-    """Lattice form of integer points over ``scale`` with nonnegative counts:
-    duplicates merge, zeros drop, points sort, scale and counts reduce."""
-    acc: dict[tuple[int, ...], int] = {}
-    for key, c in zip(keys, counts):
-        acc[key] = acc.get(key, 0) + c
-    points = [key for key, c in acc.items() if c]
-    _size_guard(len(points), "support of {} points")
-    points.sort()
-    counts = [acc[key] for key in points]
+def _merged(keys: Iterable, counts: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+    """The one merge of law points: the distinct int or int-tuple ``keys``,
+    increasing, and their positive ``counts`` summed and divided by their gcd.
+    Keys that come strictly increasing, as the coordinate sums of a
+    comonotonic joint law (its lexicographic order is its sum order), are
+    already distinct and sorted, so they skip the dict."""
+    keys = tuple(keys)
+    if not all(map(lt, keys, itertools.islice(keys, 1, None))):  # islice copies nothing
+        acc: dict = {}
+        for key, c in zip(keys, counts):
+            acc[key] = acc.get(key, 0) + c
+        keys = tuple(sorted(acc))
+        counts = [acc[key] for key in keys]
+    _size_guard(len(keys), "support of {} points")
     g = math.gcd(*counts)
-    r = math.gcd(scale, *itertools.chain.from_iterable(points))
-    if r > 1:
-        points = [tuple(x // r for x in key) for key in points]
-    return scale // r, tuple(points), tuple(c // g for c in counts)
+    return keys, tuple(counts) if g == 1 else tuple([c // g for c in counts])
 
 
 class _view:
@@ -196,24 +199,13 @@ class _Law:
 
 def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistribution:
     """The law putting positive ``counts[k]`` on ``xs[k] / scale``; values may
-    repeat. Values that are not strictly increasing merge in an int-keyed dict
-    and their distinct keys sort; strictly increasing ones, as the coordinate
-    sums of a comonotonic joint law (its lexicographic order is its sum order),
-    are already distinct and in order. Either way, dividing the scale and the
-    values by their gcd, and the counts by theirs, gives the minimal lattice
-    form. Such a law has no more points than its source, so the size guard of
-    `_merged` holds, and positive counts leave no zero to drop."""
-    xs = tuple(xs)
-    if not all(map(lt, xs, itertools.islice(xs, 1, None))):  # no copy of a long xs
-        acc: dict[int, int] = {}
-        for x, c in zip(xs, counts):
-            acc[x] = acc.get(x, 0) + c
-        xs = tuple(sorted(acc))
-        counts = [acc[x] for x in xs]
-    r, g = math.gcd(scale, *xs), math.gcd(*counts)
-    if r > 1 or g > 1:
-        scale, xs, counts = scale // r, tuple([x // r for x in xs]), [c // g for c in counts]
-    return DiscreteDistribution._lattice(scale, xs, tuple(counts))
+    repeat. `_merged` merges the int values, and dividing the scale and the
+    values by their gcd gives the minimal lattice form."""
+    xs, counts = _merged(xs, counts)
+    r = math.gcd(scale, *xs)
+    if r > 1:
+        scale, xs = scale // r, tuple([x // r for x in xs])
+    return DiscreteDistribution._lattice(scale, xs, counts)
 
 
 def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
@@ -380,8 +372,8 @@ class JointDiscreteDistribution(_Law):
         """Build a joint law from (coords, weight) pairs, merging and normalizing.
 
         With ``ratios`` the pairs are a sequence whose every coordinate and
-        weight is already an integer pair (numerator, positive denominator),
-        as CSV cells parse to; no `Fraction` is built.
+        weight is already a reduced integer pair (numerator, positive
+        denominator), as CSV cells parse to; no `Fraction` is built.
         """
         form = _lattice_form if ratios else _canonical
         return cls._lattice(*form(pairs, normalize=True, what="(coords, weight) pair"))

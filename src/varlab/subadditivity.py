@@ -298,5 +298,5 @@ def random_coupling(
             column += [x] * (b - a)
         _shuffle(bits, column)
         columns.append(column)
-    cells = Counter(zip(*columns))
-    return JointDiscreteDistribution._lattice(*_merged(scale, cells, cells.values()), ms)
+    cells = Counter(zip(*columns))  # over L, which is minimal as each marginal's scale is
+    return JointDiscreteDistribution._lattice(scale, *_merged(cells, cells.values()), ms)

@@ -98,22 +98,22 @@ MUTANTS = (
     (
         "law-fast-path-on-nonstrict-order",
         "distributions.py",
-        "if not all(map(lt, xs, itertools.islice(xs, 1, None))):",
-        "if not all(x <= y for x, y in zip(xs, xs[1:])):",
+        "if not all(map(lt, keys, itertools.islice(keys, 1, None))):",
+        "if not all(x <= y for x, y in zip(keys, keys[1:])):",
         ("tests/test_lattice.py",),
     ),
     (
         "law-merge-overwrites-count",
         "distributions.py",
-        "acc.get(x, 0) + c",
+        "acc.get(key, 0) + c",
         "c",
         ("tests/test_lattice.py",),
     ),
     (
         "law-fast-path-without-scale-gcd",
         "distributions.py",
-        "r, g = math.gcd(scale, *xs), math.gcd(*counts)",
-        "r, g = 1, math.gcd(*counts)",
+        "r = math.gcd(scale, *xs)",
+        "r = 1",
         ("tests/test_lattice.py",),
     ),
     (
@@ -145,6 +145,13 @@ MUTANTS = (
         ("tests/test_distributions.py",),
     ),
     (
+        "lattice-over-zero-mass-rows",
+        "distributions.py",
+        "[d if p else 1 for coords, (p, _) in rows for _, d in coords]",
+        "[d for coords, (p, _) in rows for _, d in coords]",
+        ("tests/test_distributions.py",),
+    ),
+    (
         "law-eq-without-coord-denom",
         "distributions.py",
         "return self._key() == other._key()",
@@ -171,6 +178,62 @@ MUTANTS = (
         "if size > MAX_JOINT_POINTS:",
         "if size >= MAX_JOINT_POINTS:",
         ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "merge-guard-skipped",
+        "distributions.py",
+        '_size_guard(len(keys), "support of {} points")',
+        "None",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "product-guard-skipped",
+        "distributions.py",
+        '_size_guard(math.prod(len(m) for m in marginals), "independent product of {} points")',
+        "None",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "coupling-cell-guard-skipped",
+        "subadditivity.py",
+        '_size_guard(denom, "common denominator {}", "cell")',
+        "None",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "probability-denominator-unbounded",
+        "distributions.py",
+        "if sum(counts).bit_length() > MAX_SCALE_BITS:",
+        "if False:",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "lcm-within-unbounded",
+        "distributions.py",
+        "if acc.bit_length() > MAX_SCALE_BITS:",
+        "if False:",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "number-digits-unbounded",
+        "cli.py",
+        "if len(text) > MAX_NUMBER_DIGITS or (exp",
+        "if False or (exp",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "number-exponent-unbounded",
+        "cli.py",
+        "(exp and abs(int(exp)) > MAX_NUMBER_DIGITS)",
+        "False",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "couple-lcm-unbounded",
+        "cli.py",
+        "if denom.bit_length() > MAX_SCALE_BITS:",
+        "if False:",
+        ("tests/test_hostile_input.py",),
     ),
     (
         "simulate-max-n-unbounded",

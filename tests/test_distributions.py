@@ -11,8 +11,14 @@ import hypothesis.strategies as st
 
 import oracles
 from strategies import distributions, joints, open_unit_fractions, rational_values
-from varlab import DiscreteDistribution, JointDiscreteDistribution, independent_product
-from varlab.distributions import _common_lattice, _sweep
+from varlab import (
+    DiscreteDistribution,
+    GeneratorSpec,
+    JointDiscreteDistribution,
+    independent_product,
+    random_coupling,
+)
+from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError, _common_lattice, _sweep
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 
@@ -61,6 +67,87 @@ class TestConstruction:
         d = DiscreteDistribution.from_weighted_values([(3, 1), (1, 1), (2, 1)])
         assert list(d.values) == sorted(d.values)
         assert len(set(d.values)) == len(d.values)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_bernoulli_rejects_a_degenerate_parameter(self, p):
+        with pytest.raises(ValueError, match="^bernoulli parameter must lie strictly inside"):
+            DiscreteDistribution.bernoulli(p)
+
+
+class TestSizeGuardsAtASmallBound:
+    """Each size guard fires on its own count, and only past the bound. The
+    bound is lowered to 10, so no test here builds a large law. These come
+    before the full-size guard tests below, so a mutant that skips a guard
+    fails here under ``pytest -x`` before those would build millions of
+    points."""
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr("varlab.distributions.MAX_JOINT_POINTS", 10)
+
+    def test_support_of_the_merged_law(self):
+        # eleven rows merge to ten points, which the guard admits
+        assert len(JointDiscreteDistribution.from_weighted_points([((k % 10,), 1) for k in range(11)])) == 10
+        with pytest.raises(ValueError, match="^support of 11 points exceeds the 10-point guard$"):
+            DiscreteDistribution.from_weighted_values([(k, 1) for k in range(11)])
+
+    def test_independent_product(self):
+        m = DiscreteDistribution.from_weighted_values([(v, 1) for v in range(4)])
+        assert len(independent_product(m, BERN_3_10)) == 8
+        with pytest.raises(ValueError, match="^independent product of 16 points exceeds the 10-point guard$"):
+            independent_product(m, m)
+
+    def test_random_coupling_cells(self):
+        spec = GeneratorSpec(n=2, max_atoms=3)
+        assert len(random_coupling(5, spec)) == 4  # marginal denominators 5 and 5
+        with pytest.raises(ValueError, match="^common denominator 18 exceeds the 10-cell guard$"):
+            random_coupling(0, spec)  # marginal denominators 9 and 2
+
+
+# A row of zero mass leaves before the lattice is fixed: its value 1/6 may
+# neither enlarge L past 3 nor stay in the law, whichever constructor runs.
+_ZERO_ROW, _ROWS = (F(1, 6), 0), [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))]
+
+
+@pytest.mark.parametrize("build", [
+    DiscreteDistribution,
+    DiscreteDistribution.from_weighted_values,
+    lambda rows: JointDiscreteDistribution([((v,), p) for v, p in rows]),
+    lambda rows: JointDiscreteDistribution.from_weighted_points([((v,), p) for v, p in rows]),
+    lambda rows: JointDiscreteDistribution.from_weighted_points(
+        [((v.as_integer_ratio(),), F(p).as_integer_ratio()) for v, p in rows], ratios=True
+    ),
+], ids=["probabilities", "weighted-values", "joint-probabilities", "weighted-points", "ratio-pairs"])
+def test_a_zero_mass_row_leaves_the_lattice_minimal(build):
+    law = build([_ZERO_ROW, *_ROWS])
+    assert law.coord_denom == 3
+    assert law == build(_ROWS)
+    assert build([*_ROWS, _ZERO_ROW]) == law
+
+
+class TestZeroMassRowsAndTheBound:
+    # 1 / 3**2100 has a 3,329-bit denominator, past MAX_SCALE_BITS
+    TINY = F(1, 3**2100)
+
+    def test_a_zero_mass_row_trips_no_bound(self):
+        assert self.TINY.denominator.bit_length() == 3329 > MAX_SCALE_BITS
+        j = JointDiscreteDistribution.from_weighted_points([((self.TINY,), 0), ((1,), 1)])
+        assert j == JointDiscreteDistribution([((1,), 1)])
+        d = DiscreteDistribution([(self.TINY, 0), (1, 1)])
+        assert d == DiscreteDistribution.point_mass(1)
+
+    def test_the_bound_names_the_callers_row(self):
+        # rows 0 and 1 are zero mass; row 3 takes the lcm of 2**3000 and 3**1000 past the bound
+        rows = [((self.TINY, 0), 0), ((0, 0), 0), ((F(1, 2**3000), 0), 1), ((0, F(1, 3**1000)), 1)]
+        with pytest.raises(LatticeBoundError) as info:
+            JointDiscreteDistribution.from_weighted_points(rows)
+        assert (info.value.row, info.value.coordinate) == (3, 1)
+
+    def test_the_probability_bound_names_the_callers_row(self):
+        rows = [((0,), 0), ((0,), 1), ((0,), 0), ((1,), 3**2100)]
+        with pytest.raises(LatticeBoundError, match="the probability denominator") as info:
+            JointDiscreteDistribution.from_weighted_points(rows)
+        assert (info.value.row, info.value.coordinate) == (3, None)
 
 
 class TestCdf:
@@ -170,6 +257,14 @@ class TestJointConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             JointDiscreteDistribution(())
+
+    def test_rejects_a_point_without_coordinates(self):
+        with pytest.raises(ValueError, match="^points must have at least one coordinate$"):
+            JointDiscreteDistribution([((), 1)])
+
+    def test_independent_product_of_nothing(self):
+        with pytest.raises(ValueError, match="^at least one marginal is required$"):
+            independent_product()
 
     def test_rejects_non_unit_total(self):
         with pytest.raises(ValueError):

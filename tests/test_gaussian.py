@@ -82,6 +82,15 @@ class TestGaussianSpecValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             GaussianSpec(mean=[0, 0], covariance=[[1, 2], [2, 1]])
 
+    def test_rejects_off_diagonal_mass_on_a_zero_pivot(self):
+        # the first pivot is 0, so its row must vanish; Cauchy-Schwarz fails
+        with pytest.raises(ValueError, match="^covariance is not positive semidefinite$"):
+            GaussianSpec(mean=[0, 0], covariance=[[0, 1], [1, 1]])
+
+    def test_rejects_empty_mean(self):
+        with pytest.raises(ValueError, match="^mean must be a non-empty vector$"):
+            GaussianSpec(mean=[], covariance=[])
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             GaussianSpec(mean=[0, 0, 0], covariance=[[1, 0], [0, 1]])

@@ -8,6 +8,7 @@ reproduce the oracle's instance for every seed. CSV cells, which parse
 straight to integer pairs, must give the oracle's Fraction parse and laws.
 """
 
+import math
 import random
 import tempfile
 from fractions import Fraction as F
@@ -36,7 +37,7 @@ from varlab import (
     subadditivity_report,
 )
 from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber, _parse_number, ingest_csv
-from varlab.distributions import _law
+from varlab.distributions import _law, _merged
 
 N_PER_KIND = 1000
 MAX_ATOMS = 8
@@ -155,9 +156,11 @@ def test_distribution_queries_match_oracle(pairs_a, pairs_b, alpha, x):
     assert (leq.holds, leq.mean_equal, leq.witness_c) == oracle.convex_order_leq(a.atoms, b.atoms)
 
 
-# `_law` merges values that are not strictly increasing in an int-keyed dict
-# and skips the merge otherwise; both branches must give the oracle's law in
-# the lattice form the public constructors give. ``r`` puts a common factor in
+# `_merged` merges keys that are not strictly increasing in a dict and skips
+# the merge otherwise; on both branches, with int keys as `_law` passes and
+# with tuple keys as the joint constructors pass, it must give the oracle's
+# points with counts over their gcd, and `_law` the oracle's law in the
+# lattice form the public constructors give. ``r`` puts a common factor in
 # the scale and the values, ``g`` one in the counts.
 @given(
     st.integers(1, 12),
@@ -178,6 +181,12 @@ def test_law_matches_oracle_on_both_branches(scale, pairs, increasing, r, g):
     xs, counts = zip(*pairs)
     total = sum(counts)
     want = oracle.canonical((F(x, scale), F(c, total)) for x, c in pairs)
+    # tuple keys (x // 2, x) sort and collide exactly as x does
+    for keys in (xs, [(x // 2, x) for x in xs]):
+        points, merged = _merged(iter(keys), counts)
+        assert math.gcd(*merged) == 1
+        want_points = oracle.canonical((k, F(c, total)) for k, c in zip(keys, counts))
+        assert tuple(zip(points, (F(c, sum(merged)) for c in merged))) == want_points
     law = _law(scale, iter(xs), counts)
     assert law.atoms == want
     assert law == DiscreteDistribution(want)
