@@ -54,16 +54,18 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
 def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
     """Lattice form ``(L, points, counts)`` of raw (coords, probability) rows.
 
-    Every coordinate and probability is a reduced integer pair ``(numerator,
+    Every coordinate and probability is an integer pair ``(numerator,
     denominator)`` with a positive denominator. A negative entry is rejected
-    before duplicates merge; then rows of zero mass leave, so L, the lcm of
-    the other rows' coordinate denominators, is minimal. Points come back
+    before duplicates merge; then rows of zero mass leave, and L is the lcm
+    of the other rows' coordinate denominators, divided by its gcd with the
+    points in case a pair was not reduced, so it is minimal. Points come back
     distinct and increasing, as integer tuples over L, with positive counts
     whose gcd is 1. With ``normalize`` the probabilities are weights with a
     positive total; otherwise they must sum to exactly 1. L, the lcm of the
     probability denominators and the probability denominator of the merged
-    law may each have at most `MAX_SCALE_BITS` bits: the entry that takes one
-    past raises `LatticeBoundError`.
+    law may each have at most `MAX_SCALE_BITS` bits, counting the
+    denominators as given: the entry that takes one past raises
+    `LatticeBoundError`.
     """
     if not rows:
         raise ValueError(f"at least one {what} is required")
@@ -91,6 +93,9 @@ def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
         raise ValueError("total weight must be positive")
     if not normalize and total != denom:
         raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
+    r = math.gcd(scale, *itertools.chain.from_iterable(keys))  # 1 if every pair is reduced
+    if r > 1:
+        scale, keys = scale // r, [tuple([x // r for x in key]) for key in keys]
     points, counts = _merged(keys, weights)
     if sum(counts).bit_length() > MAX_SCALE_BITS:
         unit = total // sum(counts)  # the weight of one count
@@ -372,8 +377,8 @@ class JointDiscreteDistribution(_Law):
         """Build a joint law from (coords, weight) pairs, merging and normalizing.
 
         With ``ratios`` the pairs are a sequence whose every coordinate and
-        weight is already a reduced integer pair (numerator, positive
-        denominator), as CSV cells parse to; no `Fraction` is built.
+        weight is an integer pair (numerator, positive denominator), as CSV
+        cells parse to; no `Fraction` is built.
         """
         form = _lattice_form if ratios else _canonical
         return cls._lattice(*form(pairs, normalize=True, what="(coords, weight) pair"))

@@ -145,6 +145,13 @@ MUTANTS = (
         ("tests/test_distributions.py",),
     ),
     (
+        "lattice-over-unreduced-pairs",
+        "distributions.py",
+        "r = math.gcd(scale, *itertools.chain.from_iterable(keys))",
+        "r = 1",
+        ("tests/test_distributions.py",),
+    ),
+    (
         "lattice-over-zero-mass-rows",
         "distributions.py",
         "[d if p else 1 for coords, (p, _) in rows for _, d in coords]",
