@@ -25,10 +25,10 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import starmap
+from itertools import islice, starmap
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .comonotonicity import ComonotoneVerdict, comonotonic_coupling, is_comonotonic
@@ -37,6 +37,7 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     LatticeBoundError,
+    _lattice_form,
     _view,
 )
 from .gaussian import (
@@ -178,27 +179,43 @@ def ingest_csv(
     name a row by the file line it starts on.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    # the nonblank rows and the file line each starts on, kept in an array: no int object per row
-    rows, lines, line = [], array("q"), 1
+    # Column by column: each column's distinct texts, each keyed to its id in
+    # order of first appearance, and an array of one id per data row; `lines`
+    # holds the file line each data row starts on. No row outlives its turn.
+    texts: list[dict[str, int]] = []
+    ids: list[array] = []
+    lines, line, header, ragged, sniffed = array("q"), 1, None, None, None
     try:
         for row in reader:
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(line)
-            line = reader.line_num + 1
+            start, line = line, reader.line_num + 1
+            if not "".join(row).strip():
+                continue
+            if not texts:  # the first nonblank row fixes the width
+                texts, ids = [{} for _ in row], [array("q") for _ in row]
+                if has_header is None:
+                    try:
+                        has_header = not _row_is_numeric(start, row)
+                    except ValueError as exc:  # raised once the reader has found no error
+                        sniffed = exc
+                if has_header:
+                    header = [c.strip() for c in row]
+                    continue
+            if len(row) != len(texts):
+                ragged = f"row {start}: expected {len(texts)} cells, got {len(row)} (ragged row)"
+                break
+            for known, column, text in zip(texts, ids, row):
+                column.append(known.setdefault(text, len(known)))
+            lines.append(start)
+        for _ in reader:  # a reader error past a ragged row still comes first
+            pass
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if sniffed is not None:
+        raise sniffed
+    if not lines and ragged is None:
         raise ValueError(f"{path}: no data rows")
 
-    if has_header is None:
-        has_header = not _row_is_numeric(lines[0], rows[0])
-    header = [c.strip() for c in rows[0]] if has_header else None
-    data, lines = (rows[1:], lines[1:]) if has_header else (rows, lines)
-    if not data:
-        raise ValueError(f"{path}: no data rows")
-
-    ncols = len(header) if header is not None else len(data[0])
+    ncols = len(texts)
     lowered = [h.lower() for h in header] if header is not None else []
     if weight_column is None:
         widx = lowered.index("weight") if "weight" in lowered else None
@@ -217,35 +234,40 @@ def ingest_csv(
     if not loss_cols:
         raise ValueError("no loss columns left after removing the weight column")
 
-    # Cell texts repeat, so each distinct text is parsed once. A text that
-    # fails is not stored: it raises at its first row and column.
-    parsed: dict[str, tuple[int, int]] = {}
+    # Each distinct text of a column is parsed once. A text that fails, or a
+    # weight that is not positive, is kept as its error, whose message starts
+    # ": ". Only then are the rows scanned in order, for the first cell that
+    # holds one (loss columns first, then the weight) or for the ragged row.
     cols = loss_cols if widx is None else [*loss_cols, widx]
-    pairs = []
-    for rownum, row in zip(lines, data):
-        if len(row) != ncols:
-            raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
-        values = []
-        for c in cols:
-            text = row[c]
-            value = parsed.get(text)
-            if value is None:
-                try:
-                    value = parsed[text] = _parse_number(text, "")
-                except ValueError as exc:  # the message starts ": ", so name the cell
-                    raise type(exc)(f"row {rownum}, column {c + 1}{exc}") from None
-            values.append(value)
-        weight = (1, 1) if widx is None else values.pop()
-        if weight[0] <= 0:
-            raise ValueError(
-                f"row {rownum}, column {widx + 1}: weight must be positive, got {Fraction(*weight)}"
-            )
-        pairs.append((tuple(values), weight))
+    tables, faults = [], {}
+    for c in cols:
+        table = []
+        for text in texts[c]:
+            try:
+                pair = _parse_number(text, "")
+                if c == widx and pair[0] <= 0:
+                    raise ValueError(f": weight must be positive, got {Fraction(*pair)}")
+            except ValueError as exc:
+                faults[c, len(table)], pair = exc, None
+            table.append(pair)
+        tables.append(table)
+    if faults or ragged:
+        for k, rownum in enumerate(lines):
+            for c in cols:
+                exc = faults.get((c, ids[c][k]))
+                if exc is not None:
+                    raise type(exc)(f"row {rownum}, column {c + 1}{exc}")
+        raise ValueError(ragged)
+
+    columns = [(tables[i], ids[c]) for i, c in enumerate(loss_cols)]
+    # without a weight column every row has entry 0 of a table that holds 1/1
+    weights = ([(1, 1)], bytes(len(lines))) if widx is None else (tables[-1], ids[widx])
     try:
-        return JointDiscreteDistribution.from_weighted_points(pairs, ratios=True)
+        form = _lattice_form(columns, weights, normalize=True, what="(coords, weight) pair")
     except LatticeBoundError as exc:
         col = widx if exc.coordinate is None else loss_cols[exc.coordinate]
         raise ValueError(f"row {lines[exc.row]}, column {col + 1}: {exc}") from None
+    return JointDiscreteDistribution._lattice(*form)
 
 
 def decimal_cell(value: Fraction) -> str:
@@ -302,15 +324,28 @@ class _Texts(dict):
         return text
 
 
+# The rows of a JSON table and the lines of the digest are joined this many
+# at a time: one write per block, where one per row would be a system call
+# each with PYTHONUNBUFFERED=1, and no text of the whole table.
+_BLOCK_ROWS = 512
+
+def _blocks(texts: Iterator[str], sep: str = "") -> Iterator[str]:
+    """The ``texts`` joined by ``sep`` in blocks of `_BLOCK_ROWS`; no block is empty."""
+    return iter(lambda: sep.join(islice(texts, _BLOCK_ROWS)), "")
+
+
 def _digest(j: JointDiscreteDistribution) -> str:
     """sha256 of the law's points, one "x1;x2;...|p" line each, every value
-    reduced "num/den"."""
+    reduced "num/den", hashed a block of lines at a time."""
     coords, counts = _Texts(j.coord_denom), _Texts(j.prob_denom)
-    text = "".join([
+    lines = (
         f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"
         for point, c in zip(j.xs, j.counts)
-    ])
-    return hashlib.sha256(text.encode()).hexdigest()
+    )
+    digest = hashlib.sha256()
+    for block in _blocks(lines):
+        digest.update(block.encode())
+    return digest.hexdigest()
 
 
 class AnalysisReport:
@@ -341,6 +376,9 @@ class AnalysisReport:
         return _verdicts(self.scale, self.rows)
 
     def to_json(self) -> str:
+        return "".join(self._json_chunks())
+
+    def _json_chunks(self) -> Iterator[str]:
         payload = {
             "input_digest": self.input_digest,
             "marginals_summary": [
@@ -388,19 +426,29 @@ _POINT_JSON = '    {{\n      "coords": [\n        "{}"\n      ],\n      "prob": 
 _ITEMS = '",\n        "'
 
 
-def _json_text(payload: dict, key: str | None = None, template: str = "", rows: Iterable = ()) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with the
-    list of ``rows`` under ``key`` when one is given. Its items share one key set,
-    so each is ``template`` formatted with one row: no dict and no key sort per item."""
+def _json_text(
+    payload: dict, key: str | None = None, template: str = "", rows: Iterable = ()
+) -> Iterator[str]:
+    """The chunks of ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+    newline, with the list of ``rows`` under ``key`` when one is given. Its
+    items share one key set, so each is ``template`` formatted with one row:
+    no dict and no key sort per item. They come in `_blocks`: the head of
+    the dump rides with the first block, and the tail is the last chunk."""
     if key is None:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return
     text = json.dumps({**payload, key: None}, sort_keys=True, indent=2)
     # a newline and two spaces occur in the dump only before a top-level key
     head, tail = text.split(f'\n  "{key}": null')
-    items = ",\n".join(starmap(template.format, rows))
-    if not items:
-        return f'{head}\n  "{key}": []{tail}\n'
-    return f'{head}\n  "{key}": [\n{items}\n  ]{tail}\n'
+    blocks = _blocks(starmap(template.format, rows), ",\n")
+    first = next(blocks, None)
+    if first is None:
+        yield f'{head}\n  "{key}": []{tail}\n'
+        return
+    yield f'{head}\n  "{key}": [\n{first}'
+    for block in blocks:
+        yield f",\n{block}"
+    yield f"\n  ]{tail}\n"
 
 
 def _row_texts(scale: int, rows) -> Iterable[tuple]:
@@ -445,11 +493,15 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text ``chunks`` to stdout, one write each, or to the file
+    ``out``, which is opened here: after every input check has passed."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
 
 
 def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Fraction]]:
@@ -506,13 +558,13 @@ def cmd_report(args) -> int:
     report = None if args.command == "var" else run_report(j, alphas or None)
     rows = report.rows if report else _compared(j, alphas)
     if args.output == "csv":
-        text = _var_table_csv(j.dimension, j.coord_denom, rows)
+        chunks = [_var_table_csv(j.dimension, j.coord_denom, rows)]
     elif report:
-        text = report.to_json()
+        chunks = report._json_chunks()
     else:
         payload = {"input_digest": _digest(j), "tool_version": __version__}
-        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
-    _emit(text, args.out)
+        chunks = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
+    _emit(chunks, args.out)
     if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         raise _InvariantBreach("comonotonicity and subadditivity flags disagree")
     return EXIT_OK
@@ -537,7 +589,7 @@ def cmd_couple(args) -> int:
             dump_csv(coupled, buf)
         except ValueError as exc:  # a coordinate that no decimal cell can hold
             raise ValueError(f"{exc}; --output json prints it exactly") from None
-        _emit(buf.getvalue(), args.out)
+        _emit([buf.getvalue()], args.out)
     else:
         coords, probs = _Texts(coupled.coord_denom), _Texts(coupled.prob_denom)
         points = (
@@ -574,7 +626,7 @@ def cmd_simulate(args) -> int:
     failures = sum(not v.consistent for *_, v in rows)
     if args.output == "csv":
         header = ["trial", "kind", "n", *TrialVerdict._fields]
-        _emit(_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows)), args.out)
+        _emit([_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows))], args.out)
     else:
         payload = {
             "seed": args.seed,
@@ -620,7 +672,7 @@ def cmd_elliptic(args) -> int:
         })
     if args.output == "csv":
         keys = ["alpha", "portfolio_var", "sum_of_marginal_vars", "gap"]
-        _emit(_csv_text(keys, ([row[k] for k in keys] for row in table)), args.out)
+        _emit([_csv_text(keys, ([row[k] for k in keys] for row in table))], args.out)
     else:
         payload = {
             "dimension": spec.dimension,

@@ -43,30 +43,16 @@ class LatticeBoundError(ValueError):
 
 
 def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
-    """`_lattice_form` of (coords, probability) pairs of any rationals."""
+    """`_lattice_form` of (coords, probability) pairs of any rationals.
+
+    It checks that the rows share one dimension; then rows of zero mass
+    leave, before the lattice is fixed, so their denominators count for
+    nothing. A `LatticeBoundError` names the row by its index in ``pairs``.
+    """
     rows = [
         (tuple(Fraction(x).as_integer_ratio() for x in coords), Fraction(p).as_integer_ratio())
         for coords, p in pairs
     ]
-    return _lattice_form(rows, normalize=normalize, what=what)
-
-
-def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
-    """Lattice form ``(L, points, counts)`` of raw (coords, probability) rows.
-
-    Every coordinate and probability is an integer pair ``(numerator,
-    denominator)`` with a positive denominator. A negative entry is rejected
-    before duplicates merge; then rows of zero mass leave, and L is the lcm
-    of the other rows' coordinate denominators, divided by its gcd with the
-    points in case a pair was not reduced, so it is minimal. Points come back
-    distinct and increasing, as integer tuples over L, with positive counts
-    whose gcd is 1. With ``normalize`` the probabilities are weights with a
-    positive total; otherwise they must sum to exactly 1. L, the lcm of the
-    probability denominators and the probability denominator of the merged
-    law may each have at most `MAX_SCALE_BITS` bits, counting the
-    denominators as given: the entry that takes one past raises
-    `LatticeBoundError`.
-    """
     if not rows:
         raise ValueError(f"at least one {what} is required")
     n = len(rows[0][0])
@@ -74,32 +60,59 @@ def _lattice_form(rows: Sequence[tuple], *, normalize: bool, what: str):
         raise ValueError("points must have at least one coordinate")
     if any(len(coords) != n for coords, _ in rows):
         raise ValueError("all points must share the same dimension")
+    live = [k for k, (_, (p, _)) in enumerate(rows) if p]
+    ids = range(len(live))  # one table entry per row
+    columns = [([rows[k][0][i] for k in live], ids) for i in range(n)]
+    try:
+        return _lattice_form(columns, ([rows[k][1] for k in live], ids), normalize=normalize, what=what)
+    except LatticeBoundError as exc:
+        raise LatticeBoundError(str(exc), live[exc.row], exc.coordinate) from None
+
+
+def _lattice_form(columns: Sequence[tuple], weights: tuple, *, normalize: bool, what: str):
+    """Lattice form ``(L, points, counts)`` of rows of nonzero mass, given
+    column by column.
+
+    Each coordinate column and the weight column is a pair ``(table,
+    ids)``: ``table`` lists reduced integer pairs (numerator, positive
+    denominator), each used by some row, and row ``k`` holds
+    ``table[ids[k]]``. An entry that many rows share is one pair and scales
+    to one int, which every point that holds it shares. A negative weight
+    is rejected first. L is the lcm of the coordinate tables'
+    denominators, minimal as the pairs are reduced. Points come back
+    distinct and increasing, as integer tuples over L, with positive counts
+    whose gcd is 1. With ``normalize`` the weights need a positive total;
+    otherwise they are ``what`` probabilities that must sum to exactly 1. L,
+    the lcm of the weight denominators and the probability denominator of
+    the merged law may each have at most `MAX_SCALE_BITS` bits: the entry
+    that takes one past, in row-major order, raises `LatticeBoundError`.
+    """
     kind = "weights" if normalize else f"{what} probabilities"
-    if any(num < 0 for _, (num, _) in rows):
+    wtable, wids = weights
+    if any(num < 0 for num, _ in wtable):
         raise ValueError(f"{kind} must be nonnegative")
 
     bound = f"exceeds {MAX_SCALE_BITS} bits"
-    # a row of zero mass leaves before L is fixed: its denominators count as 1
-    scale, over = _lcm_within([d if p else 1 for coords, (p, _) in rows for _, d in coords])
+    scale, over = _lcm_within([d for table, _ in columns for _, d in table])
+    if over is not None:  # past the bound in any order: find the entry in row-major order
+        _, over = _lcm_within([table[ids[k]][1] for k in range(len(wids)) for table, ids in columns])
+        row, i = divmod(over, len(columns))
+        raise LatticeBoundError(f"the common denominator of the coordinates {bound}", row, i)
+    denom, over = _lcm_within([d for _, d in wtable])
     if over is not None:
-        raise LatticeBoundError(f"the common denominator of the coordinates {bound}", *divmod(over, n))
-    denom, over = _lcm_within([d for _, (_, d) in rows])
-    if over is not None:
+        _, over = _lcm_within([wtable[i][1] for i in wids])
         raise LatticeBoundError(f"the common denominator of the {kind} {bound}", over, None)
-    keys = [tuple([x * (scale // d) for x, d in coords]) for coords, (p, _) in rows if p]
-    weights = [p * (denom // d) for _, (p, d) in rows if p]
+    keys = zip(*[map([x * (scale // d) for x, d in table].__getitem__, ids) for table, ids in columns])
+    weights = list(map([p * (denom // d) for p, d in wtable].__getitem__, wids))
     total = sum(weights)
     if normalize and total == 0:
         raise ValueError("total weight must be positive")
     if not normalize and total != denom:
         raise ValueError(f"{kind} must sum to exactly 1, got {Fraction(total, denom)}")
-    r = math.gcd(scale, *itertools.chain.from_iterable(keys))  # 1 if every pair is reduced
-    if r > 1:
-        scale, keys = scale // r, [tuple([x // r for x in key]) for key in keys]
     points, counts = _merged(keys, weights)
     if sum(counts).bit_length() > MAX_SCALE_BITS:
         unit = total // sum(counts)  # the weight of one count
-        totals = itertools.accumulate(p * (denom // d) for _, (p, d) in rows)
+        totals = itertools.accumulate(weights)
         k = next(k for k, t in enumerate(totals) if (t // unit).bit_length() > MAX_SCALE_BITS)
         raise LatticeBoundError(f"the probability denominator {bound}", k, None)
     return scale, points, counts
@@ -371,17 +384,9 @@ class JointDiscreteDistribution(_Law):
         vars(self)["prob_denom"] = sum(self.counts)
 
     @classmethod
-    def from_weighted_points(
-        cls, pairs: Iterable[tuple], *, ratios: bool = False
-    ) -> "JointDiscreteDistribution":
-        """Build a joint law from (coords, weight) pairs, merging and normalizing.
-
-        With ``ratios`` the pairs are a sequence whose every coordinate and
-        weight is an integer pair (numerator, positive denominator), as CSV
-        cells parse to; no `Fraction` is built.
-        """
-        form = _lattice_form if ratios else _canonical
-        return cls._lattice(*form(pairs, normalize=True, what="(coords, weight) pair"))
+    def from_weighted_points(cls, pairs: Iterable[tuple]) -> "JointDiscreteDistribution":
+        """Build a joint law from (coords, weight) pairs, merging and normalizing."""
+        return cls._lattice(*_canonical(pairs, normalize=True, what="(coords, weight) pair"))
 
     @_view
     def points(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:

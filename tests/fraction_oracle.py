@@ -9,17 +9,21 @@ sum-ordered chain check, the quantile-transform coupling (whose sum law
 decides convex-order maximality), a prefix-sum grid for the min-copula
 identity, suffix tables for the convex order, and the seeded generators with
 their original draw order. Also the number parser that built a `Fraction`
-per CSV cell before cells parsed straight to integer pairs.
+per CSV cell before cells parsed straight to integer pairs, and the row-wise
+CSV ingest that the column-wise one replaced.
 """
 
 import contextlib
+import csv
+import io
 import random
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
-from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber
+from varlab.cli import MAX_NUMBER_DIGITS, _NotANumber, _read_text
+from varlab.distributions import MAX_SCALE_BITS
 
 _ZERO = Fraction(0)
 
@@ -44,6 +48,100 @@ def parse_number(text, where):
         with contextlib.suppress(ZeroDivisionError):  # 1/0
             return Fraction(text.replace("_", ""))
     raise _NotANumber(f"{where}: cannot parse {text!r} as a number")
+
+
+def _is_numeric(line, row):
+    try:
+        for col, cell in enumerate(row, 1):
+            parse_number(cell, f"row {line}, column {col}")
+    except _NotANumber:
+        return False
+    return True
+
+
+def _first_past_bound(dens):
+    """Index of the first of ``dens`` whose running lcm passes MAX_SCALE_BITS bits, or None."""
+    acc = 1
+    for k, d in enumerate(dens):
+        acc = lcm(acc, d)
+        if acc.bit_length() > MAX_SCALE_BITS:
+            return k
+    return None
+
+
+def ingest_rows(path, has_header=None, weight_column=None):
+    """The canonical points of the law that ``varlab.cli.ingest_csv`` reads
+    from ``path``, or the ValueError it raises, by the row-wise reading it
+    replaced: every nonblank row is kept, then checked and parsed in order,
+    one cell at a time, and the lattice bounds are running lcms of the
+    `Fraction`s' denominators in row-major order."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    rows, lines, line = [], [], 1
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if has_header is None:
+        has_header = not _is_numeric(lines[0], rows[0])
+    header = [c.strip() for c in rows[0]] if has_header else None
+    data, lines = (rows[1:], lines[1:]) if has_header else (rows, lines)
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+
+    ncols = len(header) if header is not None else len(data[0])
+    lowered = [h.lower() for h in header] if header is not None else []
+    if weight_column is None:
+        widx = lowered.index("weight") if "weight" in lowered else None
+    elif isinstance(weight_column, str) and not weight_column.removeprefix("-").isdecimal():
+        if header is None:
+            raise ValueError("named weight column requires a header row")
+        if weight_column.lower() not in lowered:
+            raise ValueError(f"weight column {weight_column!r} not found in header")
+        widx = lowered.index(weight_column.lower())
+    else:
+        widx = int(weight_column)
+        if not 0 <= widx < ncols:
+            raise ValueError(f"weight column index {widx} out of range")
+    loss_cols = [c for c in range(ncols) if c != widx]
+    if not loss_cols:
+        raise ValueError("no loss columns left after removing the weight column")
+
+    pairs = []
+    for rownum, row in zip(lines, data):
+        if len(row) != ncols:
+            raise ValueError(f"row {rownum}: expected {ncols} cells, got {len(row)} (ragged row)")
+        coords = tuple(parse_number(row[c], f"row {rownum}, column {c + 1}") for c in loss_cols)
+        weight = Fraction(1) if widx is None else parse_number(row[widx], f"row {rownum}, column {widx + 1}")
+        if weight <= 0:
+            raise ValueError(f"row {rownum}, column {widx + 1}: weight must be positive, got {weight}")
+        pairs.append((coords, weight))
+
+    bound = f"exceeds {MAX_SCALE_BITS} bits"
+    k = _first_past_bound([x.denominator for coords, _ in pairs for x in coords])
+    if k is not None:
+        row, i = divmod(k, len(loss_cols))
+        raise ValueError(f"row {lines[row]}, column {loss_cols[i] + 1}: the common denominator "
+                         f"of the coordinates {bound}")
+    k = _first_past_bound([w.denominator for _, w in pairs])
+    if k is not None:
+        raise ValueError(f"row {lines[k]}, column {widx + 1}: the common denominator of the weights {bound}")
+    total = sum(w for _, w in pairs)
+    points = canonical((coords, w / total) for coords, w in pairs)
+    denom = lcm(*(p.denominator for _, p in points))
+    if denom.bit_length() > MAX_SCALE_BITS:
+        # the first row at which the running weight, in counts of 1/denom, passes the bound
+        running = 0
+        for rownum, (_, w) in zip(lines, pairs):
+            running += w
+            if floor(running * denom / total).bit_length() > MAX_SCALE_BITS:
+                raise ValueError(f"row {rownum}, column {widx + 1}: the probability denominator {bound}")
+    return points
 
 
 def canonical(pairs):

@@ -145,18 +145,32 @@ MUTANTS = (
         ("tests/test_distributions.py",),
     ),
     (
-        "lattice-over-unreduced-pairs",
+        "lattice-over-zero-mass-rows",
         "distributions.py",
-        "r = math.gcd(scale, *itertools.chain.from_iterable(keys))",
-        "r = 1",
+        "live = [k for k, (_, (p, _)) in enumerate(rows) if p]",
+        "live = list(range(len(rows)))",
         ("tests/test_distributions.py",),
     ),
     (
-        "lattice-over-zero-mass-rows",
-        "distributions.py",
-        "[d if p else 1 for coords, (p, _) in rows for _, d in coords]",
-        "[d for coords, (p, _) in rows for _, d in coords]",
-        ("tests/test_distributions.py",),
+        "first-bad-cell-scan-names-the-last",
+        "cli.py",
+        "for k, rownum in enumerate(lines):",
+        "for k, rownum in reversed(list(enumerate(lines))):",
+        ("tests/test_ingest.py",),
+    ),
+    (
+        "ragged-row-wins-over-earlier-bad-cell",
+        "cli.py",
+        "    if faults or ragged:\n",
+        "    if ragged:\n        raise ValueError(ragged)\n    if faults:\n",
+        ("tests/test_ingest.py",),
+    ),
+    (
+        "json-blocks-joined-without-separator",
+        "cli.py",
+        'yield f",\\n{block}"',
+        "yield block",
+        ("tests/test_cli.py", "tests/test_golden.py"),
     ),
     (
         "law-eq-without-coord-denom",

@@ -329,19 +329,20 @@ class TestJsonText:
         assert points == list(coupled.points)
 
     @pytest.mark.parametrize("key", ["a", "m", "z"])  # sorts first, in the middle, last
-    @pytest.mark.parametrize("n", [0, 1, 3])
-    def test_table_at_any_sorted_position(self, key, n):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_table_at_any_sorted_position(self, key, n, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)  # 3 and 5 rows span blocks
         payload = {"d": 2, "k": [1, "x"], "q": {"r": None}, "w": "v"}
         points = [([f"{i}/3", f"-{i}/7"][: 1 + i % 2], f"1/{i + 2}") for i in range(n)]
         rows = [(cli._ITEMS.join(coords), prob) for coords, prob in points]
         expected = {**payload, key: [{"coords": c, "prob": p} for c, p in points]}
-        assert cli._json_text(payload, key, cli._POINT_JSON, rows) == (
-            json.dumps(expected, sort_keys=True, indent=2) + "\n"
-        )
+        chunks = list(cli._json_text(payload, key, cli._POINT_JSON, rows))
+        assert "".join(chunks) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert len(chunks) == (1 if n == 0 else 2 + (n - 1) // 2)
 
     def test_no_table_is_the_stdlib_dump(self):
         payload = {"b": [float("inf"), -0.0], "a": {"c": "1/3"}}
-        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert list(cli._json_text(payload)) == [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
 
 
 class TestCommands:
@@ -386,6 +387,20 @@ class TestCommands:
         )
         assert rc == 0 and out == ""
         json.loads(target.read_text())
+
+    @pytest.mark.parametrize("command, text, extra", [
+        ("report", "x,y\n1,2\n3,abc\n", []),
+        ("report", "x,y\n0,0\n1,1\n", ["--alpha", "3/2"]),
+        ("report", "x\n1e400\n2\n", ["--output", "csv"]),  # beyond the float range
+        ("var", "x,y\n0,0\n1,1\n", []),
+        ("couple", "a\n1/3\n1\n", []),  # no decimal cell holds 1/3
+    ])
+    def test_an_input_error_leaves_no_output_file(self, tmp_path, capsys, command, text, extra):
+        target = tmp_path / "out.txt"
+        argv = [command, write(tmp_path, "in.csv", text), *extra, "--out", str(target)]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "") and err.startswith("error: ")
+        assert not target.exists()
 
     def test_couple_output_round_trips(self, tmp_path, capsys):
         m = write(tmp_path, "m.csv", "a,b\n0,0\n1,2\n1,2\n0,4\n")

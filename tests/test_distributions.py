@@ -105,13 +105,6 @@ class TestSizeGuardsAtASmallBound:
             random_coupling(0, spec)  # marginal denominators 9 and 2
 
 
-def _ratio_pairs(rows, k):
-    """``rows`` as integer pairs, every numerator and denominator times ``k``."""
-    def pair(x):
-        return x.numerator * k, x.denominator * k
-    return [(tuple(map(pair, coords)), pair(F(w))) for coords, w in rows]
-
-
 # A row of zero mass leaves before the lattice is fixed: its value 1/6 may
 # neither enlarge L past 3 nor stay in the law, whichever constructor runs.
 _ZERO_ROW, _ROWS = (F(1, 6), 0), [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))]
@@ -122,10 +115,7 @@ _ZERO_ROW, _ROWS = (F(1, 6), 0), [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))]
     DiscreteDistribution.from_weighted_values,
     lambda rows: JointDiscreteDistribution([((v,), p) for v, p in rows]),
     lambda rows: JointDiscreteDistribution.from_weighted_points([((v,), p) for v, p in rows]),
-    lambda rows: JointDiscreteDistribution.from_weighted_points(
-        _ratio_pairs([((v,), p) for v, p in rows], 2), ratios=True
-    ),
-], ids=["probabilities", "weighted-values", "joint-probabilities", "weighted-points", "ratio-pairs"])
+], ids=["probabilities", "weighted-values", "joint-probabilities", "weighted-points"])
 def test_a_zero_mass_row_leaves_the_lattice_minimal(build):
     law = build([_ZERO_ROW, *_ROWS])
     assert law.coord_denom == 3
@@ -133,16 +123,16 @@ def test_a_zero_mass_row_leaves_the_lattice_minimal(build):
     assert build([*_ROWS, _ZERO_ROW]) == law
 
 
-def test_unreduced_ratio_pairs_give_the_canonical_law():
-    half = JointDiscreteDistribution.from_weighted_points([(((2, 4),), (1, 1))], ratios=True)
+def test_integer_pairs_cannot_be_passed_in():
+    # Integer (numerator, denominator) pairs reach the lattice only from the
+    # package's own parsers, which reduce them; a caller passes rationals.
+    with pytest.raises(TypeError):
+        JointDiscreteDistribution.from_weighted_points([(((2, 4),), (1, 1))], ratios=True)
+    with pytest.raises(TypeError):
+        JointDiscreteDistribution.from_weighted_points([(((2, 4),), 1)])
+    half = JointDiscreteDistribution.from_weighted_points([((F(2, 4),), 1)])
     assert (half.coord_denom, half.xs) == (2, ((1,),))
-    assert half == JointDiscreteDistribution([((F(1, 2),), 1)])
     assert min_copula_check(half)
-    rows = [((F(1, 3), F(5, 2)), F(1, 4)), ((F(2, 3), 0), F(3, 4)), ((F(1, 9), 1), 0)]
-    canonical = JointDiscreteDistribution.from_weighted_points(rows)
-    assert canonical.coord_denom == 6
-    for k in (1, 2, 6, 35):
-        assert JointDiscreteDistribution.from_weighted_points(_ratio_pairs(rows, k), ratios=True) == canonical
 
 
 class TestZeroMassRowsAndTheBound:

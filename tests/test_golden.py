@@ -157,6 +157,29 @@ def test_stdout_matches_golden_digest(case, tmp_path):
     assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
 
 
+# `report` on the bench's decimal cents, 3,000 rows: a table of 2,138 levels.
+# The digest was recorded from the writer that built the whole text before
+# writing it.
+BENCH_3000_STDOUT = "b27cb8db152ea909d0e7ed880b90c6f46338c0a5bc71cbd57b9cc3a042abb81f"
+
+
+def test_report_reaches_stdout_in_blocks_of_rows(tmp_path, monkeypatch):
+    path = tmp_path / "bench3000.csv"
+    path.write_text(_gen.csv_text(_gen.csv_rows(1, 3_000)), encoding="utf-8")
+    chunks = []
+
+    class Recorder:
+        def write(self, text):
+            chunks.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["report", str(path)]) == 0
+    rows = [chunk.count('"alpha"') for chunk in chunks]
+    assert sum(rows) == 2_138
+    assert len(chunks) > 2 and max(rows) <= cli._BLOCK_ROWS
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == BENCH_3000_STDOUT
+
+
 # `report bern.csv` with a detector that wrongly calls the independent pair
 # comonotonic: the flags disagree, so the report still prints but exits 3.
 BREACH_STDOUT = "1c3931dd0f8c86e85675203a74bee6bfafdbc69a921096345ce7e721d03d9066"
