@@ -37,7 +37,7 @@ from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     LatticeBoundError,
-    _lattice_form,
+    _Columns,
     _view,
 )
 from .gaussian import (
@@ -263,11 +263,10 @@ def ingest_csv(
     # without a weight column every row has entry 0 of a table that holds 1/1
     weights = ([(1, 1)], bytes(len(lines))) if widx is None else (tables[-1], ids[widx])
     try:
-        form = _lattice_form(columns, weights, normalize=True, what="(coords, weight) pair")
+        return JointDiscreteDistribution.from_weighted_points(_Columns(columns, weights))
     except LatticeBoundError as exc:
         col = widx if exc.coordinate is None else loss_cols[exc.coordinate]
         raise ValueError(f"row {lines[exc.row]}, column {col + 1}: {exc}") from None
-    return JointDiscreteDistribution._lattice(*form)
 
 
 def decimal_cell(value: Fraction) -> str:
@@ -376,9 +375,6 @@ class AnalysisReport:
         return _verdicts(self.scale, self.rows)
 
     def to_json(self) -> str:
-        return "".join(self._json_chunks())
-
-    def _json_chunks(self) -> Iterator[str]:
         payload = {
             "input_digest": self.input_digest,
             "marginals_summary": [
@@ -397,7 +393,7 @@ class AnalysisReport:
             },
             "tool_version": __version__,
         }
-        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows))
+        return "".join(_json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows)))
 
 
 def run_report(
@@ -560,7 +556,7 @@ def cmd_report(args) -> int:
     if args.output == "csv":
         chunks = [_var_table_csv(j.dimension, j.coord_denom, rows)]
     elif report:
-        chunks = report._json_chunks()
+        chunks = [report.to_json()]
     else:
         payload = {"input_digest": _digest(j), "tool_version": __version__}
         chunks = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))

@@ -69,6 +69,25 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
         raise LatticeBoundError(str(exc), live[exc.row], exc.coordinate) from None
 
 
+class _Columns(Sequence):
+    """(coords, weight) pairs held column by column, in the form
+    `_lattice_form` takes: ``columns`` is one ``(table, ids)`` pair per
+    coordinate and ``weights`` one for the weights, every weight positive.
+    `JointDiscreteDistribution.from_weighted_points` hands them to the
+    lattice as they are; read row by row, pair ``k`` comes back as rationals.
+    """
+
+    def __init__(self, columns: Sequence[tuple], weights: tuple) -> None:
+        self.columns, self.weights = columns, weights
+
+    def __len__(self) -> int:
+        return len(self.weights[1])
+
+    def __getitem__(self, k: int) -> tuple:
+        table, ids = self.weights
+        return tuple(Fraction(*t[i[k]]) for t, i in self.columns), Fraction(*table[ids[k]])
+
+
 def _lattice_form(columns: Sequence[tuple], weights: tuple, *, normalize: bool, what: str):
     """Lattice form ``(L, points, counts)`` of rows of nonzero mass, given
     column by column.
@@ -386,7 +405,10 @@ class JointDiscreteDistribution(_Law):
     @classmethod
     def from_weighted_points(cls, pairs: Iterable[tuple]) -> "JointDiscreteDistribution":
         """Build a joint law from (coords, weight) pairs, merging and normalizing."""
-        return cls._lattice(*_canonical(pairs, normalize=True, what="(coords, weight) pair"))
+        what = "(coords, weight) pair"
+        if isinstance(pairs, _Columns):  # reduced pairs, already column by column
+            return cls._lattice(*_lattice_form(pairs.columns, pairs.weights, normalize=True, what=what))
+        return cls._lattice(*_canonical(pairs, normalize=True, what=what))
 
     @_view
     def points(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import time
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,7 @@ from varlab import (
     min_copula_check,
     random_coupling,
 )
-from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError, _common_lattice, _sweep
+from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError, _Columns, _common_lattice, _sweep
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 
@@ -133,6 +134,17 @@ def test_integer_pairs_cannot_be_passed_in():
     half = JointDiscreteDistribution.from_weighted_points([((F(2, 4),), 1)])
     assert (half.coord_denom, half.xs) == (2, ((1,),))
     assert min_copula_check(half)
+
+
+def test_pairs_held_by_column_build_the_law_of_their_rows():
+    # `_Columns` reach the lattice as they are held; read row by row, the
+    # same pairs go the rational way, through `_canonical`.
+    columns = [([(1, 2), (-3, 1)], array("q", [0, 1, 0])), ([(2, 3)], bytes(3))]
+    held = _Columns(columns, ([(1, 1), (5, 7)], array("q", [1, 0, 1])))
+    assert len(held) == 3 and held[1] == ((F(-3), F(2, 3)), F(1))
+    law = JointDiscreteDistribution.from_weighted_points(held)
+    assert law == JointDiscreteDistribution.from_weighted_points(list(held))
+    assert law.points == (((F(-3), F(2, 3)), F(7, 17)), ((F(1, 2), F(2, 3)), F(10, 17)))
 
 
 class TestZeroMassRowsAndTheBound:

@@ -23,6 +23,7 @@ only for an intended output change.
 import hashlib
 import importlib.util
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -163,9 +164,8 @@ def test_stdout_matches_golden_digest(case, tmp_path):
 BENCH_3000_STDOUT = "b27cb8db152ea909d0e7ed880b90c6f46338c0a5bc71cbd57b9cc3a042abb81f"
 
 
-def test_report_reaches_stdout_in_blocks_of_rows(tmp_path, monkeypatch):
-    path = tmp_path / "bench3000.csv"
-    path.write_text(_gen.csv_text(_gen.csv_rows(1, 3_000)), encoding="utf-8")
+def _written(monkeypatch, argv) -> list[str]:
+    """The texts that `main(argv)` hands to `sys.stdout.write`, in order."""
     chunks = []
 
     class Recorder:
@@ -173,11 +173,31 @@ def test_report_reaches_stdout_in_blocks_of_rows(tmp_path, monkeypatch):
             chunks.append(text)
 
     monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(["report", str(path)]) == 0
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return chunks
+
+
+def test_var_reaches_stdout_in_blocks_of_rows(tmp_path, monkeypatch):
+    # `report` writes the text `AnalysisReport.to_json` returns; `var` at the
+    # report's levels but the last, which is 1, streams the same table rows
+    # in blocks.
+    path = tmp_path / "bench3000.csv"
+    path.write_text(_gen.csv_text(_gen.csv_rows(1, 3_000)), encoding="utf-8")
+    report = "".join(_written(monkeypatch, ["report", str(path)]))
+    assert hashlib.sha256(report.encode()).hexdigest() == BENCH_3000_STDOUT
+    parsed = json.loads(report)
+    assert len(parsed["var_table"]) == 2_138 and parsed["var_table"][-1]["alpha"] == "1/1"
+    table = parsed["var_table"][:-1]
+    levels = tmp_path / "levels.txt"
+    levels.write_text("".join(f"{row['alpha']}\n" for row in table), encoding="utf-8")
+    chunks = _written(monkeypatch, ["var", str(path), "--alphas-file", str(levels)])
     rows = [chunk.count('"alpha"') for chunk in chunks]
-    assert sum(rows) == 2_138
+    assert sum(rows) == 2_137
     assert len(chunks) > 2 and max(rows) <= cli._BLOCK_ROWS
-    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == BENCH_3000_STDOUT
+    expected = {key: parsed[key] for key in ("input_digest", "tool_version")}
+    expected["var_table"] = table
+    assert "".join(chunks) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 # `report bern.csv` with a detector that wrongly calls the independent pair
