@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice, starmap
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from . import __version__
 from .comonotonicity import ComonotoneVerdict, comonotonic_coupling, is_comonotonic
@@ -323,14 +323,8 @@ class _Texts(dict):
         return text
 
 
-# The rows of a JSON table and the lines of the digest are joined this many
-# at a time: one write per block, where one per row would be a system call
-# each with PYTHONUNBUFFERED=1, and no text of the whole table.
+# The digest hashes its lines this many at a time: no text of the whole law.
 _BLOCK_ROWS = 512
-
-def _blocks(texts: Iterator[str], sep: str = "") -> Iterator[str]:
-    """The ``texts`` joined by ``sep`` in blocks of `_BLOCK_ROWS`; no block is empty."""
-    return iter(lambda: sep.join(islice(texts, _BLOCK_ROWS)), "")
 
 
 def _digest(j: JointDiscreteDistribution) -> str:
@@ -342,7 +336,7 @@ def _digest(j: JointDiscreteDistribution) -> str:
         for point, c in zip(j.xs, j.counts)
     )
     digest = hashlib.sha256()
-    for block in _blocks(lines):
+    for block in iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), ""):
         digest.update(block.encode())
     return digest.hexdigest()
 
@@ -393,7 +387,7 @@ class AnalysisReport:
             },
             "tool_version": __version__,
         }
-        return "".join(_json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows)))
+        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows))
 
 
 def run_report(
@@ -422,29 +416,19 @@ _POINT_JSON = '    {{\n      "coords": [\n        "{}"\n      ],\n      "prob": 
 _ITEMS = '",\n        "'
 
 
-def _json_text(
-    payload: dict, key: str | None = None, template: str = "", rows: Iterable = ()
-) -> Iterator[str]:
-    """The chunks of ``json.dumps(payload, sort_keys=True, indent=2)`` and a
-    newline, with the list of ``rows`` under ``key`` when one is given. Its
-    items share one key set, so each is ``template`` formatted with one row:
-    no dict and no key sort per item. They come in `_blocks`: the head of
-    the dump rides with the first block, and the tail is the last chunk."""
+def _json_text(payload: dict, key: str | None = None, template: str = "", rows: Iterable = ()) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with the
+    list of ``rows`` under ``key`` when one is given. Its items share one key set,
+    so each is ``template`` formatted with one row: no dict and no key sort per item."""
     if key is None:
-        yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        return
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     text = json.dumps({**payload, key: None}, sort_keys=True, indent=2)
     # a newline and two spaces occur in the dump only before a top-level key
     head, tail = text.split(f'\n  "{key}": null')
-    blocks = _blocks(starmap(template.format, rows), ",\n")
-    first = next(blocks, None)
-    if first is None:
-        yield f'{head}\n  "{key}": []{tail}\n'
-        return
-    yield f'{head}\n  "{key}": [\n{first}'
-    for block in blocks:
-        yield f",\n{block}"
-    yield f"\n  ]{tail}\n"
+    items = ",\n".join(starmap(template.format, rows))
+    if not items:
+        return f'{head}\n  "{key}": []{tail}\n'
+    return f'{head}\n  "{key}": [\n{items}\n  ]{tail}\n'
 
 
 def _row_texts(scale: int, rows) -> Iterable[tuple]:
@@ -489,15 +473,11 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the text ``chunks`` to stdout, one write each, or to the file
-    ``out``, which is opened here: after every input check has passed."""
+def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as stream:
-            stream.writelines(chunks)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Fraction]]:
@@ -554,13 +534,13 @@ def cmd_report(args) -> int:
     report = None if args.command == "var" else run_report(j, alphas or None)
     rows = report.rows if report else _compared(j, alphas)
     if args.output == "csv":
-        chunks = [_var_table_csv(j.dimension, j.coord_denom, rows)]
+        text = _var_table_csv(j.dimension, j.coord_denom, rows)
     elif report:
-        chunks = [report.to_json()]
+        text = report.to_json()
     else:
         payload = {"input_digest": _digest(j), "tool_version": __version__}
-        chunks = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
-    _emit(chunks, args.out)
+        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
+    _emit(text, args.out)
     if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         raise _InvariantBreach("comonotonicity and subadditivity flags disagree")
     return EXIT_OK
@@ -585,7 +565,7 @@ def cmd_couple(args) -> int:
             dump_csv(coupled, buf)
         except ValueError as exc:  # a coordinate that no decimal cell can hold
             raise ValueError(f"{exc}; --output json prints it exactly") from None
-        _emit([buf.getvalue()], args.out)
+        _emit(buf.getvalue(), args.out)
     else:
         coords, probs = _Texts(coupled.coord_denom), _Texts(coupled.prob_denom)
         points = (
@@ -622,7 +602,7 @@ def cmd_simulate(args) -> int:
     failures = sum(not v.consistent for *_, v in rows)
     if args.output == "csv":
         header = ["trial", "kind", "n", *TrialVerdict._fields]
-        _emit([_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows))], args.out)
+        _emit(_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows)), args.out)
     else:
         payload = {
             "seed": args.seed,
@@ -668,7 +648,7 @@ def cmd_elliptic(args) -> int:
         })
     if args.output == "csv":
         keys = ["alpha", "portfolio_var", "sum_of_marginal_vars", "gap"]
-        _emit([_csv_text(keys, ([row[k] for k in keys] for row in table))], args.out)
+        _emit(_csv_text(keys, ([row[k] for k in keys] for row in table)), args.out)
     else:
         payload = {
             "dimension": spec.dimension,

@@ -69,12 +69,12 @@ def _canonical(pairs: Iterable[tuple], *, normalize: bool, what: str):
         raise LatticeBoundError(str(exc), live[exc.row], exc.coordinate) from None
 
 
-class _Columns(Sequence):
-    """(coords, weight) pairs held column by column, in the form
+class _Columns:
+    """Reduced (coords, weight) pairs held column by column, in the form
     `_lattice_form` takes: ``columns`` is one ``(table, ids)`` pair per
     coordinate and ``weights`` one for the weights, every weight positive.
     `JointDiscreteDistribution.from_weighted_points` hands them to the
-    lattice as they are; read row by row, pair ``k`` comes back as rationals.
+    lattice as they are. Its length is the number of pairs.
     """
 
     def __init__(self, columns: Sequence[tuple], weights: tuple) -> None:
@@ -82,10 +82,6 @@ class _Columns(Sequence):
 
     def __len__(self) -> int:
         return len(self.weights[1])
-
-    def __getitem__(self, k: int) -> tuple:
-        table, ids = self.weights
-        return tuple(Fraction(*t[i[k]]) for t, i in self.columns), Fraction(*table[ids[k]])
 
 
 def _lattice_form(columns: Sequence[tuple], weights: tuple, *, normalize: bool, what: str):

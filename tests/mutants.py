@@ -166,11 +166,11 @@ MUTANTS = (
         ("tests/test_ingest.py",),
     ),
     (
-        "json-blocks-joined-without-separator",
+        "digest-hashes-the-first-block-alone",
         "cli.py",
-        'yield f",\\n{block}"',
-        "yield block",
-        ("tests/test_cli.py", "tests/test_golden.py"),
+        'for block in iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), ""):',
+        'for block in ["".join(islice(lines, _BLOCK_ROWS))]:',
+        ("tests/test_golden.py",),
     ),
     (
         "law-eq-without-coord-denom",

@@ -1,5 +1,6 @@
 """`tools/bench_record.py`'s summary: medians, quartiles, ranges and the
-count of pairs in which the change was better, in each metric's direction."""
+count of pairs in which the change was better, in each metric's direction,
+over the runs of the two commits asked for."""
 
 import importlib.util
 from pathlib import Path
@@ -13,29 +14,58 @@ SPEC = {"end_to_end": [
     {"name": "items_per_s", "better": "higher"},
     {"name": "peak_rss_mb", "better": "lower"},
 ]}
+SHAS = {"parent": "p0", "change": "c1"}
 
 
-def _record(seed, side, items, rss, workload="report-csv"):
+def _record(seed, side, items, rss, workload="report-csv", sha=None):
     metrics = {"items_per_s": {"value": items}, "peak_rss_mb": {"value": rss}}
-    return {"workload": workload, "seed": seed, "side": side, "metrics": metrics}
+    return {"workload": workload, "seed": seed, "side": side, "sha": sha or SHAS[side],
+            "metrics": metrics}
 
 
-def test_summary_counts_pairs_in_each_metrics_direction():
+def _four_pairs():
     records = []
     for seed, (items, rss) in enumerate([(10, 24.0), (11, 24.2), (12, 24.4), (13, 24.6)]):
         records.append(_record(seed, "parent", items, rss))
         # the change is faster on seeds 1 and 3 and smaller on every seed
         records.append(_record(seed, "change", items + (1 if seed % 2 else -1), rss - 2))
+    return records
+
+
+FOUR_PAIRS = [
+    "report-csv: 4 pairs, seeds 0, 1, 2, 3",
+    "  items_per_s (higher is better): parent 11.5 [10.75, 12.25] (min 10, max 13); "
+    "change 11.5 [10.5, 12.5] (min 9, max 14); change better in 2 of 4",
+    "  peak_rss_mb (lower is better): parent 24.3 [24.15, 24.45] (min 24, max 24.6); "
+    "change 22.3 [22.15, 22.45] (min 22, max 22.6); change better in 4 of 4",
+]
+
+
+def test_summary_counts_pairs_in_each_metrics_direction():
+    records = _four_pairs()
     records.append(_record(9, "parent", 99, 1.0))  # no change run: not a pair
-    assert bench_record.summary(records, SPEC) == [
+    assert bench_record.summary(records, SPEC, SHAS) == FOUR_PAIRS
+
+
+def test_summary_reads_only_the_commits_asked_for():
+    records = _four_pairs()
+    # runs of another change on the same seeds, after and before these
+    records += [_record(seed, "change", 1000, 1.0, sha="c2") for seed in range(4)]
+    records[:0] = [_record(seed, "change", 0, 99.0, sha="c0") for seed in range(4)]
+    assert bench_record.summary(records, SPEC, SHAS) == FOUR_PAIRS
+    other = bench_record.summary(records, SPEC, {"parent": "p0", "change": "c2"})
+    assert other[0] == "report-csv: 4 pairs, seeds 0, 1, 2, 3"
+    assert other[2].endswith("change 1 [1, 1] (min 1, max 1); change better in 4 of 4")
+
+
+def test_summary_refuses_a_seed_run_twice_by_one_commit():
+    records = _four_pairs() + [_record(2, "parent", 12, 24.4)]
+    assert bench_record.summary(records, SPEC, SHAS) == [
         "report-csv: 4 pairs, seeds 0, 1, 2, 3",
-        "  items_per_s (higher is better): parent 11.5 [10.75, 12.25] (min 10, max 13); "
-        "change 11.5 [10.5, 12.5] (min 9, max 14); change better in 2 of 4",
-        "  peak_rss_mb (lower is better): parent 24.3 [24.15, 24.45] (min 24, max 24.6); "
-        "change 22.3 [22.15, 22.45] (min 22, max 22.6); change better in 4 of 4",
+        "  not summarized: more than one run on seed 2 parent",
     ]
 
 
 def test_summary_needs_two_pairs():
     records = [_record(1, "parent", 10, 24.0), _record(1, "change", 11, 22.0)]
-    assert bench_record.summary(records, SPEC) == ["report-csv: 1 pairs, seeds 1"]
+    assert bench_record.summary(records, SPEC, SHAS) == ["report-csv: 1 pairs, seeds 1"]

@@ -158,46 +158,20 @@ def test_stdout_matches_golden_digest(case, tmp_path):
     assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
 
 
-# `report` on the bench's decimal cents, 3,000 rows: a table of 2,138 levels.
-# The digest was recorded from the writer that built the whole text before
-# writing it.
+# `report` on the bench's decimal cents, 3,000 rows: a table of 2,138 levels,
+# and a law of more points than `cli._BLOCK_ROWS`, so its digest hashes
+# several blocks. Recorded from the digest of the whole text at once.
 BENCH_3000_STDOUT = "b27cb8db152ea909d0e7ed880b90c6f46338c0a5bc71cbd57b9cc3a042abb81f"
 
 
-def _written(monkeypatch, argv) -> list[str]:
-    """The texts that `main(argv)` hands to `sys.stdout.write`, in order."""
-    chunks = []
-
-    class Recorder:
-        def write(self, text):
-            chunks.append(text)
-
-    monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(argv) == 0
-    monkeypatch.undo()
-    return chunks
-
-
-def test_var_reaches_stdout_in_blocks_of_rows(tmp_path, monkeypatch):
-    # `report` writes the text `AnalysisReport.to_json` returns; `var` at the
-    # report's levels but the last, which is 1, streams the same table rows
-    # in blocks.
+def test_report_digest_spans_blocks(tmp_path, capsysbinary):
     path = tmp_path / "bench3000.csv"
     path.write_text(_gen.csv_text(_gen.csv_rows(1, 3_000)), encoding="utf-8")
-    report = "".join(_written(monkeypatch, ["report", str(path)]))
-    assert hashlib.sha256(report.encode()).hexdigest() == BENCH_3000_STDOUT
-    parsed = json.loads(report)
-    assert len(parsed["var_table"]) == 2_138 and parsed["var_table"][-1]["alpha"] == "1/1"
-    table = parsed["var_table"][:-1]
-    levels = tmp_path / "levels.txt"
-    levels.write_text("".join(f"{row['alpha']}\n" for row in table), encoding="utf-8")
-    chunks = _written(monkeypatch, ["var", str(path), "--alphas-file", str(levels)])
-    rows = [chunk.count('"alpha"') for chunk in chunks]
-    assert sum(rows) == 2_137
-    assert len(chunks) > 2 and max(rows) <= cli._BLOCK_ROWS
-    expected = {key: parsed[key] for key in ("input_digest", "tool_version")}
-    expected["var_table"] = table
-    assert "".join(chunks) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert len(cli.ingest_csv(str(path)).xs) > 2 * cli._BLOCK_ROWS
+    assert main(["report", str(path)]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == BENCH_3000_STDOUT
+    assert len(json.loads(out)["var_table"]) == 2_138
 
 
 # `report bern.csv` with a detector that wrongly calls the independent pair

@@ -2,20 +2,23 @@
 
 Run from anywhere in the repository:
 
-    python3 tools/bench_record.py --pr 22 --workload report-csv --pairs 10 --first-seed 101
-    python3 tools/bench_record.py --pr 22 --summary
+    python3 tools/bench_record.py --pr 22 --workload report-csv --first-seed 101
+    python3 tools/bench_record.py --pr 22 --summary --parent 94eeebd --change HEAD
 
 The parent and the change are two commits (by default HEAD~1 and HEAD),
 exported with `git archive` into a temporary directory, so the benchmark
-sees exactly the committed files and no worktree is left behind. Pair k
-runs `python3 bench/run.py --workload W --seed S --seconds T --trace 0` in
-both exports on seed first_seed + k, the parent first when k is even and
-the change first when k is odd. Each run's result, the last line
+sees exactly the committed files and no worktree is left behind. It runs
+`PAIRS` pairs per workload. Pair k runs `python3 bench/run.py --workload W
+--seed S --seconds T --trace 0` in both exports on seed first_seed + k, the
+parent first when k is even and the change first when k is odd; T is the
+`run_seconds` of BENCHMARK.json. Each run's result, the last line
 `bench/run.py` prints, is appended to BENCH_<pr>.json at the repository
 root with the workload, seed, side, commit, Python version and core count;
 the file is rewritten after every run. Last, and alone with --summary, it
 prints per workload and end-to-end metric of BENCHMARK.json the median and
-quartiles of each side and in how many pairs the change was better.
+quartiles of each side and in how many pairs the change was better. The
+summary reads only the runs of the two commits asked for, so the file may
+hold runs of other commits.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10  # pairs per workload
 
 
 def git(*args: str) -> bytes:
@@ -75,20 +79,31 @@ def record_pairs(path: Path, shas: dict, workloads: list, seeds: list, seconds: 
                     print(f"{workload} seed {seed} {side}: {values}", flush=True)
 
 
-def summary(records: list, spec: dict) -> list[str]:
+def summary(records: list, spec: dict, shas: dict) -> list[str]:
     """Per workload and end-to-end metric: each side's median, quartiles and
     range, and in how many of the (workload, seed) pairs the change was
-    better. A workload needs two pairs."""
+    better. Only the runs of commit ``shas[side]`` count for a side. A
+    workload needs two pairs, and is not summarized if a seed of a pair has
+    more than one run of a side's commit, since which one pairs is then
+    unknown."""
     lines = []
+    records = [r for r in records if r["sha"] == shas[r["side"]]]
     for workload in dict.fromkeys(r["workload"] for r in records):
-        runs = {(r["seed"], r["side"]): r for r in records if r["workload"] == workload}
+        runs: dict[tuple, list] = {}
+        for r in records:
+            if r["workload"] == workload:
+                runs.setdefault((r["seed"], r["side"]), []).append(r)
         seeds = sorted({seed for seed, side in runs if all((seed, s) in runs for s in SIDES)})
         lines.append(f"{workload}: {len(seeds)} pairs, seeds {', '.join(map(str, seeds))}")
+        repeated = [f"seed {seed} {side}" for seed in seeds for side in SIDES if len(runs[seed, side]) > 1]
+        if repeated:
+            lines.append(f"  not summarized: more than one run on {', '.join(repeated)}")
+            continue
         if len(seeds) < 2:
             continue
         for metric in spec["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"
-            values = {side: [runs[seed, side]["metrics"][name]["value"] for seed in seeds]
+            values = {side: [runs[seed, side][0]["metrics"][name]["value"] for seed in seeds]
                       for side in SIDES}
             parts = []
             for side in SIDES:
@@ -109,21 +124,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", help="commit of the parent (default: the change's first parent)")
     parser.add_argument("--workload", action="append",
                         choices=("report-csv", "simulate-trials", "crosscheck"))
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default: 10)")
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default: 1)")
-    parser.add_argument("--seconds", type=float, default=30.0, help="seconds per run (default: 30)")
     parser.add_argument("--summary", action="store_true", help="only summarize the existing file")
     args = parser.parse_args(argv)
 
     path = ROOT / f"BENCH_{args.pr}.json"
-    if not args.summary:
-        revs = {"parent": args.parent or f"{args.change}~1", "change": args.change}
-        shas = {side: git("rev-parse", rev).decode().strip() for side, rev in revs.items()}
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-        workloads = args.workload or ["report-csv", "simulate-trials", "crosscheck"]
-        record_pairs(path, shas, workloads, seeds, args.seconds)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    print("\n".join(summary(json.loads(path.read_text()), spec)))
+    revs = {"parent": args.parent or f"{args.change}~1", "change": args.change}
+    shas = {side: git("rev-parse", rev).decode().strip() for side, rev in revs.items()}
+    if not args.summary:
+        seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+        workloads = args.workload or ["report-csv", "simulate-trials", "crosscheck"]
+        record_pairs(path, shas, workloads, seeds, spec["run_seconds"])
+    print(f"parent {shas['parent']}, change {shas['change']}")
+    print("\n".join(summary(json.loads(path.read_text()), spec, shas)))
     return 0
 
 
