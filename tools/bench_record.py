@@ -2,8 +2,8 @@
 
 Run from anywhere in the repository:
 
-    python3 tools/bench_record.py --pr 22 --workload report-csv --first-seed 101
-    python3 tools/bench_record.py --pr 22 --summary --parent 94eeebd --change HEAD
+    python3 tools/bench_record.py --pr N --workload report-csv --first-seed 101
+    python3 tools/bench_record.py --pr N --summary --parent PARENT --change CHANGE
 
 The parent and the change are two commits (by default HEAD~1 and HEAD),
 exported with `git archive` into a temporary directory, so the benchmark
