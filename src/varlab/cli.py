@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import random
@@ -329,7 +328,10 @@ _BLOCK_ROWS = 512
 
 def _digest(j: JointDiscreteDistribution) -> str:
     """sha256 of the law's points, one "x1;x2;...|p" line each, every value
-    reduced "num/den", hashed a block of lines at a time."""
+    reduced "num/den", hashed a block of lines at a time. `hashlib` is
+    imported here, so a command that writes no digest never loads OpenSSL."""
+    import hashlib
+
     coords, counts = _Texts(j.coord_denom), _Texts(j.prob_denom)
     lines = (
         f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"

@@ -15,7 +15,8 @@ returned is marked as its own rearrangement, so it is never built again.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import gt, sub
+from itertools import islice
+from operator import gt, le, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import (
@@ -43,22 +44,32 @@ class ComonotoneVerdict(NamedTuple):
     witness: tuple[Point, Point] | None = None
 
 
-def _chain_verdict(scale: int, points: Iterable[tuple[int, ...]]) -> ComonotoneVerdict:
-    """Chain check of distinct integer points, in increasing order, over the
-    coordinate scale ``scale``.
+def _is_chain(points: Sequence[tuple[int, ...]]) -> bool:
+    """Whether distinct points in increasing (lexicographic) order are totally
+    ordered componentwise.
 
-    The coordinate sum is strictly monotone along any componentwise chain, so
-    sorting the points by their sum and comparing consecutive pairs is a
-    complete check: if every consecutive pair is ordered the set is a chain,
-    and the first consecutive pair that is not ordered is incomparable and
-    serves as the witness. The sort is stable, so it gives (sum, point) order.
+    A componentwise chain is increasing in lexicographic order too, so it is
+    a chain exactly when every consecutive pair is ordered componentwise.
     """
+    return all(all(map(le, a, b)) for a, b in zip(points, islice(points, 1, None)))
+
+
+def _chain_verdict(scale: int, points: Sequence[tuple[int, ...]]) -> ComonotoneVerdict:
+    """Chain check of distinct integer points, in increasing order, over the
+    coordinate scale ``scale``: `_is_chain` decides it.
+
+    A set that is no chain needs a witness the output pins. The coordinate
+    sum is strictly monotone along any componentwise chain, so in the points
+    sorted by their sum the first consecutive pair that is not ordered is
+    incomparable and serves. The sort is stable, so it gives (sum, point)
+    order.
+    """
+    if _is_chain(points):
+        return ComonotoneVerdict(comonotonic=True)
     chain = sorted(points, key=sum)
-    for a, b in zip(chain, chain[1:]):
-        if any(map(gt, a, b)):
-            witness = tuple(tuple(Fraction(x, scale) for x in p) for p in (a, b))
-            return ComonotoneVerdict(comonotonic=False, witness=witness)
-    return ComonotoneVerdict(comonotonic=True)
+    pair = next((a, b) for a, b in zip(chain, chain[1:]) if any(map(gt, a, b)))
+    witness = tuple(tuple(Fraction(x, scale) for x in p) for p in pair)
+    return ComonotoneVerdict(comonotonic=False, witness=witness)
 
 
 def is_comonotonic_support(points: Iterable[Sequence]) -> ComonotoneVerdict:

@@ -54,8 +54,10 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     means are equal exactly when the integral is 0 at the top kink, and then
     the stop-loss transforms differ by the integral at every kink.
     Arithmetic is exact integer work on a common lattice; there is no
-    tolerance.
+    tolerance. Equal laws precede each other with no pass at all.
     """
+    if a == b:
+        return ConvexOrderVerdict(holds=True, mean_equal=True)
     scale, _, (xa, xb), (ca, cb) = _common_lattice((a, b))
     kinks = sorted({*xa, *xb})
     at_a, at_b = dict(zip(xa, ca)), dict(zip(xb, cb))

@@ -20,12 +20,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .comonotonicity import comonotonic_coupling, is_comonotonic
+from .comonotonicity import _is_chain, comonotonic_coupling
 from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
     _common_lattice,
-    _law,
     _merged,
     _size_guard,
     _sweep,
@@ -53,17 +52,17 @@ class IntervalVerdict(NamedTuple):
 class SubadditivityReport:
     """Exact decision of the all-levels subadditivity and additivity statements.
 
-    The flags are decided on construction, from the `_compared` ``rows`` of
-    every breakpoint interval, with all VaRs in units of 1/``scale``; no
-    other code decides them. The
-    `Fraction` views ``verdicts``, ``breakpoints`` and ``first_violation``
-    are built on first use.
+    The flags are decided on construction by `_flags`, from the `_compared`
+    ``rows`` of every breakpoint interval, with all VaRs in units of
+    1/``scale``. The `Fraction` views ``verdicts``, ``breakpoints`` and
+    ``first_violation`` are built on first use.
     """
 
     def __init__(self, scale: int, rows: tuple[tuple, ...]) -> None:
         self.scale, self.rows = scale, rows
-        self.subadditive_everywhere = all(var_sum <= sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
-        self.additive_everywhere = all(var_sum == sum_of_vars for _, _, _, var_sum, sum_of_vars in rows)
+        self.subadditive_everywhere, self.additive_everywhere = _flags(
+            (var_sum, sum_of_vars) for *_, var_sum, sum_of_vars in rows
+        )
 
     @_view
     def verdicts(self) -> tuple[IntervalVerdict, ...]:
@@ -77,6 +76,19 @@ class SubadditivityReport:
     def first_violation(self) -> Fraction | None:
         violations = (Fraction(num, den) for num, den, _, vs, sv in self.rows if vs > sv)
         return next(violations, None)
+
+
+def _flags(sides: Iterable[tuple[int, int]]) -> tuple[bool, bool]:
+    """Subadditivity and additivity at every level, from the ``(var_sum,
+    sum_of_vars)`` pair of every breakpoint interval: the one decider of both
+    theorem flags. One pass, which stops at the first ">"; with none,
+    additivity holds when no "<" came either."""
+    below = False
+    for var_sum, sum_of_vars in sides:
+        if var_sum > sum_of_vars:
+            return False, False
+        below = below or var_sum < sum_of_vars
+    return True, not below
 
 
 def _relation(var_sum, sum_of_vars) -> str:
@@ -112,13 +124,21 @@ def _compared(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> t
     sum and the sum of ``vs``, all VaRs in units of 1/``j.coord_denom``."""
     if alphas is not None:
         alphas = [Fraction(a) for a in alphas]
-    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), alphas)
-    *marginal_columns, sum_column = columns
+    denom, levels, marginal_rows, sum_column = _vars(j, alphas)
     ratios = [a.as_integer_ratio() for a in alphas] if alphas else [(x, denom) for x in levels]
     return tuple(
         (num, den, vs, var_sum, sum(vs))
-        for (num, den), vs, var_sum in zip(ratios, zip(*marginal_columns), sum_column)
+        for (num, den), vs, var_sum in zip(ratios, marginal_rows, sum_column)
     )
+
+
+def _vars(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> tuple:
+    """`_sweep` of the marginals and the sum law of ``j``: its D and levels,
+    an iterator of the marginal VaRs ``vs`` at each level and the column of
+    the sum's VaRs, all over ``j.coord_denom``."""
+    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), alphas)
+    *marginal_columns, sum_column = columns
+    return denom, levels, zip(*marginal_columns), sum_column
 
 
 def subadditivity_report(j: JointDiscreteDistribution) -> SubadditivityReport:
@@ -140,10 +160,15 @@ class TrialVerdict(NamedTuple):
 
 
 def equivalence_trial(j: JointDiscreteDistribution) -> TrialVerdict:
-    """Run both detectors on one instance and check that they agree."""
-    como = is_comonotonic(j).comonotonic
-    report = subadditivity_report(j)
-    subadditive, additive = report.subadditive_everywhere, report.additive_everywhere
+    """Run both detectors on one instance and check that they agree.
+
+    The theorem flags come from `_flags` over the sweep's columns, with no
+    table and no report; the comonotonic flag from the consecutive-pair
+    chain pass over the support, with no witness.
+    """
+    como = _is_chain(j.xs)
+    _, _, marginal_rows, sum_column = _vars(j)
+    subadditive, additive = _flags(zip(sum_column, map(sum, marginal_rows)))
     return TrialVerdict(como, subadditive, additive, consistent=como == subadditive == additive)
 
 
@@ -257,11 +282,17 @@ def _random_marginal(rng: random.Random, spec: GeneratorSpec) -> DiscreteDistrib
         g = gcd(num, den)
         values.add((num // g, den // g))
     scale = lcm(*(den for _, den in values))
-    xs = sorted(num * (scale // den) for num, den in values)
+    # Already the lattice form: distinct reduced values scale to strictly
+    # increasing xs, and gcd(scale, *xs) = 1, since a prime that divides
+    # scale divides some value's den as often, so it divides neither
+    # scale // den nor that value's num.
+    xs = tuple(sorted(num * (scale // den) for num, den in values))
     k = len(xs)
     denom = k + _below(bits, spec.denom_bound - k + 1)
     edges = [0, *sorted(rng.sample(range(1, denom), k - 1)), denom]
-    return _law(scale, xs, [b - a for a, b in zip(edges, edges[1:])])
+    counts = [b - a for a, b in zip(edges, edges[1:])]
+    g = gcd(*counts)
+    return DiscreteDistribution._lattice(scale, xs, tuple([c // g for c in counts]))
 
 
 def random_comonotonic(
@@ -299,4 +330,5 @@ def random_coupling(
         _shuffle(bits, column)
         columns.append(column)
     cells = Counter(zip(*columns))  # over L, which is minimal as each marginal's scale is
-    return JointDiscreteDistribution._lattice(scale, *_merged(cells, cells.values()), ms)
+    points = sorted(cells)  # distinct and increasing: `_merged` takes them as they are
+    return JointDiscreteDistribution._lattice(scale, *_merged(points, [cells[p] for p in points]), ms)

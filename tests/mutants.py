@@ -63,9 +63,30 @@ MUTANTS = (
     (
         "flags-off-by-one",
         "subadditivity.py",
-        "all(var_sum <= sum_of_vars for",
-        "all(var_sum <= sum_of_vars + 1 for",
+        "        if var_sum > sum_of_vars:\n",
+        "        if var_sum > sum_of_vars + 1:\n",
         ("tests/test_golden.py",),
+    ),
+    (
+        "flag-fold-additive-ignores-subadditive",
+        "subadditivity.py",
+        "            return False, False\n",
+        "            return False, not below\n",
+        ("tests/test_subadditivity.py",),
+    ),
+    (
+        "chain-pass-first-coordinate-only",
+        "comonotonicity.py",
+        "return all(all(map(le, a, b)) for a, b in",
+        "return all(a[0] <= b[0] for a, b in",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "chain-pass-any-for-all",
+        "comonotonicity.py",
+        "return all(all(map(le, a, b)) for a, b in",
+        "return all(any(map(le, a, b)) for a, b in",
+        ("tests/test_comonotonicity.py",),
     ),
     (
         "chain-check-skipped-for-n-le-2",
@@ -287,9 +308,37 @@ MUTANTS = (
     (
         "trial-subadditive-always",
         "subadditivity.py",
-        "subadditive, additive = report.subadditive_everywhere, report.additive_everywhere",
-        "subadditive, additive = True, report.additive_everywhere",
+        "subadditive, additive = _flags(zip(sum_column, map(sum, marginal_rows)))",
+        "subadditive, additive = True, _flags(zip(sum_column, map(sum, marginal_rows)))[1]",
         ("tests/test_subadditivity.py",),
+    ),
+    (
+        "trial-chain-flag-always",
+        "subadditivity.py",
+        "como = _is_chain(j.xs)",
+        "como = True",
+        ("tests/test_subadditivity.py",),
+    ),
+    (
+        "marginal-counts-without-gcd",
+        "subadditivity.py",
+        "    g = gcd(*counts)\n",
+        "    g = 1\n",
+        ("tests/test_lattice.py",),
+    ),
+    (
+        "equal-laws-mean-unequal",
+        "risk.py",
+        "    if a == b:\n        return ConvexOrderVerdict(holds=True, mean_equal=True)",
+        "    if a == b:\n        return ConvexOrderVerdict(holds=True, mean_equal=False)",
+        ("tests/test_risk.py",),
+    ),
+    (
+        "hashlib-imported-by-every-command",
+        "cli.py",
+        "import csv\nimport io\n",
+        "import csv\nimport hashlib\nimport io\n",
+        ("tests/test_golden.py",),
     ),
     (
         "verdicts-divide-to-float",

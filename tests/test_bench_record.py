@@ -69,3 +69,41 @@ def test_summary_refuses_a_seed_run_twice_by_one_commit():
 def test_summary_needs_two_pairs():
     records = [_record(1, "parent", 10, 24.0), _record(1, "change", 11, 22.0)]
     assert bench_record.summary(records, SPEC, SHAS) == ["report-csv: 1 pairs, seeds 1"]
+
+
+def test_summary_adds_the_startup_metrics_of_the_pairs_that_carry_them():
+    records = _four_pairs()
+    for r in records[2:]:  # seeds 1 to 3: the change starts 10 ms sooner, 3.5 MB smaller
+        shift = {"parent": 0.0, "change": -1.0}[r["side"]]
+        r["startup"] = {"version_wall_s": 0.1 + shift / 100, "version_maxrss_mb": 20.0 + 3.5 * shift,
+                        "simulate_wall_s": 0.3 + r["seed"] / 100, "simulate_maxrss_mb": 21.0}
+    lines = bench_record.summary(records, SPEC, SHAS)
+    assert lines[:3] == FOUR_PAIRS
+    assert lines[3:] == [
+        "  version_wall_s (lower is better): parent 0.1 [0.1, 0.1] (min 0.1, max 0.1); "
+        "change 0.09 [0.09, 0.09] (min 0.09, max 0.09); change better in 3 of 3",
+        "  version_maxrss_mb (lower is better): parent 20 [20, 20] (min 20, max 20); "
+        "change 16.5 [16.5, 16.5] (min 16.5, max 16.5); change better in 3 of 3",
+        "  simulate_wall_s (lower is better): parent 0.32 [0.315, 0.325] (min 0.31, max 0.33); "
+        "change 0.32 [0.315, 0.325] (min 0.31, max 0.33); change better in 0 of 3",
+        "  simulate_maxrss_mb (lower is better): parent 21 [21, 21] (min 21, max 21); "
+        "change 21 [21, 21] (min 21, max 21); change better in 0 of 3",
+    ]
+
+
+def test_reaped_child_reads_its_own_peak_not_its_spawners(tmp_path):
+    # the test process holds far more than a bare interpreter; a child that
+    # allocates 48 MB reads about that much more than one that allocates none
+    ballast = bytearray(64 << 20)
+    small = bench_record.reaped(["-c", "pass"], tmp_path)
+    large = bench_record.reaped(["-c", "x = bytearray(48 << 20)"], tmp_path)
+    assert small["floor_kb"] <= small["maxrss_kb"] < len(ballast) >> 10
+    assert 40 << 10 < large["maxrss_kb"] - small["maxrss_kb"] < 56 << 10
+    assert 0 < small["wall_s"] < 30 and small["status"] == 0
+
+
+def test_startup_times_version_and_simulate_children():
+    checkout = Path(__file__).resolve().parents[1]
+    metrics = bench_record.startup(checkout, seed=3)
+    assert list(metrics) == list(bench_record.STARTUP)
+    assert all(v > 0 for v in metrics.values())

@@ -24,6 +24,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -194,6 +196,36 @@ def test_invariant_breach_exits_3_with_golden_output(tmp_path, monkeypatch):
     assert code == 3
     assert hashlib.sha256(out).hexdigest() == BREACH_STDOUT
     assert err == BREACH_STDERR
+
+
+# `python -X importtime` lists every module a process imports. Only `report`
+# and `var` write a digest, so only they load hashlib and OpenSSL.
+LOADS_OPENSSL = {"simulate": False, "couple": False, "report-bern": True}
+
+
+def _imports_and_stdout(argv: list[str], directory: Path) -> tuple[set, bytes]:
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "varlab", *argv],
+        cwd=directory, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True,
+    )
+    lines = proc.stderr.decode().splitlines()
+    return {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}, proc.stdout
+
+
+@pytest.mark.parametrize("case, loads", sorted(LOADS_OPENSSL.items()))
+def test_only_a_digest_loads_openssl(case, loads, tmp_path):
+    _write_inputs(tmp_path)
+    modules, out = _imports_and_stdout(CASES[case], tmp_path)
+    assert "varlab.cli" in modules
+    assert ("_hashlib" in modules) == loads
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
+
+
+def test_version_loads_no_openssl(tmp_path):
+    modules, out = _imports_and_stdout(["--version"], tmp_path)
+    assert "varlab.cli" in modules and "_hashlib" not in modules
+    assert out.startswith(b"varlab ")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 from hypothesis import given
 import hypothesis.strategies as st
 
+import fraction_oracle
 import oracles
 from strategies import distributions, open_unit_fractions, rational_values
+from varlab import risk
 from varlab import (
     DiscreteDistribution,
     JointDiscreteDistribution,
@@ -142,3 +144,21 @@ class TestConvexOrder:
             assert back.mean_equal and back.witness_c is not None
             # the witness names a kink where dominance genuinely fails
             assert stop_loss(spread, back.witness_c) > stop_loss(d, back.witness_c)
+
+    @given(distributions(), st.integers(0, 2**32))
+    def test_matches_the_fraction_oracle_on_equal_and_unequal_laws(self, d, seed):
+        rebuilt = DiscreteDistribution(tuple(reversed(d.atoms)))  # equal, not the same object
+        spread = mean_preserving_spread(random.Random(seed), d)
+        shifted = d.shift(1)
+        for a, b in ((d, d), (d, rebuilt), (d, spread), (spread, d), (d, shifted), (shifted, d)):
+            expected = fraction_oracle.convex_order_leq(list(a.atoms), list(b.atoms))
+            assert tuple(convex_order_leq(a, b)) == expected
+
+    def test_equal_laws_take_no_pass(self, monkeypatch):
+        def refuse(laws):
+            raise AssertionError("equal laws need no common lattice")
+
+        monkeypatch.setattr(risk, "_common_lattice", refuse)
+        d = DiscreteDistribution(((F(-1), F(1, 3)), (F(5, 2), F(2, 3))))
+        rebuilt = DiscreteDistribution(((F(5, 2), F(2, 3)), (F(-1), F(1, 3))))
+        assert convex_order_leq(d, rebuilt) == (True, True, None)

@@ -24,6 +24,7 @@ from varlab import (
     equivalence_trial,
     is_comonotonic,
     min_copula_check,
+    subadditivity_report,
 )
 from test_lattice import assert_matches_oracle
 
@@ -77,6 +78,8 @@ def test_every_verdict_is_the_definition(axes, denom, laws, comonotonic):
             assert_matches_oracle(j)
         assert equivalence_trial(j) == TrialVerdict(como, como, como, True), j
         assert is_comonotonic(j).comonotonic == como, j
+        report = subadditivity_report(j)  # the trial's fold and the report's rows agree
+        assert (report.subadditive_everywhere, report.additive_everywhere) == (como, como), j
         assert min_copula_check(j) == como, j
         assert convex_order_max_check(j) == como, j
         seen.append(como)

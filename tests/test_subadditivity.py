@@ -27,6 +27,7 @@ from varlab import (
     subadditivity_report,
     var,
 )
+from varlab import subadditivity
 from varlab.subadditivity import _below, _random_marginal, _shuffle
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
@@ -165,6 +166,21 @@ class TestEquivalenceTrial:
     @given(joints())
     def test_generated_instances_consistent(self, j):
         assert equivalence_trial(j).consistent
+
+    @given(joints())
+    def test_flags_are_the_detectors_and_the_reports(self, j):
+        # the trial's chain pass and flag fold build no witness and no table
+        report = subadditivity_report(j)
+        expected = (is_comonotonic(j).comonotonic, report.subadditive_everywhere, report.additive_everywhere)
+        assert equivalence_trial(j)[:3] == expected
+
+    def test_reads_no_report(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the trial builds no report")
+
+        monkeypatch.setattr(subadditivity, "SubadditivityReport", refuse)
+        monkeypatch.setattr(subadditivity, "_compared", refuse)
+        assert equivalence_trial(INDEP_3_10) == TrialVerdict(False, False, False, True)
 
 
 class TestRecords:

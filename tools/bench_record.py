@@ -14,11 +14,15 @@ parent first when k is even and the change first when k is odd; T is the
 `run_seconds` of BENCHMARK.json. Each run's result, the last line
 `bench/run.py` prints, is appended to BENCH_<pr>.json at the repository
 root with the workload, seed, side, commit, Python version and core count;
-the file is rewritten after every run. Last, and alone with --summary, it
-prints per workload and end-to-end metric of BENCHMARK.json the median and
-quartiles of each side and in how many pairs the change was better. The
-summary reads only the runs of the two commits asked for, so the file may
-hold runs of other commits.
+the file is rewritten after every run. After each run the record also gets
+the `STARTUP` times of that side: one `python -m varlab --version` child and
+one `simulate` child on the pair's seed, each reaped by a blocking
+`os.wait4`, so a start-up gain smaller than the 50-ms step in which
+`bench/run.py` polls its children still shows. Last, and alone with
+--summary, it prints per workload and metric (the end-to-end ones of
+BENCHMARK.json, then `STARTUP`) the median and quartiles of each side and in
+how many pairs the change was better. The summary reads only the runs of the
+two commits asked for, so the file may hold runs of other commits.
 """
 
 from __future__ import annotations
@@ -38,6 +42,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10  # pairs per workload
+# Start-up metrics of each record, all lower-is-better: wall seconds and peak
+# resident MB of one `--version` child and one `simulate` child.
+STARTUP = ("version_wall_s", "version_maxrss_mb", "simulate_wall_s", "simulate_maxrss_mb")
+# The bench's simulate-trials invocation: 1,000 trials of up to 4 dimensions
+# and 4 atoms per marginal.
+SIMULATE = ("simulate", "--kind", "mixed", "--max-n", "4", "--max-atoms", "4", "--trials", "1000")
+# A child's ru_maxrss starts at the peak resident size of the process it was
+# spawned from, so each timed child is spawned by this bare interpreter (no
+# site, isolated), which prints the child's wall seconds, its ru_maxrss and
+# its exit status, and its own VmHWM, the floor under that ru_maxrss, in kB.
+SPAWNER = """
+import json, os, sys, time
+with open("/proc/self/status") as fh:
+    floor = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+print(json.dumps({"wall_s": wall, "maxrss_kb": usage.ru_maxrss, "status": status, "floor_kb": floor}))
+"""
 
 
 def git(*args: str) -> bytes:
@@ -61,6 +85,31 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def reaped(argv: list[str], cwd: Path) -> dict:
+    """One `python argv` child in ``cwd`` with ``cwd/src`` on its path, spawned
+    by `SPAWNER` and reaped by a blocking `os.wait4`, its output discarded:
+    wall seconds, ru_maxrss and exit status of the child, and the spawner's
+    VmHWM, ``floor_kb``, below which that ru_maxrss cannot read."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    spawner = [sys.executable, "-S", "-I", "-c", SPAWNER, *argv]
+    proc = subprocess.run(spawner, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["status"] != 0:
+        raise SystemExit(f"{' '.join(argv)} in {cwd} ended with wait status {result['status']}")
+    return result
+
+
+def startup(checkout: Path, seed: int) -> dict:
+    """The `STARTUP` metrics of ``checkout``: one `--version` child and one
+    `SIMULATE` child on ``seed``."""
+    metrics = {}
+    for name, argv in (("version", ["--version"]), ("simulate", [*SIMULATE, "--seed", str(seed)])):
+        result = reaped(["-m", "varlab", *argv], checkout)
+        metrics[f"{name}_wall_s"] = result["wall_s"]
+        metrics[f"{name}_maxrss_mb"] = result["maxrss_kb"] / 1024
+    return metrics
+
+
 def record_pairs(path: Path, shas: dict, workloads: list, seeds: list, seconds: float) -> None:
     records = json.loads(path.read_text()) if path.exists() else []
     with tempfile.TemporaryDirectory(prefix="varlab-bench-") as tmp:
@@ -73,19 +122,24 @@ def record_pairs(path: Path, shas: dict, workloads: list, seeds: list, seconds: 
                     records.append({"workload": workload, "seed": seed, "seconds": seconds,
                                     "side": side, "sha": shas[side],
                                     "python": platform.python_version(),
-                                    "nproc": len(os.sched_getaffinity(0)), **result})
+                                    "nproc": len(os.sched_getaffinity(0)), **result,
+                                    "startup": startup(Path(tmp, side), seed)})
                     path.write_text(json.dumps(records, indent=1) + "\n")
                     values = " ".join(f"{name}={m['value']:.4g}" for name, m in result["metrics"].items())
                     print(f"{workload} seed {seed} {side}: {values}", flush=True)
 
 
 def summary(records: list, spec: dict, shas: dict) -> list[str]:
-    """Per workload and end-to-end metric: each side's median, quartiles and
-    range, and in how many of the (workload, seed) pairs the change was
-    better. Only the runs of commit ``shas[side]`` count for a side. A
-    workload needs two pairs, and is not summarized if a seed of a pair has
-    more than one run of a side's commit, since which one pairs is then
-    unknown."""
+    """Per workload and metric, the end-to-end ones of ``spec`` and then the
+    `STARTUP` ones of the pairs whose runs carry them: each side's median,
+    quartiles and range, and in how many of the (workload, seed) pairs the
+    change was better. Only the runs of commit ``shas[side]`` count for a
+    side. A workload needs two pairs, and is not summarized if a seed of a
+    pair has more than one run of a side's commit, since which one pairs is
+    then unknown."""
+    metrics = [(m["name"], m["better"], lambda r, name=m["name"]: r["metrics"][name]["value"])
+               for m in spec["end_to_end"]]
+    metrics += [(name, "lower", lambda r, name=name: r.get("startup", {}).get(name)) for name in STARTUP]
     lines = []
     records = [r for r in records if r["sha"] == shas[r["side"]]]
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -101,19 +155,19 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
             continue
         if len(seeds) < 2:
             continue
-        for metric in spec["end_to_end"]:
-            name, higher = metric["name"], metric["better"] == "higher"
-            values = {side: [runs[seed, side][0]["metrics"][name]["value"] for seed in seeds]
-                      for side in SIDES}
+        for name, better, value in metrics:
+            pairs = [tuple(value(runs[seed, side][0]) for side in SIDES) for seed in seeds]
+            pairs = [pair for pair in pairs if None not in pair]
+            if len(pairs) < 2:
+                continue
             parts = []
-            for side in SIDES:
-                q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            for side, values in zip(SIDES, zip(*pairs)):
+                q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
                 parts.append(f"{side} {median:.4g} [{q1:.4g}, {q3:.4g}] "
-                             f"(min {min(values[side]):.4g}, max {max(values[side]):.4g})")
-            pairs = zip(values["parent"], values["change"])
-            better = sum((c > p) if higher else (c < p) for p, c in pairs)
-            lines.append(f"  {name} ({metric['better']} is better): {'; '.join(parts)}; "
-                         f"change better in {better} of {len(seeds)}")
+                             f"(min {min(values):.4g}, max {max(values):.4g})")
+            wins = sum((c > p) if better == "higher" else (c < p) for p, c in pairs)
+            lines.append(f"  {name} ({better} is better): {'; '.join(parts)}; "
+                         f"change better in {wins} of {len(pairs)}")
     return lines
 
 
