@@ -199,7 +199,8 @@ def test_invariant_breach_exits_3_with_golden_output(tmp_path, monkeypatch):
 
 
 # `python -X importtime` lists every module a process imports. Only `report`
-# and `var` write a digest, so only they load hashlib and OpenSSL.
+# and `var --output json` compute a digest, so only they load hashlib and
+# OpenSSL.
 LOADS_OPENSSL = {"simulate": False, "couple": False, "report-bern": True}
 
 

@@ -50,14 +50,16 @@ STARTUP = ("version_wall_s", "version_maxrss_mb", "simulate_wall_s", "simulate_m
 SIMULATE = ("simulate", "--kind", "mixed", "--max-n", "4", "--max-atoms", "4", "--trials", "1000")
 # A child's ru_maxrss starts at the peak resident size of the process it was
 # spawned from, so each timed child is spawned by this bare interpreter (no
-# site, isolated), which prints the child's wall seconds, its ru_maxrss and
-# its exit status, and its own VmHWM, the floor under that ru_maxrss, in kB.
+# site, isolated), with its stdout to /dev/null. The spawner prints the
+# child's wall seconds, its ru_maxrss and its wait status, and its own
+# VmHWM, the floor under that ru_maxrss, in kB.
 SPAWNER = """
 import json, os, sys, time
 with open("/proc/self/status") as fh:
     floor = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 t0 = time.perf_counter()
-pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
 _, status, usage = os.wait4(pid, 0)
 wall = time.perf_counter() - t0
 print(json.dumps({"wall_s": wall, "maxrss_kb": usage.ru_maxrss, "status": status, "floor_kb": floor}))
@@ -87,13 +89,13 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def reaped(argv: list[str], cwd: Path) -> dict:
     """One `python argv` child in ``cwd`` with ``cwd/src`` on its path, spawned
-    by `SPAWNER` and reaped by a blocking `os.wait4`, its output discarded:
-    wall seconds, ru_maxrss and exit status of the child, and the spawner's
-    VmHWM, ``floor_kb``, below which that ru_maxrss cannot read."""
+    by `SPAWNER` and reaped by a blocking `os.wait4`: wall seconds, ru_maxrss
+    and wait status of the child, and the spawner's VmHWM, ``floor_kb``,
+    below which that ru_maxrss cannot read."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
     spawner = [sys.executable, "-S", "-I", "-c", SPAWNER, *argv]
     proc = subprocess.run(spawner, cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout)
     if result["status"] != 0:
         raise SystemExit(f"{' '.join(argv)} in {cwd} ended with wait status {result['status']}")
     return result
