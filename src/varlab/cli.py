@@ -25,7 +25,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import islice, starmap
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -37,6 +37,7 @@ from .distributions import (
     JointDiscreteDistribution,
     LatticeBoundError,
     _Columns,
+    _lcm_within,
     _view,
 )
 from .gaussian import (
@@ -351,15 +352,15 @@ class AnalysisReport:
     `subadditivity._compared`, ``(num, den, vs, var_sum, sum_of_vars)``, all
     VaRs in units of 1/``scale``; the JSON and `--output csv` are both
     written from them. ``var_table`` is their `IntervalVerdict` view, built
-    on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``.
-    ``marginals_summary`` holds each marginal's atom count and mean.
+    on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``. The views
+    ``input_digest`` and ``marginals_summary``, each marginal's atom count
+    and mean, are built on first use too, so `--output csv`, which prints
+    neither, computes neither.
     """
 
     def __init__(self, j: JointDiscreteDistribution, report: SubadditivityReport, rows: tuple,
                  verdict: ComonotoneVerdict) -> None:
-        self.input_digest = _digest(j)
-        self.marginals_summary = [(len(m), m.mean()) for m in j.marginals()]
-        self.report, self.rows, self.verdict = report, rows, verdict
+        self.j, self.report, self.rows, self.verdict = j, report, rows, verdict
 
     scale = property(lambda self: self.report.scale)
     subadditive_everywhere = property(lambda self: self.report.subadditive_everywhere)
@@ -369,6 +370,14 @@ class AnalysisReport:
     @_view
     def var_table(self) -> tuple[IntervalVerdict, ...]:
         return _verdicts(self.scale, self.rows)
+
+    @_view
+    def input_digest(self) -> str:
+        return _digest(self.j)
+
+    @_view
+    def marginals_summary(self) -> list[tuple[int, Fraction]]:
+        return [(len(m), m.mean()) for m in self.j.marginals()]
 
     def to_json(self) -> str:
         payload = {
@@ -554,8 +563,8 @@ def cmd_couple(args) -> int:
     for path in args.csv:
         j = ingest_csv(path, has_header=args.header, weight_column=args.weight_column)
         ms = j.marginals()
-        denom = lcm(denom, *(m.prob_denom for m in ms))
-        if denom.bit_length() > MAX_SCALE_BITS:
+        denom, over = _lcm_within([denom, *(m.prob_denom for m in ms)])
+        if over is not None:
             raise ValueError(
                 f"{path}: the probability denominator of the coupling exceeds {MAX_SCALE_BITS} bits"
             )

@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .distributions import (
     DiscreteDistribution,
     JointDiscreteDistribution,
-    _canonical,
     _size_guard,
     _sweep,
 )
@@ -54,37 +53,27 @@ def _is_chain(points: Sequence[tuple[int, ...]]) -> bool:
     return all(all(map(le, a, b)) for a, b in zip(points, islice(points, 1, None)))
 
 
-def _chain_verdict(scale: int, points: Sequence[tuple[int, ...]]) -> ComonotoneVerdict:
-    """Chain check of distinct integer points, in increasing order, over the
-    coordinate scale ``scale``: `_is_chain` decides it.
-
-    A set that is no chain needs a witness the output pins. The coordinate
-    sum is strictly monotone along any componentwise chain, so in the points
-    sorted by their sum the first consecutive pair that is not ordered is
-    incomparable and serves. The sort is stable, so it gives (sum, point)
-    order.
-    """
-    if _is_chain(points):
-        return ComonotoneVerdict(comonotonic=True)
-    chain = sorted(points, key=sum)
-    pair = next((a, b) for a, b in zip(chain, chain[1:]) if any(map(gt, a, b)))
-    witness = tuple(tuple(Fraction(x, scale) for x in p) for p in pair)
-    return ComonotoneVerdict(comonotonic=False, witness=witness)
-
-
 def is_comonotonic_support(points: Iterable[Sequence]) -> ComonotoneVerdict:
     """Check whether a point set is totally ordered componentwise."""
-    scale, lattice, _ = _canonical(((p, 1) for p in points), normalize=True, what="point")
-    return _chain_verdict(scale, lattice)
+    return is_comonotonic(JointDiscreteDistribution.from_weighted_points((p, 1) for p in points))
 
 
 def is_comonotonic(j: JointDiscreteDistribution) -> ComonotoneVerdict:
     """Detect comonotonicity of a joint law via its support.
 
     Every stored point carries positive probability, so the point set is
-    exactly the support.
+    exactly the support, and `_is_chain` decides it. A support that is no
+    chain needs a witness the output pins. The coordinate sum is strictly
+    monotone along any componentwise chain, so in the points sorted by their
+    sum the first consecutive pair that is not ordered is incomparable and
+    serves. The sort is stable, so it gives (sum, point) order.
     """
-    return _chain_verdict(j.coord_denom, j.xs)
+    if _is_chain(j.xs):
+        return ComonotoneVerdict(comonotonic=True)
+    chain = sorted(j.xs, key=sum)
+    pair = next((a, b) for a, b in zip(chain, chain[1:]) if any(map(gt, a, b)))
+    witness = tuple(tuple(Fraction(x, j.coord_denom) for x in p) for p in pair)
+    return ComonotoneVerdict(comonotonic=False, witness=witness)
 
 
 def comonotonic_coupling(

@@ -32,6 +32,13 @@ from .distributions import (
     independent_product,
 )
 
+# Bound on the cells of a VaR table: levels x (n + 2) for an n-dimensional
+# law, each level's n marginal VaRs, the VaR of the sum and the sum of VaRs.
+# With distinct weights a law has about (n + 1) x points levels, so the
+# table grows as n^2 x points, past what `MAX_JOINT_POINTS` bounds.
+MAX_TABLE_CELLS = 1_000_000
+
+
 class IntervalVerdict(NamedTuple):
     """Comparison of the two sides of the inequality at one level.
 
@@ -135,8 +142,13 @@ def _compared(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> t
 def _vars(j: JointDiscreteDistribution, alphas: Iterable | None = None) -> tuple:
     """`_sweep` of the marginals and the sum law of ``j``: its D and levels,
     an iterator of the marginal VaRs ``vs`` at each level and the column of
-    the sum's VaRs, all over ``j.coord_denom``."""
-    _, denom, levels, columns = _sweep((*j.marginals(), j.sum_distribution()), alphas)
+    the sum's VaRs, all over ``j.coord_denom``. A table past
+    `MAX_TABLE_CELLS` raises ValueError before any column is evaluated."""
+    laws = (*j.marginals(), j.sum_distribution())
+    _, denom, levels, columns = _sweep(laws, alphas)
+    cells = len(levels) * (len(laws) + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"a VaR table of {cells} cells exceeds the {MAX_TABLE_CELLS}-cell guard")
     *marginal_columns, sum_column = columns
     return denom, levels, zip(*marginal_columns), sum_column
 
@@ -199,7 +211,7 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     p = Fraction(p)
     q = Fraction(q)
     a = Fraction(alpha)
-    for name, val in (("p", p), ("q", q), ("alpha", a)):
+    for name, val in (("p", p), ("q", q)):  # `_sweep` checks alpha
         if not 0 < val < 1:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {val}")
     joint = independent_product(DiscreteDistribution.bernoulli(p), DiscreteDistribution.bernoulli(q))
@@ -282,17 +294,16 @@ def _random_marginal(rng: random.Random, spec: GeneratorSpec) -> DiscreteDistrib
         g = gcd(num, den)
         values.add((num // g, den // g))
     scale = lcm(*(den for _, den in values))
-    # Already the lattice form: distinct reduced values scale to strictly
-    # increasing xs, and gcd(scale, *xs) = 1, since a prime that divides
-    # scale divides some value's den as often, so it divides neither
-    # scale // den nor that value's num.
+    # Distinct reduced values scale to strictly increasing xs, so `_merged`
+    # only divides the counts by their gcd; and gcd(scale, *xs) = 1, since a
+    # prime that divides scale divides some value's den as often, so it
+    # divides neither scale // den nor that value's num.
     xs = tuple(sorted(num * (scale // den) for num, den in values))
     k = len(xs)
     denom = k + _below(bits, spec.denom_bound - k + 1)
     edges = [0, *sorted(rng.sample(range(1, denom), k - 1)), denom]
     counts = [b - a for a, b in zip(edges, edges[1:])]
-    g = gcd(*counts)
-    return DiscreteDistribution._lattice(scale, xs, tuple([c // g for c in counts]))
+    return DiscreteDistribution._lattice(scale, *_merged(xs, counts))
 
 
 def random_comonotonic(

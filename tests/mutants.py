@@ -91,8 +91,8 @@ MUTANTS = (
     (
         "chain-check-skipped-for-n-le-2",
         "comonotonicity.py",
-        "    return _chain_verdict(j.coord_denom, j.xs)",
-        "    return ComonotoneVerdict(True) if j.dimension <= 2 else _chain_verdict(j.coord_denom, j.xs)",
+        "    if _is_chain(j.xs):\n",
+        "    if j.dimension <= 2 or _is_chain(j.xs):\n",
         ("tests/test_golden.py",),
     ),
     (
@@ -163,7 +163,7 @@ MUTANTS = (
         "distributions.py",
         "    g = math.gcd(*counts)\n",
         "    g = 1\n",
-        ("tests/test_distributions.py",),
+        ("tests/test_distributions.py", "tests/test_lattice.py"),
     ),
     (
         "lattice-over-zero-mass-rows",
@@ -273,8 +273,22 @@ MUTANTS = (
     (
         "couple-lcm-unbounded",
         "cli.py",
-        "if denom.bit_length() > MAX_SCALE_BITS:",
+        "if over is not None:",
         "if False:",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "table-guard-skipped",
+        "subadditivity.py",
+        "if cells > MAX_TABLE_CELLS:",
+        "if False:",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "table-guard-admits-the-bound",
+        "subadditivity.py",
+        "if cells > MAX_TABLE_CELLS:",
+        "if cells >= MAX_TABLE_CELLS:",
         ("tests/test_hostile_input.py",),
     ),
     (
@@ -318,13 +332,6 @@ MUTANTS = (
         "como = _is_chain(j.xs)",
         "como = True",
         ("tests/test_subadditivity.py",),
-    ),
-    (
-        "marginal-counts-without-gcd",
-        "subadditivity.py",
-        "    g = gcd(*counts)\n",
-        "    g = 1\n",
-        ("tests/test_lattice.py",),
     ),
     (
         "equal-laws-mean-unequal",

@@ -3,6 +3,8 @@ count of pairs in which the change was better, in each metric's direction,
 over the runs of the two commits asked for."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 _path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
@@ -107,3 +109,35 @@ def test_startup_times_version_and_simulate_children():
     metrics = bench_record.startup(checkout, seed=3)
     assert list(metrics) == list(bench_record.STARTUP)
     assert all(v > 0 for v in metrics.values())
+
+
+def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(tmp_path):
+    # the timed children run as on the benchmark host: every one compiles
+    # src/varlab from source, so none leaves a __pycache__ behind
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bench").mkdir()
+    shutil.copy2(root / "bench" / "gen.py", tmp_path / "bench")
+    metrics = bench_record.startup(tmp_path, seed=5)
+    assert list(metrics) == list(bench_record.STARTUP)
+    assert metrics["report_maxrss_mb"] > 0 and type(metrics["import_cli_us"]) is int
+    assert not list(tmp_path.rglob("__pycache__"))
+
+
+IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       553 |      21431 |   varlab
+import time:        90 |         90 |     varlab.cli_helper
+import time:     10845 |      37758 | varlab.cli
+import time:        12 |         12 | varlab.cli.extra
+"""
+
+
+def test_import_time_is_the_cumulative_of_the_top_level_line(monkeypatch):
+    def run(argv, **kwargs):
+        assert argv[1:] == ["-X", "importtime", "-c", "import varlab.cli"]
+        assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        return subprocess.CompletedProcess(argv, 0, "", IMPORTTIME)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    assert bench_record.import_cli_us(Path("checkout")) == 37758

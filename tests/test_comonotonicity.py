@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import fraction_oracle
 import oracles
 from strategies import distributions, generated_joints, joints, marginal_lists, weighted_joints
 from varlab import comonotonicity
@@ -75,6 +76,19 @@ class TestSupportCheck:
             a, b = verdict.witness
             assert any(x < y for x, y in zip(a, b))
             assert any(x > y for x, y in zip(a, b))
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*([st.fractions(-3, 3, max_denominator=4)] * n)), min_size=1, max_size=8
+            )
+        ),
+        st.data(),
+    )
+    def test_witness_is_the_oracles_first_pair_in_sum_order(self, points, data):
+        # repeated points and mixed denominators: the same support, the same witness
+        points += data.draw(st.lists(st.sampled_from(points), max_size=3))
+        assert is_comonotonic_support(points).witness == fraction_oracle.chain_witness(points)
 
 
 class TestJointCheck:

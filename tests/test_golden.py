@@ -199,9 +199,9 @@ def test_invariant_breach_exits_3_with_golden_output(tmp_path, monkeypatch):
 
 
 # `python -X importtime` lists every module a process imports. Only `report`
-# and `var --output json` compute a digest, so only they load hashlib and
+# and `var` with JSON output compute a digest, so only they load hashlib and
 # OpenSSL.
-LOADS_OPENSSL = {"simulate": False, "couple": False, "report-bern": True}
+LOADS_OPENSSL = {"simulate": False, "couple": False, "report-bern": True, "report-mixed-csv": False}
 
 
 def _imports_and_stdout(argv: list[str], directory: Path) -> tuple[set, bytes]:

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given
 
 import varlab
-from varlab import cli
+from varlab import cli, subadditivity
 from varlab.cli import MAX_DIMENSION, MAX_NUMBER_DIGITS, ingest_csv, main
 from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError
+from varlab.subadditivity import MAX_TABLE_CELLS
 
 # Seconds one rejected input may take; a correct rejection takes milliseconds.
 BUDGET_S = 1.0
@@ -181,6 +182,40 @@ class TestLatticeBounds:
         assert rc == 2
         assert out == ""
         assert "--output json" in err
+
+
+class TestTableBound:
+    # levels x (n + 2) cells: with distinct weights a law has about (n + 1) x
+    # points levels, so 34 weighted rows of 200 random integers pass the bound
+    def test_weighted_csv_past_the_bound(self, tmp_path):
+        rng = random.Random(34)
+        rows = [[*(rng.randrange(1000) for _ in range(200)), rng.randrange(1, 1000)] for _ in range(34)]
+        text = ",".join(f"x{i}" for i in range(200)) + ",weight\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows
+        )
+        rc, out, err, elapsed = run_main(["report", write(tmp_path, "a.csv", text)])
+        assert (rc, out) == (2, "")
+        assert err == f"error: a VaR table of 1046360 cells exceeds the {MAX_TABLE_CELLS}-cell guard\n"
+        assert elapsed < BUDGET_S
+
+    def test_alphas_file_past_the_bound(self, tmp_path):
+        csv_path = write(tmp_path, "a.csv", ",".join(["1"] * 200) + "\n" + ",".join(["2"] * 200) + "\n")
+        levels = write(tmp_path, "levels.txt", "".join(f"{k}/5001\n" for k in range(1, 5001)))
+        rc, out, err, elapsed = run_main(["var", csv_path, "--alphas-file", levels])
+        assert (rc, out) == (2, "")
+        assert err == f"error: a VaR table of 1010000 cells exceeds the {MAX_TABLE_CELLS}-cell guard\n"
+        assert elapsed < BUDGET_S
+
+    def test_a_table_at_the_bound_is_admitted(self, tmp_path, monkeypatch):
+        csv_path = write(tmp_path, "a.csv", "1,2\n3,1\n0,5\n")
+        rc, out, _, _ = run_main(["report", csv_path])
+        cells = len(json.loads(out)["var_table"]) * (2 + 2)
+        monkeypatch.setattr(subadditivity, "MAX_TABLE_CELLS", cells)
+        assert run_main(["report", csv_path])[:2] == (rc, out)
+        monkeypatch.setattr(subadditivity, "MAX_TABLE_CELLS", cells - 1)
+        rc, out, err, _ = run_main(["report", csv_path])
+        assert (rc, out) == (2, "")
+        assert err == f"error: a VaR table of {cells} cells exceeds the {cells - 1}-cell guard\n"
 
 
 class TestEllipticInput:

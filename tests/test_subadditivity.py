@@ -232,6 +232,11 @@ class TestBernoulliCounterexample:
         with pytest.raises(ValueError):
             bernoulli_counterexample(F(1, 2), F(1, 2), bad)
 
+    def test_level_error_is_the_sweeps(self):
+        with pytest.raises(ValueError) as exc:
+            bernoulli_counterexample(F(1, 2), F(1, 2), F(3, 2))
+        assert str(exc.value) == "alpha must lie strictly inside (0, 1), got 3/2"
+
     def test_reads_the_row_builder_not_quantile(self, monkeypatch):
         cases = [(F(3, 10), F(3, 10), F(1, 2)), (F(3, 10), F(3, 10), F(95, 100)), (F(1, 2), F(1, 2), F(1, 4))]
         expected = [bernoulli_counterexample(*case) for case in cases]

@@ -15,10 +15,13 @@ parent first when k is even and the change first when k is odd; T is the
 `bench/run.py` prints, is appended to BENCH_<pr>.json at the repository
 root with the workload, seed, side, commit, Python version and core count;
 the file is rewritten after every run. After each run the record also gets
-the `STARTUP` times of that side: one `python -m varlab --version` child and
-one `simulate` child on the pair's seed, each reaped by a blocking
-`os.wait4`, so a start-up gain smaller than the 50-ms step in which
-`bench/run.py` polls its children still shows. Last, and alone with
+the `STARTUP` times of that side: one `python -m varlab --version` child, one
+`simulate` child and one `report` child on the pair's seed, each reaped by a
+blocking `os.wait4`, so a start-up gain smaller than the 50-ms step in which
+`bench/run.py` polls its children still shows, and the `-X importtime`
+cumulative microseconds of `import varlab.cli`. Every such child runs with
+`PYTHONDONTWRITEBYTECODE=1`, as the benchmark host does, so it compiles
+`src/varlab` from source. Last, and alone with
 --summary, it prints per workload and metric (the end-to-end ones of
 BENCHMARK.json, then `STARTUP`) the median and quartiles of each side and in
 how many pairs the change was better. The summary reads only the runs of the
@@ -28,6 +31,7 @@ two commits asked for, so the file may hold runs of other commits.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -43,8 +47,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10  # pairs per workload
 # Start-up metrics of each record, all lower-is-better: wall seconds and peak
-# resident MB of one `--version` child and one `simulate` child.
-STARTUP = ("version_wall_s", "version_maxrss_mb", "simulate_wall_s", "simulate_maxrss_mb")
+# resident MB of one `--version`, one `simulate` and one `report` child, and
+# the cumulative microseconds of `import varlab.cli` under `-X importtime`.
+STARTUP = ("version_wall_s", "version_maxrss_mb", "simulate_wall_s", "simulate_maxrss_mb",
+           "report_wall_s", "report_maxrss_mb", "import_cli_us")
 # The bench's simulate-trials invocation: 1,000 trials of up to 4 dimensions
 # and 4 atoms per marginal.
 SIMULATE = ("simulate", "--kind", "mixed", "--max-n", "4", "--max-atoms", "4", "--trials", "1000")
@@ -87,28 +93,61 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _child_env(checkout: Path) -> dict:
+    """The environment of a timed child: ``checkout/src`` on its path, and no
+    bytecode written, as on the benchmark host."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
 def reaped(argv: list[str], cwd: Path) -> dict:
-    """One `python argv` child in ``cwd`` with ``cwd/src`` on its path, spawned
+    """One `python argv` child in ``cwd`` in the `_child_env` of ``cwd``, spawned
     by `SPAWNER` and reaped by a blocking `os.wait4`: wall seconds, ru_maxrss
     and wait status of the child, and the spawner's VmHWM, ``floor_kb``,
     below which that ru_maxrss cannot read."""
-    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
     spawner = [sys.executable, "-S", "-I", "-c", SPAWNER, *argv]
-    proc = subprocess.run(spawner, cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(spawner, cwd=cwd, env=_child_env(cwd), capture_output=True, text=True,
+                          check=True)
     result = json.loads(proc.stdout)
     if result["status"] != 0:
         raise SystemExit(f"{' '.join(argv)} in {cwd} ended with wait status {result['status']}")
     return result
 
 
+def import_cli_us(checkout: Path) -> int:
+    """The `-X importtime` cumulative microseconds of `import varlab.cli` in
+    a child of ``checkout``: its top-level line, under which the `varlab`
+    package and every module it imports are nested."""
+    argv = [sys.executable, "-X", "importtime", "-c", "import varlab.cli"]
+    proc = subprocess.run(argv, cwd=checkout, env=_child_env(checkout), capture_output=True, text=True,
+                          check=True)
+    _, cumulative, name = next(line.split("|") for line in proc.stderr.splitlines()
+                               if line.startswith("import time:") and line.endswith("| varlab.cli"))
+    return int(cumulative)
+
+
+def _bench_gen(checkout: Path):
+    """``checkout``'s bench/gen.py, loaded by path; it does not import varlab."""
+    spec = importlib.util.spec_from_file_location("bench_gen", checkout / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def startup(checkout: Path, seed: int) -> dict:
-    """The `STARTUP` metrics of ``checkout``: one `--version` child and one
-    `SIMULATE` child on ``seed``."""
+    """The `STARTUP` metrics of ``checkout``: one `--version` child, one
+    `SIMULATE` child on ``seed`` and one `report` child on the CSV that
+    ``checkout``'s bench/gen.py writes for ``seed``, and `import_cli_us`."""
+    gen = _bench_gen(checkout)
     metrics = {}
-    for name, argv in (("version", ["--version"]), ("simulate", [*SIMULATE, "--seed", str(seed)])):
-        result = reaped(["-m", "varlab", *argv], checkout)
-        metrics[f"{name}_wall_s"] = result["wall_s"]
-        metrics[f"{name}_maxrss_mb"] = result["maxrss_kb"] / 1024
+    with tempfile.TemporaryDirectory(prefix="varlab-startup-") as tmp:
+        csv_path = Path(tmp, "report.csv")
+        csv_path.write_text(gen.csv_text(gen.csv_rows(seed)), encoding="utf-8")
+        for name, argv in (("version", ["--version"]), ("simulate", [*SIMULATE, "--seed", str(seed)]),
+                           ("report", ["report", str(csv_path)])):
+            result = reaped(["-m", "varlab", *argv], checkout)
+            metrics[f"{name}_wall_s"] = result["wall_s"]
+            metrics[f"{name}_maxrss_mb"] = result["maxrss_kb"] / 1024
+    metrics["import_cli_us"] = import_cli_us(checkout)
     return metrics
 
 
