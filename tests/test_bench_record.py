@@ -111,9 +111,11 @@ def test_startup_times_version_and_simulate_children():
     assert all(v > 0 for v in metrics.values())
 
 
-def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(tmp_path):
+def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(tmp_path, monkeypatch):
     # the timed children run as on the benchmark host: every one compiles
-    # src/varlab from source, so none leaves a __pycache__ behind
+    # src/varlab from source, so none leaves a __pycache__ behind, whatever
+    # the recorder's own environment says
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     root = Path(__file__).resolve().parents[1]
     shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "bench").mkdir()
