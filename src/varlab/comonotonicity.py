@@ -7,13 +7,22 @@ by the quantile transform, and provides two characterizations (the min copula
 identity and convex-order maximality of the coordinate sum) used to
 cross-check the detector. Both compare a law with that comonotonic
 rearrangement of its own marginals, independently of the detector's chain
-check. The rearrangement is built at most once per law and kept in the law's
-instance dict, like its cached views; a law that `comonotonic_coupling`
-returned is marked as its own rearrangement, so it is never built again.
+check.
+
+A coupling is built once per marginal tuple while it lives.
+`comonotonic_coupling` keeps a weak reference to the coupling it built in
+the first marginal's instance dict, and returns that coupling again when it
+is asked for the coupling of the very tuple it was built from, which is also
+the tuple that the coupling's ``marginals()`` returns. So a coupling's own
+marginals find the coupling itself, and a law's rearrangement, kept alive by
+the law, is found by every caller that couples the law's ``marginals()``. The
+reference is weak because a strong one would make the coupling, its marginal
+tuple and that marginal a cycle, which only the cycle collector frees.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import islice
 from operator import gt, le, sub
@@ -28,11 +37,11 @@ from .distributions import (
 
 Point = tuple[Fraction, ...]
 
-# The instance-dict entry of a joint law's comonotonic rearrangement, and the
-# mark that the law is its own: a reference to itself would make every
-# coupling cyclic garbage.
+# The instance-dict entries of a first marginal's weak reference to its live
+# coupling, and of a joint law's comonotonic rearrangement when that is not
+# the law itself: a reference to itself would make the law cyclic garbage.
+_COUPLING = "_coupling"
 _REARRANGED = "_rearranged"
-_ITSELF = object()
 
 
 class ComonotoneVerdict(NamedTuple):
@@ -87,10 +96,17 @@ def comonotonic_coupling(
     are those quantile values (evaluated at the piece's right endpoint, by
     left continuity) and whose probability is the piece's length. The output
     reproduces the input marginals exactly.
+
+    A live coupling built from the same tuple object is returned again; a
+    list, or a new tuple of equal laws, gives a new law equal to it.
     """
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
+    ref = vars(ms[0]).get(_COUPLING)
+    coupling = ref() if ref else None
+    if coupling is not None and vars(coupling)["_marginals"] is ms:
+        return coupling
     scale, _, levels, columns = _sweep(ms)
     _size_guard(len(levels), "support of {} points")  # before any column is evaluated
     points = tuple(zip(*columns))
@@ -98,16 +114,21 @@ def comonotonic_coupling(
     # atom, so points increase, and coprime marginal counts give coprime lengths.
     lengths = tuple(map(sub, levels, [0, *levels]))
     coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
-    vars(coupling)[_REARRANGED] = _ITSELF  # the coupling of its marginals, ms, is itself
+    vars(ms[0])[_COUPLING] = weakref.ref(coupling)
     return coupling
 
 
 def _rearrangement(j: JointDiscreteDistribution) -> JointDiscreteDistribution:
-    """The comonotonic coupling of the marginals of ``j``, built on first use."""
+    """The comonotonic coupling of the marginals of ``j``, built on first use.
+
+    ``j`` keeps it alive, unless it is ``j`` itself, so later calls and every
+    `comonotonic_coupling` of ``j.marginals()`` find it."""
     rearranged = vars(j).get(_REARRANGED)
     if rearranged is None:
-        rearranged = vars(j)[_REARRANGED] = comonotonic_coupling(j.marginals())
-    return j if rearranged is _ITSELF else rearranged
+        rearranged = comonotonic_coupling(j.marginals())
+        if rearranged is not j:
+            vars(j)[_REARRANGED] = rearranged
+    return rearranged
 
 
 def min_copula_check(j: JointDiscreteDistribution) -> bool:

@@ -147,8 +147,15 @@ MUTANTS = (
     (
         "every-law-its-own-rearrangement",
         "comonotonicity.py",
-        "rearranged = vars(j).get(_REARRANGED)",
-        "rearranged = _ITSELF",
+        "rearranged = comonotonic_coupling(j.marginals())",
+        "rearranged = j",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "coupling-reuse-ignores-its-tuple",
+        "comonotonicity.py",
+        'vars(coupling)["_marginals"] is ms',
+        "True",
         ("tests/test_comonotonicity.py",),
     ),
     (

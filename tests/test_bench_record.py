@@ -1,11 +1,14 @@
-"""`tools/bench_record.py`'s summary: medians, quartiles, ranges and the
-count of pairs in which the change was better, in each metric's direction,
-over the runs of the two commits asked for."""
+"""`tools/bench_record.py`'s summary: medians, quartiles, ranges, the count
+of pairs in which the change was better, in each metric's direction, over
+the runs of the two commits asked for, and each end-to-end metric's verdict
+on its bound."""
 
 import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
+
+import pytest
 
 _path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", _path)
@@ -13,8 +16,8 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 SPEC = {"end_to_end": [
-    {"name": "items_per_s", "better": "higher"},
-    {"name": "peak_rss_mb", "better": "lower"},
+    {"name": "items_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
 ]}
 SHAS = {"parent": "p0", "change": "c1"}
 
@@ -38,8 +41,10 @@ FOUR_PAIRS = [
     "report-csv: 4 pairs, seeds 0, 1, 2, 3",
     "  items_per_s (higher is better): parent 11.5 [10.75, 12.25] (min 10, max 13); "
     "change 11.5 [10.5, 12.5] (min 9, max 14); change better in 2 of 4",
+    "    verdict: unresolved (bound 25%)",
     "  peak_rss_mb (lower is better): parent 24.3 [24.15, 24.45] (min 24, max 24.6); "
     "change 22.3 [22.15, 22.45] (min 22, max 22.6); change better in 4 of 4",
+    "    verdict: gain (bound 10%)",
 ]
 
 
@@ -57,7 +62,7 @@ def test_summary_reads_only_the_commits_asked_for():
     assert bench_record.summary(records, SPEC, SHAS) == FOUR_PAIRS
     other = bench_record.summary(records, SPEC, {"parent": "p0", "change": "c2"})
     assert other[0] == "report-csv: 4 pairs, seeds 0, 1, 2, 3"
-    assert other[2].endswith("change 1 [1, 1] (min 1, max 1); change better in 4 of 4")
+    assert other[3].endswith("change 1 [1, 1] (min 1, max 1); change better in 4 of 4")
 
 
 def test_summary_refuses_a_seed_run_twice_by_one_commit():
@@ -80,8 +85,8 @@ def test_summary_adds_the_startup_metrics_of_the_pairs_that_carry_them():
         r["startup"] = {"version_wall_s": 0.1 + shift / 100, "version_maxrss_mb": 20.0 + 3.5 * shift,
                         "simulate_wall_s": 0.3 + r["seed"] / 100, "simulate_maxrss_mb": 21.0}
     lines = bench_record.summary(records, SPEC, SHAS)
-    assert lines[:3] == FOUR_PAIRS
-    assert lines[3:] == [
+    assert lines[:5] == FOUR_PAIRS
+    assert lines[5:] == [
         "  version_wall_s (lower is better): parent 0.1 [0.1, 0.1] (min 0.1, max 0.1); "
         "change 0.09 [0.09, 0.09] (min 0.09, max 0.09); change better in 3 of 3",
         "  version_maxrss_mb (lower is better): parent 20 [20, 20] (min 20, max 20); "
@@ -91,6 +96,35 @@ def test_summary_adds_the_startup_metrics_of_the_pairs_that_carry_them():
         "  simulate_maxrss_mb (lower is better): parent 21 [21, 21] (min 21, max 21); "
         "change 21 [21, 21] (min 21, max 21); change better in 0 of 3",
     ]
+
+
+TEN = list(range(100, 110))  # quartiles 102.25 and 106.75
+
+
+@pytest.mark.parametrize("metric, parent, change, expected", [
+    # better in 10 of 10 by 10, more than the parent's interquartile range of 4.5
+    ("items_per_s", TEN, [v + 10 for v in TEN], "gain"),
+    # better in 10 of 10, but by 1, less than that range
+    ("items_per_s", TEN, [v + 1 for v in TEN], "within bound"),
+    # the parent ranges over 50% of its median, but every change run beats every parent run
+    ("items_per_s", [60, 61, 62, 63, 64, 96, 97, 98, 99, 100], list(range(101, 111)), "within bound"),
+    # median 64.5 against 104.5: 38% worse, past the 25% bound
+    ("items_per_s", TEN, [v - 40 for v in TEN], "worse"),
+    # lower is better: 20% more memory, past the 10% bound
+    ("peak_rss_mb", TEN, [v * 1.2 for v in TEN], "worse"),
+    # each side ranges over 80% of its median of 100, and the change wins half the pairs
+    ("items_per_s", [60, 140] * 5, [61, 139] * 5, "unresolved"),
+], ids=["gain", "within-bound", "wide-but-every-run-better", "worse", "worse-lower-is-better", "unresolved"])
+def test_verdict_of_ten_pairs(metric, parent, change, expected):
+    def run(seed, side, v):  # the other metric reads 24 on both sides
+        return _record(seed, side, v, 24.0) if metric == "items_per_s" else _record(seed, side, 24.0, v)
+
+    records = [run(seed, side, v) for seed, pair in enumerate(zip(parent, change))
+               for side, v in zip(("parent", "change"), pair)]
+    verdicts = bench_record.summary(records, SPEC, SHAS)[2::2]
+    want = {"items_per_s": "within bound", "peak_rss_mb": "within bound", metric: expected}
+    assert verdicts == [f"    verdict: {want['items_per_s']} (bound 25%)",
+                        f"    verdict: {want['peak_rss_mb']} (bound 10%)"]
 
 
 def test_reaped_child_reads_its_own_peak_not_its_spawners(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,6 +14,7 @@ from strategies import distributions, generated_joints, joints, marginal_lists, 
 from varlab import comonotonicity
 from varlab import (
     DiscreteDistribution,
+    GeneratorSpec,
     JointDiscreteDistribution,
     comonotonic_coupling,
     convex_order_leq,
@@ -20,6 +23,8 @@ from varlab import (
     is_comonotonic,
     is_comonotonic_support,
     min_copula_check,
+    random_comonotonic,
+    random_coupling,
 )
 
 BERN_HALF = DiscreteDistribution.bernoulli(F(1, 2))
@@ -222,16 +227,27 @@ class TestDetectorAgreement:
 
 def cross_checked(j):
     """The min-copula and convex-order-max verdicts on ``j``, in that order,
-    and how many comonotonic rearrangements the two built."""
-    calls = []
+    and how many comonotonic couplings the two built."""
+    builds, sweep = [], comonotonicity._sweep
 
     def counted(ms):
-        calls.append(ms)
-        return comonotonic_coupling(ms)
+        builds.append(ms)
+        return sweep(ms)
 
-    with mock.patch.object(comonotonicity, "comonotonic_coupling", counted):
+    with mock.patch.object(comonotonicity, "_sweep", counted):
         verdicts = min_copula_check(j), convex_order_max_check(j)
-    return verdicts, len(calls)
+    return verdicts, len(builds)
+
+
+def bench_checks(j):
+    """The bench's three cross-checks of ``j``: the two characterizations and
+    the convex order of the sum below the comonotonic sum."""
+    rearranged = comonotonic_coupling(j.marginals())
+    return (min_copula_check(j), convex_order_max_check(j),
+            convex_order_leq(j.sum_distribution(), rearranged.sum_distribution()).holds)
+
+
+SPEC = GeneratorSpec(n=3, max_atoms=4)
 
 
 class TestSharedRearrangement:
@@ -255,3 +271,56 @@ class TestSharedRearrangement:
         j = comonotonic_coupling(ms)
         assert oracles.min_copula_holds_direct(j) and is_comonotonic(j).comonotonic
         assert cross_checked(j) == ((True, True), 0)
+
+
+class TestCouplingReuse:
+    """`comonotonic_coupling` returns the live coupling built from the same
+    marginal tuple object, and only that one."""
+
+    def test_a_checked_laws_marginals_find_its_rearrangement(self):
+        j = random_coupling(3, SPEC)
+        assert not min_copula_check(j)
+        assert comonotonic_coupling(j.marginals()) is comonotonicity._rearrangement(j)
+
+    @given(marginal_lists())
+    def test_a_couplings_marginals_find_the_coupling(self, ms):
+        c = comonotonic_coupling(ms)
+        assert comonotonic_coupling(c.marginals()) is c
+        assert comonotonicity._rearrangement(c) is c
+
+    @given(marginal_lists())
+    def test_a_list_of_the_same_laws_builds_an_equal_law(self, ms):
+        c = comonotonic_coupling(tuple(ms))
+        again = comonotonic_coupling(list(c.marginals()))
+        assert again == c and again is not c
+        assert comonotonic_coupling(tuple(ms)) == c
+
+    def test_couplings_sharing_a_first_marginal_stay_apart(self):
+        x = DiscreteDistribution.bernoulli(F(2, 5))
+        y = DiscreteDistribution(((F(0), F(1, 3)), (F(1), F(1, 3)), (F(5), F(1, 3))))
+        z = DiscreteDistribution(((F(-2), F(1, 4)), (F(7, 2), F(3, 4))))
+        xy, xz = (x, y), (x, z)
+        expected = {ms: JointDiscreteDistribution(fraction_oracle.comonotonic_coupling(
+            [m.atoms for m in ms])) for ms in (xy, xz)}
+        live = [comonotonic_coupling(xy), comonotonic_coupling(xz)]
+        for ms in (xy, xz, xy, xz, xz, xy):
+            c = comonotonic_coupling(ms)
+            assert c == expected[ms] and c.marginals() is ms
+        assert live == [expected[xy], expected[xz]]
+
+    def test_checked_laws_are_freed_without_the_cycle_collector(self):
+        # the weak reference from a first marginal to its coupling adds no cycle
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for make, como in ((random_coupling, False), (random_comonotonic, True)):
+                j = make(3, SPEC)
+                assert bench_checks(j) == (como, como, True)
+                rearranged = comonotonicity._rearrangement(j)
+                assert (rearranged is j) is como
+                refs = [weakref.ref(law) for law in (j, rearranged, j.marginals()[0])]
+                del j, rearranged
+                assert [r() for r in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

@@ -24,7 +24,8 @@ cumulative microseconds of `import varlab.cli`. Every such child runs with
 `src/varlab` from source. Last, and alone with
 --summary, it prints per workload and metric (the end-to-end ones of
 BENCHMARK.json, then `STARTUP`) the median and quartiles of each side and in
-how many pairs the change was better. The summary reads only the runs of the
+how many pairs the change was better, and after each end-to-end metric its
+`verdict` against that metric's bound. The summary reads only the runs of the
 two commits asked for, so the file may hold runs of other commits.
 """
 
@@ -170,17 +171,48 @@ def record_pairs(path: Path, shas: dict, workloads: list, seeds: list, seconds: 
                     print(f"{workload} seed {seed} {side}: {values}", flush=True)
 
 
+def verdict(pairs: list[tuple], better: str, bound: float) -> str:
+    """What the (parent, change) ``pairs`` of one end-to-end metric show,
+    ``bound`` being the largest relative worsening it may take:
+
+    - ``gain``: the change is better in at least nine tenths of the pairs,
+      ties counting for neither, and its median is better than the parent's
+      by more than the distance between the parent's quartiles;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - ``unresolved``: a side's range, max minus min, is wider than ``bound``
+      times its median, and not every run of the change is better than
+      every run of the parent;
+    - ``within bound`` otherwise.
+    """
+    sign = 1 if better == "higher" else -1  # so that higher is better below
+    parent, change = ([sign * v for v in values] for values in zip(*pairs))
+    wins = sum(c > p for p, c in zip(parent, change))
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = statistics.median(change) - median
+    if 10 * wins >= 9 * len(pairs) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(median):
+        return "worse"
+    wide = any(max(v) - min(v) > bound * abs(statistics.median(v)) for v in (parent, change))
+    if wide and not min(change) > max(parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summary(records: list, spec: dict, shas: dict) -> list[str]:
     """Per workload and metric, the end-to-end ones of ``spec`` and then the
     `STARTUP` ones of the pairs whose runs carry them: each side's median,
     quartiles and range, and in how many of the (workload, seed) pairs the
-    change was better. Only the runs of commit ``shas[side]`` count for a
-    side. A workload needs two pairs, and is not summarized if a seed of a
-    pair has more than one run of a side's commit, since which one pairs is
-    then unknown."""
-    metrics = [(m["name"], m["better"], lambda r, name=m["name"]: r["metrics"][name]["value"])
+    change was better, and for an end-to-end metric the `verdict` on its
+    ``bound``. Only the runs of commit ``shas[side]`` count for a side. A
+    workload needs two pairs, and is not summarized if a seed of a pair has
+    more than one run of a side's commit, since which one pairs is then
+    unknown."""
+    metrics = [(m["name"], m["better"], m["bound"], lambda r, name=m["name"]: r["metrics"][name]["value"])
                for m in spec["end_to_end"]]
-    metrics += [(name, "lower", lambda r, name=name: r.get("startup", {}).get(name)) for name in STARTUP]
+    metrics += [(name, "lower", None, lambda r, name=name: r.get("startup", {}).get(name))
+                for name in STARTUP]
     lines = []
     records = [r for r in records if r["sha"] == shas[r["side"]]]
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -196,7 +228,7 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
             continue
         if len(seeds) < 2:
             continue
-        for name, better, value in metrics:
+        for name, better, bound, value in metrics:
             pairs = [tuple(value(runs[seed, side][0]) for side in SIDES) for seed in seeds]
             pairs = [pair for pair in pairs if None not in pair]
             if len(pairs) < 2:
@@ -209,6 +241,8 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
             wins = sum((c > p) if better == "higher" else (c < p) for p, c in pairs)
             lines.append(f"  {name} ({better} is better): {'; '.join(parts)}; "
                          f"change better in {wins} of {len(pairs)}")
+            if bound is not None:
+                lines.append(f"    verdict: {verdict(pairs, better, bound)} (bound {bound:.0%})")
     return lines
 
 
