@@ -159,6 +159,13 @@ MUTANTS = (
         ("tests/test_comonotonicity.py",),
     ),
     (
+        "coupling-keeps-itself-as-rearrangement",
+        "comonotonicity.py",
+        "if rearranged is not j:",
+        "if True:",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
         "convex-order-mean-unchecked",
         "risk.py",
         "if gap != 0:",
