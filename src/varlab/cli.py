@@ -8,6 +8,11 @@ no floating point error at all. Rationals serialize as "num/den" strings;
 the Gaussian subcommand's floating point outputs round to 12 significant
 digits so identical inputs always produce identical bytes.
 
+`simulate` splits a large run's seeded trials into contiguous chunks, one
+per CPU the process may run on, and runs every chunk after the first in a
+forked worker. Each trial is seeded on its own, so the output does not
+depend on how many CPUs there are, and no setting controls it.
+
 Exit codes: 0 on success, 2 on input validation failure, 3 on an internal
 invariant breach (an equivalence violation, which should never occur). A
 subcommand returns 0 or raises; `main` maps the raised error to 2 or 3.
@@ -19,6 +24,8 @@ import argparse
 import csv
 import io
 import json
+import marshal
+import os
 import random
 import re
 import sys
@@ -588,15 +595,25 @@ def cmd_couple(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    for flag, value in (("--trials", args.trials), ("--max-n", args.max_n),
-                        ("--max-atoms", args.max_atoms)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1")
-    if args.max_n > MAX_DIMENSION:
-        raise ValueError(f"--max-n must be at most {MAX_DIMENSION}")
+# `simulate` forks at most one worker per this many trials. On a 2-vCPU
+# x86-64 host a worker's fork, pipe and reaping took about 2 ms, the time of
+# some 15 trials; the default 100 trials stay in one process.
+MIN_TRIALS_PER_WORKER = 200
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _trial_rows(args, trials: range) -> list[tuple]:
+    """(t, kind, n, *verdict) of each seeded trial t in ``trials``, as plain
+    tuples, so a worker can send them back with `marshal`."""
     rows = []
-    for t in range(args.trials):
+    for t in trials:
         meta = random.Random((args.seed << 32) ^ t)
         n = meta.randint(1, args.max_n)
         gen_seed = meta.getrandbits(48)
@@ -609,16 +626,91 @@ def cmd_simulate(args) -> int:
             j = make(gen_seed, spec)
         except ValueError as exc:
             raise ValueError(f"trial {t} ({kind}, n={n}, generator seed {gen_seed}): {exc}") from None
-        rows.append((t, kind, n, equivalence_trial(j)))
-    failures = sum(not v.consistent for *_, v in rows)
+        rows.append((t, kind, n, *equivalence_trial(j)))
+    return rows
+
+
+def _fork_rows(args, trials: range):
+    """Fork a worker that writes `_trial_rows(args, trials)`, marshalled, to
+    a pipe: its pid and the pipe's read end. The worker writes only a whole
+    result, exits without one on any exception, and never returns."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            data = marshal.dumps(_trial_rows(args, trials))
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _received(pipe) -> list | None:
+    """The rows a worker sent through ``pipe``, or None if it sent no whole
+    result: `marshal` rejects every truncation of its data."""
+    try:
+        return marshal.loads(pipe.read())
+    except (EOFError, ValueError):
+        return None
+
+
+def _simulated_rows(args) -> list[tuple]:
+    """`_trial_rows` of every trial, in trial order, in contiguous chunks:
+    one per usable CPU and per `MIN_TRIALS_PER_WORKER` trials. This process
+    runs the first chunk and a forked worker each later one. A chunk whose
+    worker sent nothing, or could not be forked, runs here in its turn, so
+    the error raised is the first failing trial's, as in one process. Every
+    worker is killed and reaped before this returns or raises. The command
+    line runs no other thread, so a fork copies no lock another one holds."""
+    workers = max(1, min(_cpus(), args.trials // MIN_TRIALS_PER_WORKER)) if hasattr(os, "fork") else 1
+    bounds = [args.trials * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    forked = []
+    try:
+        for chunk in chunks[1:]:
+            try:
+                forked.append(_fork_rows(args, chunk))
+            except OSError:  # no pipe or process to spare: run the rest here
+                break
+        rows = _trial_rows(args, chunks[0])
+        for k, chunk in enumerate(chunks[1:]):
+            part = _received(forked[k][1]) if k < len(forked) else None
+            rows += part if part is not None else _trial_rows(args, chunk)
+        return rows
+    finally:
+        import signal
+
+        for pid, pipe in forked:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def cmd_simulate(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--max-n", args.max_n),
+                        ("--max-atoms", args.max_atoms)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
+    if args.max_n > MAX_DIMENSION:
+        raise ValueError(f"--max-n must be at most {MAX_DIMENSION}")
+    rows = _simulated_rows(args)
+    failures = sum(not consistent for *_, consistent in rows)
     if args.output == "csv":
         header = ["trial", "kind", "n", *TrialVerdict._fields]
-        _emit(_csv_text(header, ([t, kind, n, *v] for t, kind, n, v in rows)), args.out)
+        _emit(_csv_text(header, rows), args.out)
     else:
         payload = {
             "seed": args.seed,
             "trials": args.trials,
-            "comonotonic_instances": sum(1 for *_, v in rows if v.comonotonic),
+            "comonotonic_instances": sum(comonotonic for _, _, _, comonotonic, *_ in rows),
             "consistent_trials": args.trials - failures,
             "all_consistent": failures == 0,
             "tool_version": __version__,

@@ -320,6 +320,34 @@ MUTANTS = (
         ("tests/test_hostile_input.py",),
     ),
     (
+        "simulate-chunk-runs-one-trial-too-many",
+        "cli.py",
+        "chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]",
+        "chunks = [range(lo, hi + 1) for lo, hi in zip(bounds, bounds[1:])]",
+        ("tests/test_simulate_workers.py",),
+    ),
+    (
+        "simulate-chunks-joined-out-of-order",
+        "cli.py",
+        "rows += part if part is not None else _trial_rows(args, chunk)",
+        "rows[:0] = part if part is not None else _trial_rows(args, chunk)",
+        ("tests/test_simulate_workers.py",),
+    ),
+    (
+        "simulate-missing-chunk-not-recomputed",
+        "cli.py",
+        "rows += part if part is not None else _trial_rows(args, chunk)",
+        "rows += part if part is not None else []",
+        ("tests/test_simulate_workers.py",),
+    ),
+    (
+        "simulate-workers-not-reaped",
+        "cli.py",
+        "            os.waitpid(pid, 0)\n",
+        "",
+        ("tests/test_simulate_workers.py",),
+    ),
+    (
         "elliptic-dimension-cap-skipped",
         "cli.py",
         'len(raw["mean"]) > MAX_DIMENSION',

@@ -141,8 +141,24 @@ def test_reaped_child_reads_its_own_peak_not_its_spawners(tmp_path):
 def test_startup_times_version_and_simulate_children():
     checkout = Path(__file__).resolve().parents[1]
     metrics = bench_record.startup(checkout, seed=3)
-    assert list(metrics) == list(bench_record.STARTUP)
+    assert list(metrics) == [*bench_record.STARTUP, "cpus"]
     assert all(v > 0 for v in metrics.values())
+
+
+def test_startup_records_the_cpus_its_children_may_run_on(monkeypatch):
+    monkeypatch.setattr(bench_record, "_bench_gen", lambda checkout: FakeGen)
+    monkeypatch.setattr(bench_record, "reaped", lambda argv, cwd: {"wall_s": 0.1, "maxrss_kb": 1024})
+    monkeypatch.setattr(bench_record, "import_cli_us", lambda checkout: 1)
+    monkeypatch.setattr(bench_record.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    metrics = bench_record.startup(Path("checkout"), seed=1)
+    assert metrics["cpus"] == 3
+    # a count, not a start-up metric: the summary does not compare it
+    assert "cpus" not in bench_record.STARTUP
+
+
+class FakeGen:
+    csv_rows = staticmethod(lambda seed: [(1, 2)])
+    csv_text = staticmethod(lambda rows: "x,y\n1,2\n")
 
 
 def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(tmp_path, monkeypatch):
@@ -155,7 +171,7 @@ def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(t
     (tmp_path / "bench").mkdir()
     shutil.copy2(root / "bench" / "gen.py", tmp_path / "bench")
     metrics = bench_record.startup(tmp_path, seed=5)
-    assert list(metrics) == list(bench_record.STARTUP)
+    assert list(metrics) == [*bench_record.STARTUP, "cpus"]
     assert metrics["report_maxrss_mb"] > 0 and type(metrics["import_cli_us"]) is int
     assert not list(tmp_path.rglob("__pycache__"))
 

@@ -18,7 +18,7 @@ FLOAT_SITES = {
     "subadditivity": set(),
     "comonotonicity": set(),
     "risk": set(),
-    "cli": {"_var_table_csv", "_round12", "cmd_elliptic", "cmd_simulate"},
+    "cli": {"_var_table_csv", "_round12", "cmd_elliptic", "_trial_rows"},
 }
 
 

@@ -19,7 +19,8 @@ the `STARTUP` times of that side: one `python -m varlab --version` child, one
 `simulate` child and one `report` child on the pair's seed, each reaped by a
 blocking `os.wait4`, so a start-up gain smaller than the 50-ms step in which
 `bench/run.py` polls its children still shows, and the `-X importtime`
-cumulative microseconds of `import varlab.cli`. Every such child runs with
+cumulative microseconds of `import varlab.cli`, and the number of CPUs the
+children may run on, the bound on `simulate`'s workers. Every such child runs with
 `PYTHONDONTWRITEBYTECODE=1`, as the benchmark host does, so it compiles
 `src/varlab` from source. Last, and alone with
 --summary, it prints per workload and metric (the end-to-end ones of
@@ -137,7 +138,10 @@ def _bench_gen(checkout: Path):
 def startup(checkout: Path, seed: int) -> dict:
     """The `STARTUP` metrics of ``checkout``: one `--version` child, one
     `SIMULATE` child on ``seed`` and one `report` child on the CSV that
-    ``checkout``'s bench/gen.py writes for ``seed``, and `import_cli_us`."""
+    ``checkout``'s bench/gen.py writes for ``seed``, and `import_cli_us`;
+    then ``cpus``, the number of CPUs those children may run on, which
+    bounds the workers `simulate` forks. The `simulate` child's ru_maxrss is
+    the largest of the child's and of its reaped workers'."""
     gen = _bench_gen(checkout)
     metrics = {}
     with tempfile.TemporaryDirectory(prefix="varlab-startup-") as tmp:
@@ -149,6 +153,7 @@ def startup(checkout: Path, seed: int) -> dict:
             metrics[f"{name}_wall_s"] = result["wall_s"]
             metrics[f"{name}_maxrss_mb"] = result["maxrss_kb"] / 1024
     metrics["import_cli_us"] = import_cli_us(checkout)
+    metrics["cpus"] = len(os.sched_getaffinity(0))
     return metrics
 
 
