@@ -9,15 +9,13 @@ cross-check the detector. Both compare a law with that comonotonic
 rearrangement of its own marginals, independently of the detector's chain
 check.
 
-A coupling is built once per marginal tuple while it lives.
-`comonotonic_coupling` keeps a weak reference to the coupling it built in
-the first marginal's instance dict, and returns that coupling again when it
-is asked for the coupling of the very tuple it was built from, which is also
-the tuple that the coupling's ``marginals()`` returns. So a coupling's own
-marginals find the coupling itself, and a law's rearrangement, kept alive by
-the law, is found by every caller that couples the law's ``marginals()``. The
-reference is weak because a strong one would make the coupling, its marginal
-tuple and that marginal a cycle, which only the cycle collector frees.
+A coupling is built once per marginal tuple while it lives: `_LIVE` maps
+``id(ms)`` to the live coupling that holds the exact tuple ``ms`` as its
+marginals, which is sound, as that coupling keeps the tuple and so its id.
+So a coupling's own marginals find the coupling, and a law's rearrangement,
+kept alive by the law, is found by every caller that couples the law's
+``marginals()``. The registry's references are weak and nothing is written
+into a marginal, so a coupling is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ from .distributions import (
 
 Point = tuple[Fraction, ...]
 
-# The instance-dict entries of a first marginal's weak reference to its live
-# coupling, and of a joint law's comonotonic rearrangement when that is not
-# the law itself: a reference to itself would make the law cyclic garbage.
-_COUPLING = "_coupling"
+# The live coupling of each marginal tuple, by the tuple's id.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The instance-dict entry of a joint law's comonotonic rearrangement when that
+# is not the law itself: a reference to itself would make the law cyclic garbage.
 _REARRANGED = "_rearranged"
 
 
@@ -103,9 +101,8 @@ def comonotonic_coupling(
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
-    ref = vars(ms[0]).get(_COUPLING)
-    coupling = ref() if ref else None
-    if coupling is not None and vars(coupling)["_marginals"] is ms:
+    coupling = _LIVE.get(id(ms))
+    if coupling is not None:
         return coupling
     scale, _, levels, columns = _sweep(ms)
     _size_guard(len(levels), "support of {} points")  # before any column is evaluated
@@ -113,8 +110,7 @@ def comonotonic_coupling(
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
     lengths = tuple(map(sub, levels, [0, *levels]))
-    coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
-    vars(ms[0])[_COUPLING] = weakref.ref(coupling)
+    _LIVE[id(ms)] = coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
     return coupling
 
 

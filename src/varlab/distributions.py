@@ -243,15 +243,15 @@ def _law(scale: int, xs: Iterable[int], counts: Sequence[int]) -> DiscreteDistri
 
 def _common_lattice(laws: Sequence[DiscreteDistribution]) -> tuple[int, int, list, list]:
     """Where laws meet: L, the lcm of the laws' ``coord_denom``, D, the lcm of
-    their ``prob_denom``, and per law its ``xs`` over L and its cumulative
-    counts over D, accumulated in the pass that scales them."""
+    their ``prob_denom``, and per law its ``xs`` over L and its ``_cum`` over
+    D: the law's own tuples where its factor is 1, else scaled copies."""
     scale = math.lcm(*[m.coord_denom for m in laws])
     denom = math.lcm(*[m.prob_denom for m in laws])
     values, cums = [], []
     for m in laws:
         f, g = scale // m.coord_denom, denom // m.prob_denom
-        values.append([x * f for x in m.xs])
-        cums.append([c * g for c in itertools.accumulate(m.counts)])
+        values.append(m.xs if f == 1 else [x * f for x in m.xs])
+        cums.append(m._cum if g == 1 else [c * g for c in m._cum])
     return scale, denom, values, cums
 
 
@@ -286,7 +286,8 @@ class DiscreteDistribution(_Law):
     probability ``counts[k] / prob_denom``, with ``xs`` strictly increasing,
     every count positive and ``prob_denom`` their sum. Duplicate values are
     merged and zero-probability entries dropped on construction, so equality
-    of two instances is equality of the laws they represent.
+    of two instances is equality of the laws they represent. Its one table of
+    cumulative counts, ``_cum``, is built with it and ends at ``prob_denom``.
     """
 
     coord_denom: int
@@ -300,7 +301,8 @@ class DiscreteDistribution(_Law):
         return cls._lattice(scale, tuple(x for (x,) in points), counts)
 
     def __post_init__(self) -> None:
-        vars(self)["prob_denom"] = sum(self.counts)
+        cum = vars(self)["_cum"] = tuple(itertools.accumulate(self.counts))
+        vars(self)["prob_denom"] = cum[-1]
 
     @classmethod
     def from_weighted_values(cls, pairs: Iterable[tuple]) -> "DiscreteDistribution":
@@ -342,13 +344,13 @@ class DiscreteDistribution(_Law):
     @_view
     def cumulative(self) -> tuple[Fraction, ...]:
         """Cumulative probability at each atom; strictly increasing, ends at 1."""
-        return tuple(Fraction(c, self.prob_denom) for c in itertools.accumulate(self.counts))
+        return tuple(Fraction(c, self.prob_denom) for c in self._cum)
 
     def cdf(self, x) -> Fraction:
         """P(X <= x); a right-continuous step function of x."""
         x = Fraction(x)
         i = bisect_right(self.xs, x.numerator * self.coord_denom // x.denominator)
-        return self.cumulative[i - 1] if i else Fraction(0)
+        return Fraction(self._cum[i - 1], self.prob_denom) if i else Fraction(0)
 
     def quantile(self, alpha) -> Fraction:
         """Left-continuous generalized inverse, inf{x : F(x) >= alpha}.

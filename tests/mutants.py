@@ -105,15 +105,15 @@ MUTANTS = (
     (
         "common-lattice-values-unscaled",
         "distributions.py",
-        "values.append([x * f for x in m.xs])",
-        "values.append(list(m.xs))",
+        "m.xs if f == 1 else [x * f for x in m.xs]",
+        "m.xs",
         ("tests/test_golden.py",),
     ),
     (
         "common-lattice-counts-unscaled",
         "distributions.py",
-        "cums.append([c * g for c in itertools.accumulate(m.counts)])",
-        "cums.append(list(itertools.accumulate(m.counts)))",
+        "m._cum if g == 1 else [c * g for c in m._cum]",
+        "m._cum",
         ("tests/test_golden.py",),
     ),
     (
@@ -152,10 +152,10 @@ MUTANTS = (
         ("tests/test_comonotonicity.py",),
     ),
     (
-        "coupling-reuse-ignores-its-tuple",
+        "coupling-registry-keyed-by-first-marginal",
         "comonotonicity.py",
-        'vars(coupling)["_marginals"] is ms',
-        "True",
+        "coupling = _LIVE.get(id(ms))",
+        "coupling = _LIVE.get(id(ms[0]))",
         ("tests/test_comonotonicity.py",),
     ),
     (
@@ -219,6 +219,13 @@ MUTANTS = (
         "distributions.py",
         "if not 0 < a < 1:",
         "if not 0 <= a < 1:",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "cdf-reads-the-next-cumulative-count",
+        "distributions.py",
+        "Fraction(self._cum[i - 1], self.prob_denom) if i",
+        "Fraction(self._cum[min(i, len(self._cum) - 1)], self.prob_denom) if i",
         ("tests/test_distributions.py",),
     ),
     (

@@ -13,17 +13,6 @@ import math
 from fractions import Fraction
 
 
-def quantile_scan(d, alpha):
-    """inf{x : F(x) >= alpha} by linear scan of the atoms."""
-    alpha = Fraction(alpha)
-    acc = Fraction(0)
-    for v, p in d.atoms:
-        acc += p
-        if acc >= alpha:
-            return v
-    return d.atoms[-1][0]
-
-
 def cdf_scan(d, x):
     x = Fraction(x)
     return sum((p for v, p in d.atoms if v <= x), Fraction(0))
@@ -66,17 +55,6 @@ def joint_cdf_at(points, corner):
         if all(c <= bound for c, bound in zip(coords, corner)):
             total += p
     return total
-
-
-def min_copula_holds_direct(j):
-    """Grid check of the min-copula identity without prefix sums."""
-    marginals = j.marginals()
-    for corner in itertools.product(*(m.values for m in marginals)):
-        lhs = joint_cdf_at(j.points, corner)
-        rhs = min(m.cdf(c) for m, c in zip(marginals, corner))
-        if lhs != rhs:
-            return False
-    return True
 
 
 def erf_series(z):

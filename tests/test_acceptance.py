@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from harness import run_main
 from varlab import (
     DiscreteDistribution,
     GaussianSpec,
@@ -34,7 +35,7 @@ from varlab import (
     std_normal_quantile,
     subadditivity_report,
 )
-from varlab.cli import dump_csv, ingest_csv, main, run_report
+from varlab.cli import dump_csv, ingest_csv, run_report
 
 N_TRIALS = 1000
 
@@ -213,7 +214,7 @@ def test_criterion_9_quantile_oracle():
     _pass(9, f"999-grid round trip within {worst:.2e}; z(0.975) matches bisection oracle")
 
 
-def test_criterion_10_cli_round_trip_and_determinism(tmp_path, capsys):
+def test_criterion_10_cli_round_trip_and_determinism(tmp_path):
     rng = random.Random(1010)
     for case in range(100):
         n = rng.randint(1, 4)
@@ -231,9 +232,6 @@ def test_criterion_10_cli_round_trip_and_determinism(tmp_path, capsys):
 
     sample = tmp_path / "sample.csv"
     sample.write_text("x,y\n0,0\n0,1\n1,0\n1,1\n", encoding="utf-8")
-    assert main(["report", str(sample)]) == 0
-    first = capsys.readouterr().out
-    assert main(["report", str(sample)]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    first, second = (run_main(["report", str(sample)]) for _ in range(2))
+    assert first[0] == 0 and first == second
     _pass(10, "100/100 dump-ingest identities; report bytes identical across runs")

@@ -157,8 +157,25 @@ def test_startup_records_the_cpus_its_children_may_run_on(monkeypatch):
 
 
 class FakeGen:
-    csv_rows = staticmethod(lambda seed: [(1, 2)])
-    csv_text = staticmethod(lambda rows: "x,y\n1,2\n")
+    csv_rows = staticmethod(lambda seed, count=6_000: [(seed, count)])
+    csv_text = staticmethod(lambda rows: "x,y\n%d,%d\n" % rows[0])
+
+
+def test_startup_times_a_report_child_on_the_large_csv_of_seed_1(monkeypatch):
+    reports = []
+
+    def reaped(argv, cwd):  # each report child reads the CSV of (seed, rows)
+        if argv[2] == "report":
+            reports.append(Path(argv[3]).read_text())
+        return {"wall_s": 0.1 * len(reports), "maxrss_kb": 1024 * len(reports)}
+
+    monkeypatch.setattr(bench_record, "_bench_gen", lambda checkout: FakeGen)
+    monkeypatch.setattr(bench_record, "reaped", reaped)
+    monkeypatch.setattr(bench_record, "import_cli_us", lambda checkout: 1)
+    metrics = bench_record.startup(Path("checkout"), seed=7)
+    assert reports == ["x,y\n7,6000\n", "x,y\n1,60000\n"]
+    assert (metrics["report_large_wall_s"], metrics["report_large_maxrss_mb"]) == (0.2, 2.0)
+    assert (metrics["report_wall_s"], metrics["report_maxrss_mb"]) == (0.1, 1.0)
 
 
 def test_startup_in_a_fresh_export_compiles_from_source_and_writes_no_bytecode(tmp_path, monkeypatch):

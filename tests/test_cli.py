@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import tempfile
@@ -9,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 import fraction_oracle
+from harness import run_main, write
 from strategies import generated_joints, joints, open_unit_fractions
 from varlab import (
     DiscreteDistribution,
@@ -18,20 +18,8 @@ from varlab import (
     equivalence_trial,
 )
 from varlab import cli
-from varlab.cli import decimal_cell, dump_csv, ingest_csv, main, run_report
+from varlab.cli import decimal_cell, dump_csv, ingest_csv, run_report
 from varlab.subadditivity import TrialVerdict
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def run_cli(capsys, argv):
-    rc = main(argv)
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
 
 
 class TestIngest:
@@ -297,13 +285,10 @@ class TestJsonText:
                     ",".join([f"{x}/{j.coord_denom}" for x in xs] + [str(c)]) + "\n"
                     for xs, c in zip(j.xs, j.counts)
                 ))
-            out = io.StringIO()
-            argv = ["var", path] + [f"--alpha={a}" for a in alphas]
-            with contextlib.redirect_stdout(out):
-                assert main(argv) == 0
-        assert out.getvalue() == _stdlib_json(out.getvalue())
+            rc, out, _ = run_main(["var", path] + [f"--alpha={a}" for a in alphas])
+        assert rc == 0 and out == _stdlib_json(out)
         payload = json.loads(text)
-        assert json.loads(out.getvalue()) == {
+        assert json.loads(out) == {
             k: payload[k] for k in ("input_digest", "tool_version", "var_table")
         }
 
@@ -318,12 +303,9 @@ class TestJsonText:
                     ",".join([f"{x}/{j.coord_denom}" for x in xs] + [str(c)]) + "\n"
                     for xs, c in zip(j.xs, j.counts)
                 ))
-            out = io.StringIO()
             argv = ["couple", path, "--no-header", "--weight-column", str(j.dimension)]
-            with contextlib.redirect_stdout(out):
-                assert main([*argv, "--output", "json"]) == 0
-        text = out.getvalue()
-        assert text == _stdlib_json(text)
+            rc, text, _ = run_main([*argv, "--output", "json"])
+        assert rc == 0 and text == _stdlib_json(text)
         coupled = comonotonic_coupling(j.marginals())
         points = [(tuple(map(F, p["coords"])), F(p["prob"])) for p in json.loads(text)["points"]]
         assert points == list(coupled.points)
@@ -348,22 +330,22 @@ class TestCommands:
     def losses(self, tmp_path):
         return write(tmp_path, "l.csv", "x,y\n0,0\n0,1\n1,0\n1,1\n")
 
-    def test_var_json(self, tmp_path, capsys):
-        rc, out, _ = run_cli(capsys, ["var", self.losses(tmp_path), "--alpha", "1/2"])
+    def test_var_json(self, tmp_path):
+        rc, out, _ = run_main(["var", self.losses(tmp_path), "--alpha", "1/2"])
         assert rc == 0
         payload = json.loads(out)
         assert payload["var_table"][0]["relation"] == ">"
         assert payload["var_table"][0]["var_of_sum"] == "1/1"
 
-    def test_var_requires_alpha(self, tmp_path, capsys):
-        rc, _, err = run_cli(capsys, ["var", self.losses(tmp_path)])
+    def test_var_requires_alpha(self, tmp_path):
+        rc, _, err = run_main(["var", self.losses(tmp_path)])
         assert rc == 2
         assert "alpha" in err
 
-    def test_report_json_and_determinism(self, tmp_path, capsys):
+    def test_report_json_and_determinism(self, tmp_path):
         argv = ["report", self.losses(tmp_path)]
-        rc1, out1, _ = run_cli(capsys, argv)
-        rc2, out2, _ = run_cli(capsys, argv)
+        rc1, out1, _ = run_main(argv)
+        rc2, out2, _ = run_main(argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
         payload = json.loads(out1)
@@ -371,18 +353,18 @@ class TestCommands:
         assert payload["theorem_flags"]["subadditive_everywhere"] is False
         assert payload["comonotonic"]["witness"] is not None
 
-    def test_report_csv_output(self, tmp_path, capsys):
-        rc, out, _ = run_cli(
-            capsys, ["report", self.losses(tmp_path), "--output", "csv"]
+    def test_report_csv_output(self, tmp_path):
+        rc, out, _ = run_main(
+            ["report", self.losses(tmp_path), "--output", "csv"]
         )
         assert rc == 0
         header = out.splitlines()[0].split(",")
         assert header == ["alpha", "var_1", "var_2", "var_of_sum", "sum_of_vars", "relation"]
 
-    def test_report_to_file(self, tmp_path, capsys):
+    def test_report_to_file(self, tmp_path):
         target = tmp_path / "out.json"
-        rc, out, _ = run_cli(
-            capsys, ["report", self.losses(tmp_path), "--out", str(target)]
+        rc, out, _ = run_main(
+            ["report", self.losses(tmp_path), "--out", str(target)]
         )
         assert rc == 0 and out == ""
         json.loads(target.read_text())
@@ -394,16 +376,16 @@ class TestCommands:
         ("var", "x,y\n0,0\n1,1\n", []),
         ("couple", "a\n1/3\n1\n", []),  # no decimal cell holds 1/3
     ])
-    def test_an_input_error_leaves_no_output_file(self, tmp_path, capsys, command, text, extra):
+    def test_an_input_error_leaves_no_output_file(self, tmp_path, command, text, extra):
         target = tmp_path / "out.txt"
         argv = [command, write(tmp_path, "in.csv", text), *extra, "--out", str(target)]
-        rc, out, err = run_cli(capsys, argv)
+        rc, out, err = run_main(argv)
         assert (rc, out) == (2, "") and err.startswith("error: ")
         assert not target.exists()
 
-    def test_couple_output_round_trips(self, tmp_path, capsys):
+    def test_couple_output_round_trips(self, tmp_path):
         m = write(tmp_path, "m.csv", "a,b\n0,0\n1,2\n1,2\n0,4\n")
-        rc, out, _ = run_cli(capsys, ["couple", m])
+        rc, out, _ = run_main(["couple", m])
         assert rc == 0
         path = write(tmp_path, "coupled.csv", out)
         j = ingest_csv(path)
@@ -411,45 +393,45 @@ class TestCommands:
 
         assert is_comonotonic(j).comonotonic
 
-    def test_couple_csv_names_json_for_non_decimal_values(self, tmp_path, capsys):
+    def test_couple_csv_names_json_for_non_decimal_values(self, tmp_path):
         m = write(tmp_path, "m.csv", "a\n1/3\n1\n")
-        rc, out, err = run_cli(capsys, ["couple", m])
+        rc, out, err = run_main(["couple", m])
         assert (rc, out) == (2, "")
         assert err == "error: 1/3 has no finite decimal expansion; --output json prints it exactly\n"
 
     @pytest.mark.parametrize("output", ["json", "csv"])
-    def test_var_runs_neither_the_sweep_nor_the_chain_check(self, tmp_path, capsys, monkeypatch, output):
+    def test_var_runs_neither_the_sweep_nor_the_chain_check(self, tmp_path, monkeypatch, output):
         argv = ["var", self.losses(tmp_path), "--alpha", "1/2", "--alpha", "0.9", "--output", output]
-        expected = run_cli(capsys, argv)
+        expected = run_main(argv)
 
         def forbidden(j):
             raise AssertionError("var must not run this")
 
         monkeypatch.setattr(cli, "subadditivity_report", forbidden)
         monkeypatch.setattr(cli, "is_comonotonic", forbidden)
-        assert run_cli(capsys, argv) == expected
+        assert run_main(argv) == expected
         assert expected[0] == 0
 
-    def test_simulate_deterministic(self, tmp_path, capsys):
+    def test_simulate_deterministic(self, tmp_path):
         argv = ["simulate", "--trials", "6", "--seed", "11"]
-        rc1, out1, _ = run_cli(capsys, argv)
-        rc2, out2, _ = run_cli(capsys, argv)
+        rc1, out1, _ = run_main(argv)
+        rc2, out2, _ = run_main(argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["all_consistent"] is True
         assert payload["consistent_trials"] == 6
 
-    def test_simulate_csv_rows(self, tmp_path, capsys):
-        rc, out, _ = run_cli(
-            capsys, ["simulate", "--trials", "4", "--seed", "2", "--output", "csv"]
+    def test_simulate_csv_rows(self, tmp_path):
+        rc, out, _ = run_main(
+            ["simulate", "--trials", "4", "--seed", "2", "--output", "csv"]
         )
         assert rc == 0
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("trial,kind,n,")
 
-    def test_simulate_invariant_breach_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_simulate_invariant_breach_exits_3(self, tmp_path, monkeypatch):
         broken = TrialVerdict(
             comonotonic=True,
             subadditive_everywhere=False,
@@ -457,26 +439,26 @@ class TestCommands:
             consistent=False,
         )
         monkeypatch.setattr(cli, "equivalence_trial", lambda j: broken)
-        rc, out, err = run_cli(capsys, ["simulate", "--trials", "2", "--seed", "0"])
+        rc, out, err = run_main(["simulate", "--trials", "2", "--seed", "0"])
         assert rc == 3
         assert err == "internal invariant breach: equivalence violated in 2 trial(s)\n"
         # the output is written before the breach is reported
         payload = json.loads(out)
         assert (payload["trials"], payload["consistent_trials"], payload["all_consistent"]) == (2, 0, False)
 
-    def test_elliptic_json(self, tmp_path, capsys):
+    def test_elliptic_json(self, tmp_path):
         spec = write(
             tmp_path, "g.json", '{"mean": [0, 0], "covariance": [[1, 0], [0, 1]]}'
         )
-        rc, out, _ = run_cli(capsys, ["elliptic", spec, "--alpha", "0.95"])
+        rc, out, _ = run_main(["elliptic", spec, "--alpha", "0.95"])
         assert rc == 0
         payload = json.loads(out)
         assert payload["comonotone_condition"] is False
         assert payload["var_table"][0]["gap"] > 0
 
-    def test_elliptic_rejects_bad_spec(self, tmp_path, capsys):
+    def test_elliptic_rejects_bad_spec(self, tmp_path):
         spec = write(tmp_path, "g.json", '{"mean": [0, 0]}')
-        rc, _, err = run_cli(capsys, ["elliptic", spec])
+        rc, _, err = run_main(["elliptic", spec])
         assert rc == 2
         assert "covariance" in err
 
@@ -488,33 +470,33 @@ class TestCommands:
             ('{"mean": [0, 1], "covariance": [[1, 0], [0]]}', "covariance"),
         ],
     )
-    def test_elliptic_names_malformed_field(self, tmp_path, capsys, text, field):
-        rc, out, err = run_cli(capsys, ["elliptic", write(tmp_path, "g.json", text)])
+    def test_elliptic_names_malformed_field(self, tmp_path, text, field):
+        rc, out, err = run_main(["elliptic", write(tmp_path, "g.json", text)])
         assert rc == 2
         assert out == ""
         assert err.startswith(f"error: {field} must be")
 
-    def test_missing_file_exits_2(self, capsys):
-        rc, _, err = run_cli(capsys, ["report", "/definitely/not/here.csv"])
+    def test_missing_file_exits_2(self):
+        rc, _, err = run_main(["report", "/definitely/not/here.csv"])
         assert rc == 2
         assert "error" in err
 
-    def test_bad_alpha_exits_2(self, tmp_path, capsys):
-        rc, _, err = run_cli(
-            capsys, ["var", self.losses(tmp_path), "--alpha", "1.5"]
+    def test_bad_alpha_exits_2(self, tmp_path):
+        rc, _, err = run_main(
+            ["var", self.losses(tmp_path), "--alpha", "1.5"]
         )
         assert rc == 2
 
-    def test_alphas_file(self, tmp_path, capsys):
+    def test_alphas_file(self, tmp_path):
         alphas = write(tmp_path, "alphas.txt", "# levels\n1/2\n0.75\n")
-        rc, out, _ = run_cli(
-            capsys, ["var", self.losses(tmp_path), "--alphas-file", alphas]
+        rc, out, _ = run_main(
+            ["var", self.losses(tmp_path), "--alphas-file", alphas]
         )
         assert rc == 0
         payload = json.loads(out)
         assert [row["alpha"] for row in payload["var_table"]] == ["1/2", "3/4"]
 
-    def test_byte_order_mark_in_alphas_file_and_spec(self, tmp_path, capsys):
+    def test_byte_order_mark_in_alphas_file_and_spec(self, tmp_path):
         # as CSV input, a levels file and an elliptic spec may start with a UTF-8 BOM
         spec = '{"mean": [0, 1], "covariance": [[1, 0.5], [0.5, 2]]}'
         for argv, name, text in [
@@ -525,23 +507,23 @@ class TestCommands:
             plain.write_text(text, encoding="utf-8")
             bom.write_text(text, encoding="utf-8-sig")
             assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-            expected = run_cli(capsys, [*argv, str(plain)])
+            expected = run_main([*argv, str(plain)])
             assert expected[0] == 0
-            assert run_cli(capsys, [*argv, str(bom)]) == expected
+            assert run_main([*argv, str(bom)]) == expected
 
     @pytest.mark.parametrize("text, message", [
         ("1/2\na,b\n", "line 2: cannot parse 'a,b' as a number"),
         ("# levels\n\n0.5  # median\n3/2\n", "line 4: alpha must lie strictly inside (0, 1), got 3/2"),
     ])
-    def test_alphas_file_errors_name_file_and_line(self, tmp_path, capsys, text, message):
+    def test_alphas_file_errors_name_file_and_line(self, tmp_path, text, message):
         alphas = write(tmp_path, "levels.txt", text)
-        rc, out, err = run_cli(capsys, ["var", self.losses(tmp_path), "--alphas-file", alphas])
+        rc, out, err = run_main(["var", self.losses(tmp_path), "--alphas-file", alphas])
         assert (rc, out, err) == (2, "", f"error: {alphas}: {message}\n")
 
     @pytest.mark.parametrize("level, message", [
         ("a,b", "alpha: cannot parse 'a,b' as a number"),
         ("3/2", "alpha must lie strictly inside (0, 1), got 3/2"),
     ])
-    def test_alpha_errors(self, tmp_path, capsys, level, message):
-        rc, out, err = run_cli(capsys, ["var", self.losses(tmp_path), "--alpha", level])
+    def test_alpha_errors(self, tmp_path, level, message):
+        rc, out, err = run_main(["var", self.losses(tmp_path), "--alpha", level])
         assert (rc, out, err) == (2, "", f"error: {message}\n")

@@ -186,8 +186,9 @@ class TestMinCopula:
             assert is_comonotonic(law).comonotonic is expected
 
     @given(joints())
-    def test_agrees_with_direct_grid_oracle(self, j):
-        assert min_copula_check(j) == oracles.min_copula_holds_direct(j)
+    def test_agrees_with_the_fraction_grid_oracle(self, j):
+        points = j.points
+        assert min_copula_check(j) == fraction_oracle.min_copula(points, fraction_oracle.marginals(points))
 
 
 class TestConvexOrderMax:
@@ -255,13 +256,14 @@ class TestSharedRearrangement:
     @given(weighted_joints())
     def test_a_fresh_law_builds_it_once(self, j):
         como = is_comonotonic(j).comonotonic
-        assert oracles.min_copula_holds_direct(j) == como
+        assert fraction_oracle.min_copula(j.points, fraction_oracle.marginals(j.points)) == como
         assert cross_checked(j) == ((como, como), 1)
 
     @given(marginal_lists())
     def test_a_coupling_builds_it_never(self, ms):
         j = comonotonic_coupling(ms)
-        assert oracles.min_copula_holds_direct(j) and is_comonotonic(j).comonotonic
+        assert fraction_oracle.min_copula(j.points, fraction_oracle.marginals(j.points))
+        assert is_comonotonic(j).comonotonic
         assert cross_checked(j) == ((True, True), 0)
 
 
@@ -287,21 +289,35 @@ class TestCouplingReuse:
         assert again == c and again is not c
         assert comonotonic_coupling(tuple(ms)) == c
 
+    X = DiscreteDistribution.bernoulli(F(2, 5))
+    Y = DiscreteDistribution(((F(0), F(1, 3)), (F(1), F(1, 3)), (F(5), F(1, 3))))
+    Z = DiscreteDistribution(((F(-2), F(1, 4)), (F(7, 2), F(3, 4))))
+
     def test_couplings_sharing_a_first_marginal_stay_apart(self):
-        x = DiscreteDistribution.bernoulli(F(2, 5))
-        y = DiscreteDistribution(((F(0), F(1, 3)), (F(1), F(1, 3)), (F(5), F(1, 3))))
-        z = DiscreteDistribution(((F(-2), F(1, 4)), (F(7, 2), F(3, 4))))
-        xy, xz = (x, y), (x, z)
+        xy, xz = (self.X, self.Y), (self.X, self.Z)
         expected = {ms: JointDiscreteDistribution(fraction_oracle.comonotonic_coupling(
             [m.atoms for m in ms])) for ms in (xy, xz)}
-        live = [comonotonic_coupling(xy), comonotonic_coupling(xz)]
+        live = {ms: comonotonic_coupling(ms) for ms in (xy, xz)}
         for ms in (xy, xz, xy, xz, xz, xy):
             c = comonotonic_coupling(ms)
-            assert c == expected[ms] and c.marginals() is ms
-        assert live == [expected[xy], expected[xz]]
+            assert c is live[ms] and c == expected[ms] and c.marginals() is ms
+
+    def test_dropped_couplings_leave_nothing_in_their_marginals(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            couplings = [comonotonic_coupling((self.X, m)) for m in (self.Y, self.Z)]
+            refs = [weakref.ref(c) for c in couplings]
+            del couplings
+            assert [r() for r in refs] == [None, None]
+            held = [v for m in (self.X, self.Y, self.Z) for v in vars(m).values()]
+            assert not [v for v in held if isinstance(v, (weakref.ref, JointDiscreteDistribution))]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_checked_laws_are_freed_without_the_cycle_collector(self):
-        # the weak reference from a first marginal to its coupling adds no cycle
+        # the registry's weak reference to a coupling adds no cycle
         enabled = gc.isenabled()
         gc.disable()
         try:

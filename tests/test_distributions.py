@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import fraction_oracle
 import oracles
+from harness import BUDGET_S, within
 from strategies import distributions, joints, open_unit_fractions, rational_values
 from varlab import (
     DiscreteDistribution,
@@ -186,12 +188,14 @@ class TestCdf:
 
 class TestQuantile:
     def test_at_breakpoint(self):
-        # oracle: exact CDF enumeration, F(0) = 7/10 >= 7/10
-        assert oracles.quantile_scan(BERN_3_10, F(7, 10)) == 0
+        # oracle: F(0) = 7/10 >= 7/10
+        atoms = BERN_3_10.atoms
+        assert fraction_oracle.quantile_step(atoms, fraction_oracle.cumulative(atoms), F(7, 10)) == 0
         assert BERN_3_10.quantile(F(7, 10)) == 0
 
     def test_just_past_breakpoint(self):
-        assert oracles.quantile_scan(BERN_3_10, F(71, 100)) == 1
+        atoms = BERN_3_10.atoms
+        assert fraction_oracle.quantile_step(atoms, fraction_oracle.cumulative(atoms), F(71, 100)) == 1
         assert BERN_3_10.quantile(F(71, 100)) == 1
 
     def test_point_mass_any_level(self):
@@ -199,14 +203,21 @@ class TestQuantile:
         for alpha in (F(1, 100), F(1, 2), F(99, 100)):
             assert d.quantile(alpha) == 42
 
+    def test_a_large_law_bisects_its_own_cumulative_counts(self):
+        d = DiscreteDistribution.from_weighted_values((k, 1 + k % 7) for k in range(60_000))
+        with within(BUDGET_S):
+            for k in range(1, 1_001):
+                d.quantile(F(k, 1_001))
+
     @pytest.mark.parametrize("alpha", [F(0), F(1), F(-1, 2), F(3, 2)])
     def test_rejects_levels_outside_open_interval(self, alpha):
         with pytest.raises(ValueError):
             BERN_3_10.quantile(alpha)
 
     @given(distributions(), open_unit_fractions)
-    def test_matches_scan_oracle(self, d, alpha):
-        assert d.quantile(alpha) == oracles.quantile_scan(d, alpha)
+    def test_matches_the_fraction_oracle(self, d, alpha):
+        cum = fraction_oracle.cumulative(d.atoms)
+        assert d.quantile(alpha) == fraction_oracle.quantile_step(d.atoms, cum, alpha)
 
 
 class TestMarginal:

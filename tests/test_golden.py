@@ -22,18 +22,16 @@ only for an intended output change.
 
 import hashlib
 import importlib.util
-import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from harness import run_main
 from varlab import cli
-from varlab.cli import main
 from varlab.comonotonicity import ComonotoneVerdict
 
 
@@ -139,25 +137,22 @@ GOLDEN = {
 }
 
 
-def _stdout(argv: list[str], directory: Path) -> tuple[int, bytes]:
-    args = [str(directory / a) if a in INPUTS else a for a in argv]
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(args)
-    return code, buf.getvalue().encode()
-
-
 def _write_inputs(directory: Path) -> None:
     for name, text in INPUTS.items():
         (directory / name).write_text(text, encoding="utf-8")
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_matches_golden_digest(case, tmp_path):
+def test_stdout_matches_golden_digest(case, tmp_path, monkeypatch):
     _write_inputs(tmp_path)
-    code, out = _stdout(CASES[case], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_main(CASES[case])
     assert code == 0
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[case]
+    assert _digest(out) == GOLDEN[case]
 
 
 # `report` on the bench's decimal cents, 3,000 rows: a table of 2,138 levels,
@@ -166,13 +161,13 @@ def test_stdout_matches_golden_digest(case, tmp_path):
 BENCH_3000_STDOUT = "b27cb8db152ea909d0e7ed880b90c6f46338c0a5bc71cbd57b9cc3a042abb81f"
 
 
-def test_report_digest_spans_blocks(tmp_path, capsysbinary):
+def test_report_digest_spans_blocks(tmp_path):
     path = tmp_path / "bench3000.csv"
     path.write_text(_gen.csv_text(_gen.csv_rows(1, 3_000)), encoding="utf-8")
     assert len(cli.ingest_csv(str(path)).xs) > 2 * cli._BLOCK_ROWS
-    assert main(["report", str(path)]) == 0
-    out = capsysbinary.readouterr().out
-    assert hashlib.sha256(out).hexdigest() == BENCH_3000_STDOUT
+    code, out, _ = run_main(["report", str(path)])
+    assert code == 0
+    assert _digest(out) == BENCH_3000_STDOUT
     assert len(json.loads(out)["var_table"]) == 2_138
 
 
@@ -182,19 +177,17 @@ BREACH_STDOUT = "1c3931dd0f8c86e85675203a74bee6bfafdbc69a921096345ce7e721d03d906
 BREACH_STDERR = "internal invariant breach: comonotonicity and subadditivity flags disagree\n"
 
 
-def _breach_run(directory: Path, monkeypatch) -> tuple[int, bytes, str]:
+def _breach_run(directory: Path, monkeypatch) -> tuple[int, str, str]:
     monkeypatch.setattr(cli, "is_comonotonic", lambda j: ComonotoneVerdict(True))
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = _stdout(["report", "bern.csv"], directory)
-    return code, out, err.getvalue()
+    monkeypatch.chdir(directory)
+    return run_main(["report", "bern.csv"])
 
 
 def test_invariant_breach_exits_3_with_golden_output(tmp_path, monkeypatch):
     _write_inputs(tmp_path)
     code, out, err = _breach_run(tmp_path, monkeypatch)
     assert code == 3
-    assert hashlib.sha256(out).hexdigest() == BREACH_STDOUT
+    assert _digest(out) == BREACH_STDOUT
     assert err == BREACH_STDERR
 
 
@@ -232,11 +225,11 @@ def test_version_loads_no_openssl(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         _write_inputs(Path(tmp))
+        mp.chdir(tmp)
         for case in sorted(CASES):
-            code, out = _stdout(CASES[case], Path(tmp))
-            print(f'    "{case}": "{hashlib.sha256(out).hexdigest()}",', file=sys.stderr)
-        with pytest.MonkeyPatch.context() as mp:
-            code, out, err = _breach_run(Path(tmp), mp)
-        print(f"BREACH: exit {code}, {hashlib.sha256(out).hexdigest()}, {err!r}", file=sys.stderr)
+            code, out, _ = run_main(CASES[case])
+            print(f'    "{case}": "{_digest(out)}",', file=sys.stderr)
+        code, out, err = _breach_run(Path(tmp), mp)
+        print(f"BREACH: exit {code}, {_digest(out)}, {err!r}", file=sys.stderr)

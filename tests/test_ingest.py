@@ -10,9 +10,7 @@ weights and denominators large enough to pass either lattice bound. The
 explicit cases pin the order in which the errors win, one pair at a time.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -22,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 
 import fraction_oracle as oracle
-from varlab.cli import ingest_csv, main
+from harness import run_main
+from varlab.cli import ingest_csv
 
 # Three denominators of about 1,200 bits each: the lcm of any two is within
 # MAX_SCALE_BITS (3,322), that of all three is not.
@@ -34,13 +33,6 @@ WEIGHTS = ["1", "2", "1/2", "3e1", "0.25", "4"]
 BAD_WEIGHTS = ["0", "-1", "0/5", "w"]
 # with "4", two of these weights make a probability denominator past the bound
 HUGE_WEIGHTS = ["4e1000", "1e1000"]
-
-
-def _report(path, flags):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["report", str(path), *flags])
-    return rc, out.getvalue(), err.getvalue()
 
 
 def _digest(points):
@@ -66,7 +58,7 @@ def check_against_reference(text, has_header=None, weight_column=None):
             expected = oracle.ingest_rows(path, has_header, weight_column)
         except ValueError as exc:
             expected = str(exc)
-        rc, out, err = _report(path, _flags(has_header, weight_column))
+        rc, out, err = run_main(["report", str(path), *_flags(has_header, weight_column)])
         if isinstance(expected, str):
             assert (rc, out, err) == (2, "", f"error: {expected}\n")
             return expected.replace(str(path), "PATH")

@@ -32,7 +32,8 @@ def mean_preserving_spread(rng: random.Random, d: DiscreteDistribution):
 class TestVar:
     def test_bernoulli_median(self):
         # oracle: F(0) = 7/10 >= 1/2
-        assert oracles.quantile_scan(BERN_3_10, F(1, 2)) == 0
+        atoms = BERN_3_10.atoms
+        assert fraction_oracle.quantile_step(atoms, fraction_oracle.cumulative(atoms), F(1, 2)) == 0
         assert var(BERN_3_10, F(1, 2)) == 0
 
     def test_sum_of_independent_bernoullis(self):

@@ -15,8 +15,9 @@ import time
 
 import pytest
 
+from harness import run_main
 from varlab import cli
-from varlab.cli import MIN_TRIALS_PER_WORKER, main
+from varlab.cli import MIN_TRIALS_PER_WORKER
 
 ARGV = ["simulate", "--seed", "5", "--max-atoms", "4"]
 TRIALS = 1001  # three workers on three CPUs: trials 0-332, 333-666, 667-1000
@@ -43,22 +44,20 @@ def forks(monkeypatch):
     return made
 
 
-def simulate(capsys, monkeypatch, cpus, *argv):
+def simulate(monkeypatch, cpus, *argv):
     """(exit code, stdout, stderr) of `varlab simulate` on ``cpus`` CPUs."""
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    code = main([*ARGV, *argv])
-    out, err = capsys.readouterr()
-    return code, out, err
+    return run_main([*ARGV, *argv])
 
 
-def gen_seeds(capsys, trials):
+def gen_seeds(trials):
     """The generator seed of each trial, in trial order, from one process."""
     seeds = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("random_comonotonic", "random_coupling"):
             make = getattr(cli, name)
             mp.setattr(cli, name, lambda seed, spec, make=make: seeds.append(seed) or make(seed, spec))
-        simulate(capsys, mp, 1, "--trials", str(trials))
+        simulate(mp, 1, "--trials", str(trials))
     return seeds
 
 
@@ -84,23 +83,23 @@ def fail_at(monkeypatch, failure):
     (TRIALS, 2, 2),
     (TRIALS, 3, 3),
 ])
-def test_output_does_not_depend_on_the_cpus(capsys, monkeypatch, forks, output, trials, cpus, workers):
+def test_output_does_not_depend_on_the_cpus(monkeypatch, forks, output, trials, cpus, workers):
     argv = ("--trials", str(trials), "--output", output)
-    one = simulate(capsys, monkeypatch, 1, *argv)
+    one = simulate(monkeypatch, 1, *argv)
     assert not forks
     assert one[0] == 0 and one[2] == ""
-    assert simulate(capsys, monkeypatch, cpus, *argv) == one
+    assert simulate(monkeypatch, cpus, *argv) == one
     assert len(forks) == workers - 1
 
 
-def test_no_fork_without_os_fork(capsys, monkeypatch):
-    one = simulate(capsys, monkeypatch, 1, "--trials", "401", "--output", "csv")
+def test_no_fork_without_os_fork(monkeypatch):
+    one = simulate(monkeypatch, 1, "--trials", "401", "--output", "csv")
     monkeypatch.delattr(os, "fork")
-    assert simulate(capsys, monkeypatch, 2, "--trials", "401", "--output", "csv") == one
+    assert simulate(monkeypatch, 2, "--trials", "401", "--output", "csv") == one
 
 
-def test_a_failed_fork_leaves_its_chunk_to_the_parent(capsys, monkeypatch):
-    one = simulate(capsys, monkeypatch, 1, "--trials", str(TRIALS), "--output", "csv")
+def test_a_failed_fork_leaves_its_chunk_to_the_parent(monkeypatch):
+    one = simulate(monkeypatch, 1, "--trials", str(TRIALS), "--output", "csv")
     fork = os.fork
     made = []
 
@@ -111,13 +110,13 @@ def test_a_failed_fork_leaves_its_chunk_to_the_parent(capsys, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fails)
-    assert simulate(capsys, monkeypatch, 3, "--trials", str(TRIALS), "--output", "csv") == one
+    assert simulate(monkeypatch, 3, "--trials", str(TRIALS), "--output", "csv") == one
     assert len(made) == 2
 
 
 @pytest.mark.parametrize("failing", [[500], [400, 700], [100, 900]], ids=["chunk-1", "chunks-1-2", "chunks-0-2"])
-def test_a_generator_error_names_the_first_failing_trial(capsys, monkeypatch, failing):
-    seeds = gen_seeds(capsys, TRIALS)
+def test_a_generator_error_names_the_first_failing_trial(monkeypatch, failing):
+    seeds = gen_seeds(TRIALS)
     bad = {seeds[t] for t in failing}
 
     def failure(seed):
@@ -125,19 +124,19 @@ def test_a_generator_error_names_the_first_failing_trial(capsys, monkeypatch, fa
             raise ValueError("no law")
 
     fail_at(monkeypatch, failure)
-    one = simulate(capsys, monkeypatch, 1, "--trials", str(TRIALS))
+    one = simulate(monkeypatch, 1, "--trials", str(TRIALS))
     assert one[:2] == (2, "")
     assert one[2].startswith(f"error: trial {failing[0]} (")
     assert one[2].endswith(f"generator seed {seeds[failing[0]]}): no law\n")
-    assert simulate(capsys, monkeypatch, 3, "--trials", str(TRIALS)) == one
+    assert simulate(monkeypatch, 3, "--trials", str(TRIALS)) == one
 
 
 @pytest.mark.parametrize("how", ["exit", "kill"])
 @pytest.mark.parametrize("output", ["json", "csv"])
-def test_a_worker_that_sends_nothing_leaves_the_output_unchanged(capsys, monkeypatch, output, how):
+def test_a_worker_that_sends_nothing_leaves_the_output_unchanged(monkeypatch, output, how):
     argv = ("--trials", str(TRIALS), "--output", output)
-    one = simulate(capsys, monkeypatch, 1, *argv)
-    seeds = gen_seeds(capsys, TRIALS)
+    one = simulate(monkeypatch, 1, *argv)
+    seeds = gen_seeds(TRIALS)
     parent = os.getpid()
 
     def failure(seed):  # the workers of chunks 1 and 2 end without a result
@@ -147,24 +146,24 @@ def test_a_worker_that_sends_nothing_leaves_the_output_unchanged(capsys, monkeyp
             os.kill(os.getpid(), signal.SIGKILL)
 
     fail_at(monkeypatch, failure)
-    assert simulate(capsys, monkeypatch, 3, *argv) == one
+    assert simulate(monkeypatch, 3, *argv) == one
 
 
-def test_the_breach_writes_its_output_first(capsys, monkeypatch):
+def test_the_breach_writes_its_output_first(monkeypatch):
     verdict = cli.equivalence_trial
     broken = cli.TrialVerdict(True, False, False, False)
     # deterministic per instance, so every worker breaks the same trials
     monkeypatch.setattr(cli, "equivalence_trial", lambda j: broken if j.dimension == 3 else verdict(j))
     for output in ("json", "csv"):
         argv = ("--trials", str(TRIALS), "--output", output)
-        one = simulate(capsys, monkeypatch, 1, *argv)
+        one = simulate(monkeypatch, 1, *argv)
         assert one[0] == 3 and one[1]
         assert one[2].startswith("internal invariant breach: equivalence violated in ")
-        assert simulate(capsys, monkeypatch, 3, *argv) == one
+        assert simulate(monkeypatch, 3, *argv) == one
 
 
-def test_an_error_in_the_parents_chunk_kills_the_workers(capsys, monkeypatch):
-    seeds = gen_seeds(capsys, TRIALS)
+def test_an_error_in_the_parents_chunk_kills_the_workers(monkeypatch):
+    seeds = gen_seeds(TRIALS)
     parent = os.getpid()
 
     def failure(seed):  # the workers would run for a minute
@@ -175,14 +174,14 @@ def test_an_error_in_the_parents_chunk_kills_the_workers(capsys, monkeypatch):
 
     fail_at(monkeypatch, failure)
     start = time.monotonic()
-    code, out, err = simulate(capsys, monkeypatch, 3, "--trials", str(TRIALS))
+    code, out, err = simulate(monkeypatch, 3, "--trials", str(TRIALS))
     assert time.monotonic() - start < 30
     assert (code, out) == (2, "")
     assert err.startswith("error: trial 7 (")
 
 
-def test_an_interrupt_in_the_parents_chunk_reaps_the_workers(capsys, monkeypatch):
-    seeds = gen_seeds(capsys, TRIALS)
+def test_an_interrupt_in_the_parents_chunk_reaps_the_workers(monkeypatch):
+    seeds = gen_seeds(TRIALS)
     parent = os.getpid()
 
     def failure(seed):
@@ -193,7 +192,7 @@ def test_an_interrupt_in_the_parents_chunk_reaps_the_workers(capsys, monkeypatch
 
     fail_at(monkeypatch, failure)
     with pytest.raises(KeyboardInterrupt):
-        simulate(capsys, monkeypatch, 3, "--trials", str(TRIALS))
+        simulate(monkeypatch, 3, "--trials", str(TRIALS))
 
 
 def test_received_takes_only_a_whole_result():

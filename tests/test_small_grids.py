@@ -26,6 +26,7 @@ from varlab import (
     min_copula_check,
     subadditivity_report,
 )
+from oracles import all_pairs_comonotonic
 from test_lattice import assert_matches_oracle
 
 # (per-coordinate values, D, laws, comonotonic laws): the first six grids hold
@@ -48,13 +49,6 @@ def compositions(total: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
 
 
-def is_chain(points) -> bool:
-    return all(
-        all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b))
-        for a, b in itertools.combinations(points, 2)
-    )
-
-
 def grid_laws(axes, denom):
     """(law, comonotonic by definition) for every law on the grid ``axes``
     with masses in multiples of 1/``denom``."""
@@ -63,7 +57,7 @@ def grid_laws(axes, denom):
     for counts in compositions(denom, len(grid)):
         support = tuple(p for p, c in zip(grid, counts) if c)
         if support not in chains:
-            chains[support] = is_chain(support)
+            chains[support] = all_pairs_comonotonic(support)
         yield JointDiscreteDistribution.from_weighted_points(zip(grid, counts)), chains[support]
 
 

@@ -16,7 +16,8 @@ parent first when k is even and the change first when k is odd; T is the
 root with the workload, seed, side, commit, Python version and core count;
 the file is rewritten after every run. After each run the record also gets
 the `STARTUP` times of that side: one `python -m varlab --version` child, one
-`simulate` child and one `report` child on the pair's seed, each reaped by a
+`simulate` child and one `report` child on the pair's seed, and one `report`
+child on the `LARGE_ROWS`-row CSV of seed 1, each reaped by a
 blocking `os.wait4`, so a start-up gain smaller than the 50-ms step in which
 `bench/run.py` polls its children still shows, and the `-X importtime`
 cumulative microseconds of `import varlab.cli`, and the number of CPUs the
@@ -49,10 +50,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10  # pairs per workload
 # Start-up metrics of each record, all lower-is-better: wall seconds and peak
-# resident MB of one `--version`, one `simulate` and one `report` child, and
-# the cumulative microseconds of `import varlab.cli` under `-X importtime`.
+# resident MB of one `--version`, one `simulate`, one `report` and one large
+# `report` child, and the cumulative microseconds of `import varlab.cli` under
+# `-X importtime`.
 STARTUP = ("version_wall_s", "version_maxrss_mb", "simulate_wall_s", "simulate_maxrss_mb",
-           "report_wall_s", "report_maxrss_mb", "import_cli_us")
+           "report_wall_s", "report_maxrss_mb", "report_large_wall_s", "report_large_maxrss_mb",
+           "import_cli_us")
+# Rows of the large `report` child's CSV, of seed 1: ten times the bench's,
+# the path where the per-law tables of a `report` are largest.
+LARGE_ROWS = 60_000
 # The bench's simulate-trials invocation: 1,000 trials of up to 4 dimensions
 # and 4 atoms per marginal.
 SIMULATE = ("simulate", "--kind", "mixed", "--max-n", "4", "--max-atoms", "4", "--trials", "1000")
@@ -137,18 +143,21 @@ def _bench_gen(checkout: Path):
 
 def startup(checkout: Path, seed: int) -> dict:
     """The `STARTUP` metrics of ``checkout``: one `--version` child, one
-    `SIMULATE` child on ``seed`` and one `report` child on the CSV that
-    ``checkout``'s bench/gen.py writes for ``seed``, and `import_cli_us`;
+    `SIMULATE` child on ``seed``, one `report` child on the CSV that
+    ``checkout``'s bench/gen.py writes for ``seed`` and one on the
+    `LARGE_ROWS` rows it writes for seed 1, and `import_cli_us`;
     then ``cpus``, the number of CPUs those children may run on, which
     bounds the workers `simulate` forks. The `simulate` child's ru_maxrss is
     the largest of the child's and of its reaped workers'."""
     gen = _bench_gen(checkout)
     metrics = {}
     with tempfile.TemporaryDirectory(prefix="varlab-startup-") as tmp:
-        csv_path = Path(tmp, "report.csv")
+        csv_path, large_path = Path(tmp, "report.csv"), Path(tmp, "report_large.csv")
         csv_path.write_text(gen.csv_text(gen.csv_rows(seed)), encoding="utf-8")
+        large_path.write_text(gen.csv_text(gen.csv_rows(1, LARGE_ROWS)), encoding="utf-8")
         for name, argv in (("version", ["--version"]), ("simulate", [*SIMULATE, "--seed", str(seed)]),
-                           ("report", ["report", str(csv_path)])):
+                           ("report", ["report", str(csv_path)]),
+                           ("report_large", ["report", str(large_path)])):
             result = reaped(["-m", "varlab", *argv], checkout)
             metrics[f"{name}_wall_s"] = result["wall_s"]
             metrics[f"{name}_maxrss_mb"] = result["maxrss_kb"] / 1024
