@@ -9,13 +9,14 @@ cross-check the detector. Both compare a law with that comonotonic
 rearrangement of its own marginals, independently of the detector's chain
 check.
 
-A coupling is built once per marginal tuple while it lives: `_LIVE` maps
-``id(ms)`` to the live coupling that holds the exact tuple ``ms`` as its
-marginals, which is sound, as that coupling keeps the tuple and so its id.
-So a coupling's own marginals find the coupling, and a law's rearrangement,
-kept alive by the law, is found by every caller that couples the law's
-``marginals()``. The registry's references are weak and nothing is written
-into a marginal, so a coupling is freed by reference counting alone.
+A coupling is built once per marginal tuple while it lives: `_LIVE`, a plain
+dict, maps ``id(ms)`` to a weak reference to the live coupling that holds the
+exact tuple ``ms`` as its marginals, which is sound, as that coupling keeps
+the tuple and so its id. So a coupling's own marginals find the coupling, and
+a law's rearrangement, kept alive by the law, is found by every caller that
+couples the law's ``marginals()``. Nothing is written into a marginal, so a
+coupling is freed by reference counting alone, and its reference's callback,
+`_forget`, then drops the entry unless a newer one has taken its key.
 """
 
 from __future__ import annotations
@@ -35,8 +36,24 @@ from .distributions import (
 
 Point = tuple[Fraction, ...]
 
-# The live coupling of each marginal tuple, by the tuple's id.
-_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Entry(weakref.ref):
+    """A `_LIVE` value: a weak reference to a coupling that also holds its key.
+
+    It adds no ``__new__`` or ``__init__``, so making one runs no Python code."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """Callback of an entry whose coupling died: drop it, unless a newer
+    entry has taken its key."""
+    if _LIVE.get(entry.key) is entry:
+        del _LIVE[entry.key]
+
+
+# A weak reference to the live coupling of each marginal tuple, by the tuple's id.
+_LIVE: dict[int, _Entry] = {}
 # The instance-dict entry of a joint law's comonotonic rearrangement when that
 # is not the law itself: a reference to itself would make the law cyclic garbage.
 _REARRANGED = "_rearranged"
@@ -101,8 +118,8 @@ def comonotonic_coupling(
     ms = tuple(marginals)
     if not ms:
         raise ValueError("at least one marginal is required")
-    coupling = _LIVE.get(id(ms))
-    if coupling is not None:
+    entry = _LIVE.get(id(ms))
+    if entry is not None and (coupling := entry()) is not None:
         return coupling
     scale, _, levels, columns = _sweep(ms)
     _size_guard(len(levels), "support of {} points")  # before any column is evaluated
@@ -110,7 +127,10 @@ def comonotonic_coupling(
     # Already the lattice form: each piece moves some coordinate to its next
     # atom, so points increase, and coprime marginal counts give coprime lengths.
     lengths = tuple(map(sub, levels, [0, *levels]))
-    _LIVE[id(ms)] = coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
+    coupling = JointDiscreteDistribution._lattice(scale, points, lengths, ms)
+    entry = _Entry(coupling, _forget)
+    entry.key = id(ms)
+    _LIVE[entry.key] = entry
     return coupling
 
 

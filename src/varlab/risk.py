@@ -43,6 +43,11 @@ class ConvexOrderVerdict(NamedTuple):
     witness_c: Fraction | None = None
 
 
+# The verdicts without a witness, shared: a NamedTuple is immutable.
+_HOLDS = ConvexOrderVerdict(holds=True, mean_equal=True)
+_MEANS_UNEQUAL = ConvexOrderVerdict(holds=False, mean_equal=False)
+
+
 def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> ConvexOrderVerdict:
     """Decide whether ``a`` precedes ``b`` in the convex order.
 
@@ -57,7 +62,7 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
     tolerance. Equal laws precede each other with no pass at all.
     """
     if a == b:
-        return ConvexOrderVerdict(holds=True, mean_equal=True)
+        return _HOLDS
     scale, _, (xa, xb), (ca, cb) = _common_lattice((a, b))
     kinks = sorted({*xa, *xb})
     at_a, at_b = dict(zip(xa, ca)), dict(zip(xb, cb))
@@ -71,7 +76,7 @@ def convex_order_leq(a: DiscreteDistribution, b: DiscreteDistribution) -> Convex
         if gap > 0 and witness is None:
             witness = hi
     if gap != 0:
-        return ConvexOrderVerdict(holds=False, mean_equal=False)
+        return _MEANS_UNEQUAL
     if witness is not None:
         return ConvexOrderVerdict(holds=False, mean_equal=True, witness_c=Fraction(witness, scale))
-    return ConvexOrderVerdict(holds=True, mean_equal=True)
+    return _HOLDS

@@ -154,8 +154,22 @@ MUTANTS = (
     (
         "coupling-registry-keyed-by-first-marginal",
         "comonotonicity.py",
-        "coupling = _LIVE.get(id(ms))",
-        "coupling = _LIVE.get(id(ms[0]))",
+        "entry = _LIVE.get(id(ms))",
+        "entry = _LIVE.get(id(ms[0]))",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "registry-callback-never-deletes",
+        "comonotonicity.py",
+        "        del _LIVE[entry.key]\n",
+        "        pass\n",
+        ("tests/test_comonotonicity.py",),
+    ),
+    (
+        "registry-callback-deletes-a-newer-entry",
+        "comonotonicity.py",
+        "if _LIVE.get(entry.key) is entry:",
+        "if entry.key in _LIVE:",
         ("tests/test_comonotonicity.py",),
     ),
     (
@@ -210,8 +224,15 @@ MUTANTS = (
     (
         "law-eq-without-coord-denom",
         "distributions.py",
-        "return self._key() == other._key()",
-        "return self._key()[1:] == other._key()[1:]",
+        "self.coord_denom == other.coord_denom and ",
+        "",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        "law-eq-without-counts",
+        "distributions.py",
+        "self.counts == other.counts\n                and ",
+        "",
         ("tests/test_distributions.py",),
     ),
     (
@@ -385,7 +406,7 @@ MUTANTS = (
     (
         "equal-laws-mean-unequal",
         "risk.py",
-        "    if a == b:\n        return ConvexOrderVerdict(holds=True, mean_equal=True)",
+        "    if a == b:\n        return _HOLDS",
         "    if a == b:\n        return ConvexOrderVerdict(holds=True, mean_equal=False)",
         ("tests/test_risk.py",),
     ),

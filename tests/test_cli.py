@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
@@ -17,6 +19,7 @@ from varlab import (
     critical_alphas,
     equivalence_trial,
 )
+from varlab import __main__ as entry
 from varlab import cli
 from varlab.cli import decimal_cell, dump_csv, ingest_csv, run_report
 from varlab.subadditivity import TrialVerdict
@@ -527,3 +530,24 @@ class TestCommands:
     def test_alpha_errors(self, tmp_path, level, message):
         rc, out, err = run_main(["var", self.losses(tmp_path), "--alpha", level])
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestProcessEntry:
+    """`python -m varlab` and the `varlab` script freeze the import-time heap
+    before `main`; `main` itself, which tests call in-process, never does."""
+
+    def test_the_entry_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 0)
+        assert entry.run() == 0 and calls == ["freeze", "main"]
+
+    def test_the_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"varlab": "varlab.__main__:run"}
+
+    def test_main_freezes_nothing(self):
+        before = gc.get_freeze_count()
+        assert run_main(["simulate", "--trials", "2", "--seed", "3"])[0] == 0
+        assert gc.get_freeze_count() == before

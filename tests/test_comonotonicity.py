@@ -316,6 +316,39 @@ class TestCouplingReuse:
             if enabled:
                 gc.enable()
 
+    def test_dropped_couplings_leave_no_registry_entry(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = set(comonotonicity._LIVE)
+            couplings = [comonotonic_coupling((self.X, m)) for m in (self.Y, self.Z)]
+            keys = {id(c.marginals()) for c in couplings}
+            assert [comonotonicity._LIVE[id(c.marginals())]() for c in couplings] == couplings
+            del couplings
+            assert not keys & set(comonotonicity._LIVE) and set(comonotonicity._LIVE) == before
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_dead_entry_never_drops_a_newer_one_under_its_key(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            c = comonotonic_coupling((self.X, self.Y))
+            key = id(c.marginals())
+            entry = comonotonicity._LIVE[key]
+            other = comonotonic_coupling((self.X, self.Z))
+            # an entry left from an earlier coupling whose tuple had this id
+            stale = comonotonicity._Entry(other, comonotonicity._forget)
+            stale.key = key
+            del other
+            assert stale() is None
+            assert comonotonicity._LIVE[key] is entry and entry() is c
+            assert comonotonic_coupling(c.marginals()) is c
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_checked_laws_are_freed_without_the_cycle_collector(self):
         # the registry's weak reference to a coupling adds no cycle
         enabled = gc.isenabled()

@@ -422,6 +422,35 @@ class TestLawContract:
         assert (d.coord_denom, d.counts) == (j.coord_denom, j.counts)
         assert d != j and j != d and j.marginal(0) == d
 
+    def test_other_classes_are_left_to_the_other_operand(self):
+        d = DiscreteDistribution.point_mass(1)
+        j = JointDiscreteDistribution([((F(1),), F(1))])
+        for x, y in ((d, j), (j, d), (d, 1), (j, (1, (1,), (1,)))):
+            assert x.__eq__(y) is NotImplemented and x != y
+
+    def test_counts_are_part_of_equality(self):
+        third, two_thirds = DiscreteDistribution.bernoulli(F(1, 3)), DiscreteDistribution.bernoulli(F(2, 3))
+        assert (third.coord_denom, third.xs) == (two_thirds.coord_denom, two_thirds.xs)
+        assert third != two_thirds and len({third, two_thirds}) == 2
+        j = JointDiscreteDistribution([((0, 1), F(1, 3)), ((1, 1), F(2, 3))])
+        k = JointDiscreteDistribution([((0, 1), F(2, 3)), ((1, 1), F(1, 3))])
+        assert (j.coord_denom, j.xs) == (k.coord_denom, k.xs) and j != k
+
+    def test_a_law_equals_itself_without_comparing_fields(self):
+        # NaN equals nothing, itself included, so only the identity case can
+        # make this law equal to itself
+        law = DiscreteDistribution.point_mass(1)
+        vars(law)["coord_denom"] = float("nan")
+        assert law == law and not law != law
+
+    @given(distributions(), distributions(), joints(), joints())
+    def test_equality_and_hash_are_those_of_the_key(self, a, b, j, k):
+        for x, y in ((a, b), (j, k)):
+            rebuilt = type(x)._lattice(*x._key())
+            for u, v in ((x, x), (x, rebuilt), (x, y), (y, x)):
+                assert (u == v) is (u._key() == v._key()) is not (u != v)
+                assert hash(u) == hash(u._key())
+
     @pytest.mark.parametrize("field", ["xs", "counts", "coord_denom"])
     def test_fields_cannot_be_assigned_or_deleted(self, field):
         for law in (BERN_3_10, independent_product(BERN_3_10, BERN_3_10)):

@@ -155,6 +155,15 @@ class TestConvexOrder:
             expected = fraction_oracle.convex_order_leq(list(a.atoms), list(b.atoms))
             assert tuple(convex_order_leq(a, b)) == expected
 
+    def test_verdicts_without_a_witness_are_shared(self):
+        assert risk._HOLDS == risk.ConvexOrderVerdict(holds=True, mean_equal=True) == (True, True, None)
+        assert risk._MEANS_UNEQUAL == risk.ConvexOrderVerdict(holds=False, mean_equal=False) == (False, False, None)
+        a = DiscreteDistribution(((F(0), F(1, 4)), (F(1), F(1, 2)), (F(2), F(1, 4))))
+        b = DiscreteDistribution(((F(0), F(1, 2)), (F(2), F(1, 2))))
+        assert convex_order_leq(a, a) is convex_order_leq(a, b) is risk._HOLDS
+        assert convex_order_leq(a, b.shift(1)) is risk._MEANS_UNEQUAL
+        assert type(risk._HOLDS) is type(risk._MEANS_UNEQUAL) is risk.ConvexOrderVerdict
+
     def test_equal_laws_take_no_pass(self, monkeypatch):
         def refuse(laws):
             raise AssertionError("equal laws need no common lattice")
