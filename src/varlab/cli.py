@@ -336,16 +336,25 @@ _BLOCK_ROWS = 512
 
 def _digest(j: JointDiscreteDistribution) -> str:
     """sha256 of the law's points, one "x1;x2;...|p" line each, every value
-    reduced "num/den", hashed a block of lines at a time. `hashlib` is
-    imported here, so a command that writes no digest never loads OpenSSL."""
-    import hashlib
+    reduced "num/den", hashed a block of lines at a time. The hash is
+    CPython's own SHA-256 module, as `random` takes its SHA-512, so no
+    process maps OpenSSL for a digest of this size; `hashlib` serves only a
+    build without that module. The import is here, so a command that writes
+    no digest loads neither."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     coords, counts = _Texts(j.coord_denom), _Texts(j.prob_denom)
     lines = (
         f"{';'.join(map(coords.__getitem__, point))}|{counts[c]}\n"
         for point, c in zip(j.xs, j.counts)
     )
-    digest = hashlib.sha256()
+    digest = sha256()
     for block in iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), ""):
         digest.update(block.encode())
     return digest.hexdigest()

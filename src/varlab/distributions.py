@@ -169,8 +169,13 @@ def _merged(keys: Iterable, counts: Sequence[int]) -> tuple[tuple, tuple[int, ..
     return keys, tuple(counts) if g == 1 else tuple([c // g for c in counts])
 
 
+# Sets a slot of a law around `_Law.__setattr__`, which refuses every write.
+_set = object.__setattr__
+
+
 class _view:
-    """A view computed on first read and written into the instance dict.
+    """A view computed on first read and written into the instance dict,
+    which that first write creates: a law whose views are never read has none.
 
     A non-data descriptor, so every later read finds the dict entry and never
     reaches it. Unlike `functools.cached_property` it takes no lock: the views
@@ -189,16 +194,23 @@ class _view:
 
 
 class _Law:
-    """The lattice fields ``coord_denom``, ``xs`` and ``counts`` of both law classes,
-    their one trusted constructor, and equality of class and fields. Laws are
-    immutable; the `_view` views write the instance dict directly."""
+    """The lattice fields ``coord_denom``, ``xs``, ``counts`` and ``prob_denom``
+    of both law classes, their one trusted constructor, and equality of class
+    and fields. Laws are immutable. The fields live in slots, set once with
+    `object.__setattr__`; the instance dict holds only what the `_view` views
+    and `comonotonicity` write there, and exists only once they do, and the
+    weak reference slot serves the coupling registry."""
+
+    __slots__ = ("coord_denom", "xs", "counts", "prob_denom", "__dict__", "__weakref__")
 
     @classmethod
     def _lattice(cls, scale: int, xs: tuple, counts: tuple, marginals: tuple | None = None):
         """Trusted constructor for data already in lattice form; ``marginals``
         known by construction seed the cache of a joint law's ``marginals()``."""
         law = object.__new__(cls)
-        vars(law).update(coord_denom=scale, xs=xs, counts=counts)
+        _set(law, "coord_denom", scale)
+        _set(law, "xs", xs)
+        _set(law, "counts", counts)
         if marginals is not None:
             vars(law)["_marginals"] = tuple(marginals)
         law.__post_init__()  # one per class, as bench/spans.py wraps only a class's own methods
@@ -296,6 +308,7 @@ class DiscreteDistribution(_Law):
     coord_denom: int
     xs: tuple[int, ...]
     counts: tuple[int, ...]
+    __slots__ = ("_cum",)
 
     def __new__(cls, atoms: Iterable[tuple]) -> "DiscreteDistribution":
         """Canonicalize (value, probability) pairs summing to exactly 1."""
@@ -304,8 +317,9 @@ class DiscreteDistribution(_Law):
         return cls._lattice(scale, tuple(x for (x,) in points), counts)
 
     def __post_init__(self) -> None:
-        cum = vars(self)["_cum"] = tuple(itertools.accumulate(self.counts))
-        vars(self)["prob_denom"] = cum[-1]
+        cum = tuple(itertools.accumulate(self.counts))
+        _set(self, "_cum", cum)
+        _set(self, "prob_denom", cum[-1])
 
     @classmethod
     def from_weighted_values(cls, pairs: Iterable[tuple]) -> "DiscreteDistribution":
@@ -395,13 +409,14 @@ class JointDiscreteDistribution(_Law):
     coord_denom: int
     xs: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
+    __slots__ = ()
 
     def __new__(cls, points: Iterable[tuple]) -> "JointDiscreteDistribution":
         """Canonicalize (coords, probability) pairs summing to exactly 1."""
         return cls._lattice(*_canonical(points, normalize=False, what="point"))
 
     def __post_init__(self) -> None:
-        vars(self)["prob_denom"] = sum(self.counts)
+        _set(self, "prob_denom", sum(self.counts))
 
     @classmethod
     def from_weighted_points(cls, pairs: Iterable[tuple]) -> "JointDiscreteDistribution":

@@ -103,6 +103,14 @@ MUTANTS = (
         ("tests/test_golden.py",),
     ),
     (
+        # in its test file only the lattice invariant that tests/conftest.py checks kills it
+        "coupling-seeds-reversed-marginals",
+        "comonotonicity.py",
+        "_lattice(scale, points, lengths, ms)",
+        "_lattice(scale, points, lengths, ms[::-1])",
+        ("tests/test_golden.py",),
+    ),
+    (
         "common-lattice-values-unscaled",
         "distributions.py",
         "m.xs if f == 1 else [x * f for x in m.xs]",
@@ -136,6 +144,14 @@ MUTANTS = (
         "r = math.gcd(scale, *xs)",
         "r = 1",
         ("tests/test_lattice.py",),
+    ),
+    (
+        # in its test file only the lattice invariant that tests/conftest.py checks kills it
+        "law-keeps-a-common-factor-of-two",
+        "distributions.py",
+        "    if r > 1:\n",
+        "    if r > 2:\n",
+        ("tests/test_golden.py",),
     ),
     (
         "min-copula-compares-marginals-only",
@@ -234,6 +250,21 @@ MUTANTS = (
         "self.counts == other.counts\n                and ",
         "",
         ("tests/test_distributions.py",),
+    ),
+    (
+        "law-fields-in-instance-dict",
+        "distributions.py",
+        '__slots__ = ("coord_denom", "xs", "counts", "prob_denom", "__dict__", "__weakref__")',
+        '__slots__ = ("__dict__", "__weakref__")',
+        ("tests/test_distributions.py",),
+    ),
+    (
+        # in its test file only the lattice invariant that tests/conftest.py checks kills it
+        "product-seeds-reversed-marginals",
+        "distributions.py",
+        "        marginals,\n    )\n",
+        "        marginals[::-1],\n    )\n",
+        ("tests/test_subadditivity.py",),
     ),
     (
         "sweep-accepts-alpha-zero",
@@ -404,6 +435,14 @@ MUTANTS = (
         ("tests/test_subadditivity.py",),
     ),
     (
+        # in its test file only the lattice invariant that tests/conftest.py checks kills it
+        "random-marginal-counts-without-gcd",
+        "subadditivity.py",
+        "return DiscreteDistribution._lattice(scale, *_merged(xs, counts))",
+        "return DiscreteDistribution._lattice(scale, xs, tuple(counts))",
+        ("tests/test_golden.py",),
+    ),
+    (
         "equal-laws-mean-unequal",
         "risk.py",
         "    if a == b:\n        return _HOLDS",
@@ -415,6 +454,19 @@ MUTANTS = (
         "cli.py",
         "import csv\nimport io\n",
         "import csv\nimport hashlib\nimport io\n",
+        ("tests/test_golden.py",),
+    ),
+    (
+        "digest-through-openssl",
+        "cli.py",
+        "    try:\n"
+        "        from _sha2 import sha256  # Python 3.12 and later\n"
+        "    except ImportError:\n"
+        "        try:\n"
+        "            from _sha256 import sha256  # Python 3.10 and 3.11\n"
+        "        except ImportError:\n"
+        "            from hashlib import sha256\n",
+        "    from hashlib import sha256\n",
         ("tests/test_golden.py",),
     ),
     (

@@ -1,8 +1,10 @@
 import bisect
 import copy
+import gc
 import math
 import pickle
 import time
+import weakref
 from array import array
 from fractions import Fraction as F
 
@@ -18,11 +20,12 @@ from varlab import (
     DiscreteDistribution,
     GeneratorSpec,
     JointDiscreteDistribution,
+    comonotonic_coupling,
     independent_product,
     min_copula_check,
     random_coupling,
 )
-from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError, _Columns, _common_lattice, _sweep
+from varlab.distributions import MAX_SCALE_BITS, LatticeBoundError, _Columns, _common_lattice, _law, _sweep
 
 BERN_3_10 = DiscreteDistribution.bernoulli(F(3, 10))
 
@@ -440,7 +443,7 @@ class TestLawContract:
         # NaN equals nothing, itself included, so only the identity case can
         # make this law equal to itself
         law = DiscreteDistribution.point_mass(1)
-        vars(law)["coord_denom"] = float("nan")
+        object.__setattr__(law, "coord_denom", float("nan"))
         assert law == law and not law != law
 
     @given(distributions(), distributions(), joints(), joints())
@@ -451,7 +454,7 @@ class TestLawContract:
                 assert (u == v) is (u._key() == v._key()) is not (u != v)
                 assert hash(u) == hash(u._key())
 
-    @pytest.mark.parametrize("field", ["xs", "counts", "coord_denom"])
+    @pytest.mark.parametrize("field", ["xs", "counts", "coord_denom", "prob_denom"])
     def test_fields_cannot_be_assigned_or_deleted(self, field):
         for law in (BERN_3_10, independent_product(BERN_3_10, BERN_3_10)):
             before = getattr(law, field)
@@ -474,3 +477,54 @@ class TestLawContract:
         for law in (BERN_3_10, j):
             for clone in (copy.copy(law), copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
                 assert type(clone) is type(law) and clone == law and clone.prob_denom == law.prob_denom
+
+    def test_laws_take_weak_references(self):
+        for build in (lambda: DiscreteDistribution.point_mass(F(1, 2)),
+                      lambda: independent_product(BERN_3_10, BERN_3_10)):
+            law = build()
+            ref = weakref.ref(law)
+            assert ref() is law
+            del law
+            assert ref() is None
+
+
+def _instance_dict(law):
+    """The instance dict ``law`` holds, or None while it has none (`vars`
+    would make one)."""
+    return next((r for r in gc.get_referents(law) if isinstance(r, dict)), None)
+
+
+def _laws_by_constructor():
+    """(constructor, law, the marginals it seeds or None), one fresh law from
+    each way a law is made."""
+    a = DiscreteDistribution([(1, F(1, 2)), (F(3, 2), F(1, 2))])
+    ms = (a, DiscreteDistribution.bernoulli(F(1, 3)))
+    held = _Columns([([(1, 2), (-3, 1)], array("q", [0, 1, 0]))], ([(1, 1), (5, 7)], array("q", [1, 0, 1])))
+    product, coupling = independent_product(*ms), comonotonic_coupling(ms)
+    shuffled = random_coupling(4, GeneratorSpec(n=2, max_atoms=3))
+    joint = JointDiscreteDistribution([((0, 1), F(1, 3)), ((1, 1), F(2, 3))])
+    return [
+        ("DiscreteDistribution", a, None),
+        ("from_weighted_values", DiscreteDistribution.from_weighted_values([(1, 2), (F(1, 3), 1)]), None),
+        ("point_mass", DiscreteDistribution.point_mass(F(5, 2)), None),
+        ("bernoulli", DiscreteDistribution.bernoulli(F(3, 10)), None),
+        ("_law", _law(6, (4, 2, 4), (1, 1, 2)), None),
+        ("JointDiscreteDistribution", joint, None),
+        ("from_weighted_points", JointDiscreteDistribution.from_weighted_points([((1, 2), 1)]), None),
+        ("from_weighted_points of _Columns", JointDiscreteDistribution.from_weighted_points(held), None),
+        ("comonotonic_coupling", coupling, ms),
+        ("independent_product", product, ms),
+        ("random_coupling", shuffled, shuffled.marginals()),
+        ("unpickled", pickle.loads(pickle.dumps(product)), None),
+        ("copied", copy.copy(product), None),
+    ]
+
+
+def test_a_law_holds_no_instance_dict_until_a_view_is_read():
+    # the fields live in slots; a coupling's marginals, known by construction,
+    # are its one view filled from the start
+    for how, law, seeded in _laws_by_constructor():
+        assert _instance_dict(law) == (None if seeded is None else {"_marginals": seeded}), how
+        view = "values" if isinstance(law, DiscreteDistribution) else "points"
+        getattr(law, view)
+        assert set(_instance_dict(law)) == {view, *({"_marginals"} if seeded else ())}, how

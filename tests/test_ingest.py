@@ -12,7 +12,9 @@ explicit cases pin the order in which the errors win, one pair at a time.
 
 import hashlib
 import json
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -21,7 +23,9 @@ from hypothesis import example, given, settings
 
 import fraction_oracle as oracle
 from harness import run_main
+from varlab import cli
 from varlab.cli import ingest_csv
+from varlab.distributions import JointDiscreteDistribution
 
 # Three denominators of about 1,200 bits each: the lcm of any two is within
 # MAX_SCALE_BITS (3,322), that of all three is not.
@@ -165,3 +169,19 @@ PRECEDENCE = [
 )
 def test_the_first_error_wins(text, has_header, weight_column, message):
     assert check_against_reference(text, has_header, weight_column) == message
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    """Where the interpreter has neither `_sha2` nor `_sha256`, the input
+    digest comes from `hashlib`, and equals the reference over every block."""
+    j = JointDiscreteDistribution.from_weighted_points(
+        ((Fraction(k, 7), Fraction(-k, 3 + k % 5)), 1 + k % 4) for k in range(1_200)
+    )
+    assert len(j) > cli._BLOCK_ROWS
+    expected = _digest(j.points)
+    assert cli._digest(j) == expected
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # a None entry makes the import fail
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    sha256, made = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda: made.append(1) or sha256())
+    assert cli._digest(j) == expected and made == [1]
