@@ -197,9 +197,9 @@ class _Law:
     """The lattice fields ``coord_denom``, ``xs``, ``counts`` and ``prob_denom``
     of both law classes, their one trusted constructor, and equality of class
     and fields. Laws are immutable. The fields live in slots, set once with
-    `object.__setattr__`; the instance dict holds only what the `_view` views
-    and `comonotonicity` write there, and exists only once they do, and the
-    weak reference slot serves the coupling registry."""
+    `object.__setattr__`. The instance dict holds only what the `_view` views
+    and `comonotonicity` write there, and exists only once they do. The weak
+    reference slot serves the coupling registry."""
 
     __slots__ = ("coord_denom", "xs", "counts", "prob_denom", "__dict__", "__weakref__")
 
