@@ -368,10 +368,9 @@ class AnalysisReport:
     `subadditivity._compared`, ``(num, den, vs, var_sum, sum_of_vars)``, all
     VaRs in units of 1/``scale``; the JSON and `--output csv` are both
     written from them. ``var_table`` is their `IntervalVerdict` view, built
-    on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``. The views
-    ``input_digest`` and ``marginals_summary``, each marginal's atom count
-    and mean, are built on first use too, so `--output csv`, which prints
-    neither, computes neither.
+    on first use. ``verdict`` is the `ComonotoneVerdict` of ``j``. `to_json`
+    computes the input digest and each marginal's atom count and mean, which
+    only it prints, so `--output csv` computes neither.
     """
 
     def __init__(self, j: JointDiscreteDistribution, report: SubadditivityReport, rows: tuple,
@@ -387,20 +386,12 @@ class AnalysisReport:
     def var_table(self) -> tuple[IntervalVerdict, ...]:
         return _verdicts(self.scale, self.rows)
 
-    @_view
-    def input_digest(self) -> str:
-        return _digest(self.j)
-
-    @_view
-    def marginals_summary(self) -> list[tuple[int, Fraction]]:
-        return [(len(m), m.mean()) for m in self.j.marginals()]
-
     def to_json(self) -> str:
         payload = {
-            "input_digest": self.input_digest,
+            "input_digest": _digest(self.j),
             "marginals_summary": [
-                {"column": i, "atom_count": atoms, "mean": _ratio_str(*mean.as_integer_ratio())}
-                for i, (atoms, mean) in enumerate(self.marginals_summary, 1)
+                {"column": i, "atom_count": len(m), "mean": _ratio_str(*m.mean().as_integer_ratio())}
+                for i, m in enumerate(self.j.marginals(), 1)
             ],
             "comonotonic": {
                 "comonotonic": self.comonotonic,
@@ -414,7 +405,7 @@ class AnalysisReport:
             },
             "tool_version": __version__,
         }
-        return _json_text(payload, "var_table", _ROW_JSON, _row_texts(self.scale, self.rows))
+        return _table_json(payload, self.scale, self.rows)
 
 
 def run_report(
@@ -458,15 +449,16 @@ def _json_text(payload: dict, key: str | None = None, template: str = "", rows: 
     return f'{head}\n  "{key}": [\n{items}\n  ]{tail}\n'
 
 
-def _row_texts(scale: int, rows) -> Iterable[tuple]:
-    """The `_ROW_JSON` texts of the integer VaR table ``rows`` (`_compared`, all
-    VaRs over ``scale``), one row at a time; each value is formatted once."""
+def _table_json(payload: dict, scale: int, rows) -> str:
+    """`_json_text` of ``payload`` with the integer VaR table ``rows``
+    (`_compared`, all VaRs over ``scale``) under "var_table", each row a
+    `_ROW_JSON`; each value is formatted once."""
     texts = _Texts(scale)
-    return (
+    return _json_text(payload, "var_table", _ROW_JSON, (
         (_ratio_str(num, den), _ITEMS.join(map(texts.__getitem__, vs)),
          _relation(var_sum, sum_of_vars), _ratio_str(sum_of_vars, scale), texts[var_sum])
         for num, den, vs, var_sum, sum_of_vars in rows
-    )
+    ))
 
 
 def _var_table_csv(n: int, scale: int, rows) -> str:
@@ -565,8 +557,7 @@ def cmd_report(args) -> int:
     elif report:
         text = report.to_json()
     else:
-        payload = {"input_digest": _digest(j), "tool_version": __version__}
-        text = _json_text(payload, "var_table", _ROW_JSON, _row_texts(j.coord_denom, rows))
+        text = _table_json({"input_digest": _digest(j), "tool_version": __version__}, j.coord_denom, rows)
     _emit(text, args.out)
     if report and not (report.comonotonic == report.subadditive_everywhere == report.additive_everywhere):
         raise _InvariantBreach("comonotonicity and subadditivity flags disagree")

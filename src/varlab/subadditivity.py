@@ -208,9 +208,7 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     additive rather than superadditive. Whenever ``precondition`` is true,
     ``superadditive`` is guaranteed.
     """
-    p = Fraction(p)
-    q = Fraction(q)
-    a = Fraction(alpha)
+    p, q, a = Fraction(p), Fraction(q), Fraction(alpha)
     for name, val in (("p", p), ("q", q)):  # `_sweep` checks alpha
         if not 0 < val < 1:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {val}")
@@ -321,10 +319,10 @@ def random_coupling(
 
     Each marginal is sliced into unit cells of mass 1/D on the common
     denominator D of all atom probabilities, each coordinate's cell list is
-    shuffled independently, and matched cells are merged back into support
-    points. The construction preserves every marginal exactly; without the
-    shuffles it reproduces the comonotonic coupling. Each shuffle (`_shuffle`)
-    draws from the seeded generator exactly what ``random.shuffle`` draws.
+    shuffled independently by `_shuffle`, and matched cells are merged back
+    into support points: the sorted distinct cell tuples, each counting its
+    cells, which is already the law's lattice form. The construction
+    preserves every marginal exactly; unshuffled, it is the comonotonic one.
     """
     rng = random.Random(seed)
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
@@ -333,13 +331,15 @@ def random_coupling(
     bits = rng.getrandbits
     columns = []
     for xs, cum in zip(values, cums):
-        # the value of each cell, shuffled in place: a uniform permutation,
-        # the one random.shuffle draws
-        column: list[int] = []
+        column: list[int] = []  # the value of each cell, then shuffled in place
         for x, a, b in zip(xs, [0, *cum], cum):
             column += [x] * (b - a)
         _shuffle(bits, column)
         columns.append(column)
     cells = Counter(zip(*columns))  # over L, which is minimal as each marginal's scale is
-    points = sorted(cells)  # distinct and increasing: `_merged` takes them as they are
-    return JointDiscreteDistribution._lattice(scale, *_merged(points, [cells[p] for p in points]), ms)
+    points = tuple(sorted(cells))  # distinct and increasing, and at most D, which the guard bounds
+    # The cell counts have gcd 1. A prime q dividing them all would divide each
+    # marginal atom's cell total, its count times D / prob_denom. For a marginal
+    # whose prob_denom holds the full power of q in D that factor is prime to q,
+    # so q would divide all its counts, whose gcd is 1.
+    return JointDiscreteDistribution._lattice(scale, points, tuple(map(cells.__getitem__, points)), ms)

@@ -443,6 +443,37 @@ MUTANTS = (
         ("tests/test_golden.py",),
     ),
     (
+        "random-coupling-counts-doubled",
+        "subadditivity.py",
+        "tuple(map(cells.__getitem__, points))",
+        "tuple([2 * cells[p] for p in points])",
+        ("tests/test_subadditivity.py",),
+    ),
+    (
+        "random-coupling-points-unsorted",
+        "subadditivity.py",
+        "points = tuple(sorted(cells))",
+        "points = tuple(cells)",
+        ("tests/test_subadditivity.py",),
+    ),
+    (
+        # the same value over twice the scale: L is not minimal
+        "point-mass-scale-doubled",
+        "distributions.py",
+        "return cls._lattice(v.denominator, (v.numerator,), (1,))",
+        "return cls._lattice(2 * v.denominator, (2 * v.numerator,), (1,))",
+        ("tests/test_distributions.py",),
+    ),
+    (
+        # the same probabilities over twice the denominator; in its test file only
+        # the lattice invariant that tests/conftest.py checks kills it
+        "bernoulli-counts-doubled",
+        "distributions.py",
+        "(p.denominator - p.numerator, p.numerator))",
+        "(2 * (p.denominator - p.numerator), 2 * p.numerator))",
+        ("tests/test_acceptance.py",),
+    ),
+    (
         "equal-laws-mean-unequal",
         "risk.py",
         "    if a == b:\n        return _HOLDS",

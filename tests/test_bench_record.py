@@ -65,6 +65,15 @@ def test_summary_reads_only_the_commits_asked_for():
     assert other[3].endswith("change 1 [1, 1] (min 1, max 1); change better in 4 of 4")
 
 
+def test_summary_says_when_no_run_is_of_either_commit():
+    records = [_record(seed, side, 10, 24.0, sha=sha) for seed in range(2)
+               for side, sha in (("parent", "p7"), ("change", "c8"))]
+    assert bench_record.summary(records, SPEC, SHAS) == [
+        "no run of either commit; the file holds runs of p7, c8",
+    ]
+    assert bench_record.summary([], SPEC, SHAS) == ["no run of either commit; the file holds runs of none"]
+
+
 def test_summary_refuses_a_seed_run_twice_by_one_commit():
     records = _four_pairs() + [_record(2, "parent", 12, 24.4)]
     assert bench_record.summary(records, SPEC, SHAS) == [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from operator import mul
@@ -307,6 +308,20 @@ class TestGenerators:
         ms = [_random_marginal(rng, spec) for _ in range(n)]
         with mock.patch("varlab.subadditivity._shuffle", lambda bits, cells: None):
             assert random_coupling(seed, spec) == comonotonic_coupling(ms)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_coupling_probability_denominator_is_the_marginals_lcm(self, n):
+        # `random_coupling` hands its cell counts to `_lattice` undivided, on
+        # the proof at that call that their gcd is 1: they sum to D, the lcm
+        # of the marginals' prob_denom, which then bounds the points
+        for max_atoms in range(1, 9):
+            for denom_bound in range(2, 17):
+                spec = GeneratorSpec(n=n, max_atoms=max_atoms, denom_bound=denom_bound)
+                for seed in range(5):
+                    j = random_coupling(1_000 * seed + 16 * max_atoms + denom_bound, spec)
+                    d = math.lcm(*(m.prob_denom for m in j.marginals()))
+                    assert math.gcd(*j.counts) == 1
+                    assert j.prob_denom == d and len(j) <= d
 
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ValueError, match=r"GeneratorSpec\(n=0, max_atoms=8, value_range=\(-10, 10\)"):

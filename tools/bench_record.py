@@ -222,13 +222,17 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
     ``bound``. Only the runs of commit ``shas[side]`` count for a side. A
     workload needs two pairs, and is not summarized if a seed of a pair has
     more than one run of a side's commit, since which one pairs is then
-    unknown."""
+    unknown. With no run of either commit, the one line says so and names
+    the commits whose runs the file holds."""
     metrics = [(m["name"], m["better"], m["bound"], lambda r, name=m["name"]: r["metrics"][name]["value"])
                for m in spec["end_to_end"]]
     metrics += [(name, "lower", None, lambda r, name=name: r.get("startup", {}).get(name))
                 for name in STARTUP]
-    lines = []
-    records = [r for r in records if r["sha"] == shas[r["side"]]]
+    kept = [r for r in records if r["sha"] == shas[r["side"]]]
+    if not kept:
+        held = ", ".join(dict.fromkeys(r["sha"] for r in records)) or "none"
+        return [f"no run of either commit; the file holds runs of {held}"]
+    lines, records = [], kept
     for workload in dict.fromkeys(r["workload"] for r in records):
         runs: dict[tuple, list] = {}
         for r in records:
