@@ -208,7 +208,9 @@ def bernoulli_counterexample(p, q, alpha) -> BernoulliCaseVerdict:
     additive rather than superadditive. Whenever ``precondition`` is true,
     ``superadditive`` is guaranteed.
     """
-    p, q, a = Fraction(p), Fraction(q), Fraction(alpha)
+    p = Fraction(p)
+    q = Fraction(q)
+    a = Fraction(alpha)
     for name, val in (("p", p), ("q", q)):  # `_sweep` checks alpha
         if not 0 < val < 1:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {val}")
@@ -328,18 +330,16 @@ def random_coupling(
     ms = [_random_marginal(rng, spec) for _ in range(spec.n)]
     scale, denom, values, cums = _common_lattice(ms)
     _size_guard(denom, "common denominator {}", "cell")
-    bits = rng.getrandbits
     columns = []
     for xs, cum in zip(values, cums):
         column: list[int] = []  # the value of each cell, then shuffled in place
         for x, a, b in zip(xs, [0, *cum], cum):
             column += [x] * (b - a)
-        _shuffle(bits, column)
+        _shuffle(rng.getrandbits, column)
         columns.append(column)
     cells = Counter(zip(*columns))  # over L, which is minimal as each marginal's scale is
     points = tuple(sorted(cells))  # distinct and increasing, and at most D, which the guard bounds
-    # The cell counts have gcd 1. A prime q dividing them all would divide each
-    # marginal atom's cell total, its count times D / prob_denom. For a marginal
-    # whose prob_denom holds the full power of q in D that factor is prime to q,
-    # so q would divide all its counts, whose gcd is 1.
+    # The counts have gcd 1: a prime q dividing each divides every marginal atom's
+    # cell total, its count times D / prob_denom; where prob_denom holds q's full
+    # power in D that factor is prime to q, but that marginal's counts have gcd 1.
     return JointDiscreteDistribution._lattice(scale, points, tuple(map(cells.__getitem__, points)), ms)
