@@ -232,10 +232,10 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
     if not kept:
         held = ", ".join(dict.fromkeys(r["sha"] for r in records)) or "none"
         return [f"no run of either commit; the file holds runs of {held}"]
-    lines, records = [], kept
-    for workload in dict.fromkeys(r["workload"] for r in records):
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in kept):
         runs: dict[tuple, list] = {}
-        for r in records:
+        for r in kept:
             if r["workload"] == workload:
                 runs.setdefault((r["seed"], r["side"]), []).append(r)
         seeds = sorted({seed for seed, side in runs if all((seed, s) in runs for s in SIDES)})
