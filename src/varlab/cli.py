@@ -15,12 +15,11 @@ depend on how many CPUs there are, and no setting controls it.
 
 Exit codes: 0 on success, 2 on input validation failure, 3 on an internal
 invariant breach (an equivalence violation, which should never occur). A
-subcommand returns 0 or raises; `main` maps the raised error to 2 or 3.
+subcommand returns 0 or raises; `dispatch` maps the raised error to 2 or 3.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -37,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import __version__
+from .cmdline import build_parser
 from .comonotonicity import ComonotoneVerdict, comonotonic_coupling, is_comonotonic
 from .distributions import (
     MAX_SCALE_BITS,
@@ -521,26 +521,6 @@ def _collect_alphas(args, *, required: bool) -> list[tuple[str | None, str, Frac
     return alphas
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, default_format: str = "json") -> None:
-    parser.add_argument("--output", choices=("json", "csv"), default=default_format,
-                        help=f"output format (default: {default_format})")
-    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-
-
-def _add_alpha_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", action="append", metavar="LEVEL", help="confidence level "
-                        "in (0, 1); decimals and fractions like 39/40 accepted; repeatable")
-    parser.add_argument("--alphas-file", metavar="PATH",
-                        help="file with one confidence level per line (# comments allowed)")
-
-
-def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
-                        help="force header row on or off (default: sniff the first row)")
-    parser.add_argument("--weight-column", metavar="COL", help="weight column as 0-based "
-                        "index or header name (default: header named 'weight')")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -763,64 +743,25 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="varlab",
-        description="Exact VaR subadditivity and comonotonicity analysis "
-        "on finite discrete loss distributions.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in (
-        ("var", "per-column VaR at the given levels"),
-        ("report", "full subadditivity and comonotonicity analysis"),
-    ):
-        p_table = sub.add_parser(name, help=text)
-        p_table.add_argument("csv", help="CSV of loss samples")
-        _add_csv_flags(p_table)
-        _add_alpha_flags(p_table)
-        _add_io_flags(p_table)
-        p_table.set_defaults(func=cmd_report)
-
-    p_couple = sub.add_parser("couple", help="comonotonic coupling of the input columns' marginals")
-    p_couple.add_argument("csv", nargs="+", help="CSV file(s); every column is one marginal")
-    _add_csv_flags(p_couple)
-    _add_io_flags(p_couple, default_format="csv")
-    p_couple.set_defaults(func=cmd_couple)
-
-    p_sim = sub.add_parser(
-        "simulate", help="seeded random equivalence trials (exact, zero tolerance)"
-    )
-    p_sim.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    p_sim.add_argument("--trials", type=int, default=100, help="number of trials (default: 100)")
-    p_sim.add_argument("--max-n", type=int, default=4, help="max dimension per trial (default: 4)")
-    p_sim.add_argument("--max-atoms", type=int, default=8, help="max atoms per marginal (default: 8)")
-    p_sim.add_argument("--kind", choices=("comonotonic", "coupling", "mixed"), default="mixed",
-                       help="instance generator to use (default: mixed)")
-    _add_io_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ell = sub.add_parser("elliptic", help="Gaussian closed-form VaR and gap checks")
-    p_ell.add_argument("spec", help='JSON file: {"mean": [...], "covariance": [[...], ...]}')
-    _add_alpha_flags(p_ell)
-    _add_io_flags(p_ell)
-    p_ell.set_defaults(func=cmd_elliptic)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def dispatch(args) -> int:
+    """Run the subcommand of the parsed ``args``: its exit code. Errors that
+    its input causes exit 2 and an invariant breach exits 3, each with one
+    line on stderr. The handler is looked up when the command runs, so a
+    wrapper bound over a `cmd_*` name is the one called."""
+    handler = {"var": cmd_report, "report": cmd_report, "couple": cmd_couple,
+               "simulate": cmd_simulate, "elliptic": cmd_elliptic}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+
+
+def main(argv: list[str] | None = None) -> int:
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@
 
 Each mutant is one exact text replacement in one module of ``src/varlab``
 and the test files that must catch it. For each mutant (or each one named),
-the runner copies ``src/``, ``tests/``, ``pyproject.toml`` and ``bench/``
-(whose input generator the golden tests load) into a fresh temporary
+the runner copies ``src/``, ``tests/``, ``pyproject.toml``, ``bench/``
+(whose input generator the golden tests load) and ``tools/`` (which
+``tests/test_python_versions.py`` runs) into a fresh temporary
 directory; the copy of ``src/`` is needed because pytest's ``pythonpath =
 ["src"]`` would otherwise import this checkout's unmutated package. It
 applies the mutant there and runs ``pytest -x -q`` on the mutant's test
@@ -16,15 +17,20 @@ an unmutated copy: a test that already fails would "kill" every mutant, so
 the gate fails (exit 1) at once if that run does not pass. That run is timed,
 and a mutant's pytest is stopped after `TIMEOUT_FACTOR` times its seconds: a
 mutant that makes a test loop is killed, on a line that says it timed out.
-The gate also fails when a mutant survives, that is its tests pass, when its
-old text does not occur exactly once, so a refactor of mutated code must
-update this list, or when its tests cannot run at all. It is not part of the
-tier-1 suite.
+A mutant is also killed when it stops the collection of one of its test
+files, as when a test module builds a law at import time that the lattice
+check of ``tests/conftest.py`` rejects: the unmutated run collected the same
+files cleanly, so the mutant alone caused the error. The gate also fails
+when a mutant survives, that is its tests pass, when its old text does not
+occur exactly once, so a refactor of mutated code must update this list, or
+when its tests cannot run at all for any other reason. It is not part of
+the tier-1 suite.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +42,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # A mutant's pytest runs a subset of the unmutated run's tests, so this many
 # times that run's seconds is time enough for any mutant that ends.
 TIMEOUT_FACTOR = 3
+# what pytest prints when a test file fails to import; it then runs no test and exits 2
+_COLLECTION_ERROR = re.compile(r"Interrupted: \d+ errors? during collection")
 
 # (name, module under src/varlab, old text, new text, test files that must kill it)
 MUTANTS = (
@@ -465,13 +473,15 @@ MUTANTS = (
         ("tests/test_distributions.py",),
     ),
     (
-        # the same probabilities over twice the denominator; in its test file only
-        # the lattice invariant that tests/conftest.py checks kills it
+        # the same probabilities over twice the denominator; only the lattice
+        # invariant that tests/conftest.py checks kills it: in a test body of the
+        # first file, and while the other four build their module-level laws
         "bernoulli-counts-doubled",
         "distributions.py",
         "(p.denominator - p.numerator, p.numerator))",
         "(2 * (p.denominator - p.numerator), 2 * p.numerator))",
-        ("tests/test_acceptance.py",),
+        ("tests/test_acceptance.py", "tests/test_comonotonicity.py", "tests/test_distributions.py",
+         "tests/test_risk.py", "tests/test_subadditivity.py"),
     ),
     (
         "equal-laws-mean-unequal",
@@ -501,6 +511,30 @@ MUTANTS = (
         ("tests/test_golden.py",),
     ),
     (
+        # the plain swap of the two imports is equivalent, as no interpreter has
+        # both modules; this one loses the branch of Python 3.12 and later, where
+        # the digest then maps OpenSSL, which tools/golden_versions.py also sees
+        "digest-sha2-branch-imports-sha256",
+        "cli.py",
+        "from _sha2 import sha256  # Python 3.12 and later",
+        "from _sha256 import sha256  # Python 3.12 and later",
+        ("tests/test_python_versions.py",),
+    ),
+    (
+        "export-not-cached",
+        "__init__.py",
+        "value = globals()[name] = getattr(",
+        "value = getattr(",
+        ("tests/test_hostile_input.py",),
+    ),
+    (
+        "entry-imports-cli-first",
+        "__main__.py",
+        "from .cmdline import build_parser\n",
+        "from . import cli\nfrom .cmdline import build_parser\n",
+        ("tests/test_golden.py",),
+    ),
+    (
         "verdicts-divide-to-float",
         "subadditivity.py",
         "Fraction(var_sum, scale)",
@@ -519,7 +553,7 @@ def _pytest_in_copy(tests: tuple[str, ...], module: str = "", old: str = "", new
     `subprocess.TimeoutExpired` is raised."""
     with tempfile.TemporaryDirectory(prefix="varlab-mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "bench"):
+        for part in ("src", "tests", "bench", "tools"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work)
         if module:
@@ -556,6 +590,9 @@ def run(module: str, old: str, new: str, tests: tuple[str, ...], baseline_s: flo
         return f"FAIL: {result}"
     if result.returncode == 0:
         return f"FAIL: survived {' '.join(tests)}"
+    if result.returncode == 2 and _COLLECTION_ERROR.search(result.stdout):
+        # the unmutated run of these files passed, so the mutant alone stops collection
+        return "killed (collection error)"
     if result.returncode != 1:  # 1 is failed tests; anything else is no verdict
         return f"FAIL: pytest exited {result.returncode}:\n{_tail(result)}"
     return "killed"

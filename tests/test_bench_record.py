@@ -4,6 +4,7 @@ the runs of the two commits asked for, and each end-to-end metric's verdict
 on its bound."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -69,9 +70,35 @@ def test_summary_says_when_no_run_is_of_either_commit():
     records = [_record(seed, side, 10, 24.0, sha=sha) for seed in range(2)
                for side, sha in (("parent", "p7"), ("change", "c8"))]
     assert bench_record.summary(records, SPEC, SHAS) == [
-        "no run of either commit; the file holds runs of p7, c8",
+        "no run of either commit; the file holds runs of p7: 2 as the parent; c8: 2 as the change; "
+        "summarize them with --parent p7 --change c8",
     ]
-    assert bench_record.summary([], SPEC, SHAS) == ["no run of either commit; the file holds runs of none"]
+    # a commit that ran on both sides, and two changes: no one pair to name
+    records += [_record(seed, "change", 10, 24.0, sha="p7") for seed in range(3)]
+    assert bench_record.summary(records, SPEC, SHAS) == [
+        "no run of either commit; the file holds runs of p7: 2 as the parent, 3 as the change; "
+        "c8: 2 as the change",
+    ]
+    assert bench_record.summary([], SPEC, SHAS) == ["no run of either commit; the file holds no run"]
+
+
+def test_summary_defaults_to_the_files_own_pair(tmp_path, monkeypatch, capsys):
+    # at the commit that records the file, HEAD~1 holds the change's runs
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (tmp_path / "BENCH_7.json").write_text(json.dumps(_four_pairs()))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: {"HEAD": b"c2\n", "HEAD~1": b"c1\n"}[args[1]])
+    assert bench_record.main(["--pr", "7", "--summary"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["parent p0, change c1", *FOUR_PAIRS]
+    # a commit named on the command line is paired as asked
+    assert bench_record.main(["--pr", "7", "--summary", "--change", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "parent c1, change c2"
+
+
+def test_own_pair_needs_one_commit_per_side():
+    assert bench_record.own_pair(_four_pairs()) == SHAS
+    assert bench_record.own_pair(_four_pairs() + [_record(5, "change", 1, 1.0, sha="c9")]) is None
+    assert bench_record.own_pair([_record(1, "parent", 1, 1.0)]) is None
 
 
 def test_summary_refuses_a_seed_run_twice_by_one_commit():

@@ -1,6 +1,9 @@
 import gc
+import importlib.abc
+import importlib.util
 import io
 import json
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,9 +22,11 @@ from varlab import (
     critical_alphas,
     equivalence_trial,
 )
+import varlab
 from varlab import __main__ as entry
 from varlab import cli
 from varlab.cli import decimal_cell, dump_csv, ingest_csv, run_report
+from varlab.cmdline import build_parser
 from varlab.subadditivity import TrialVerdict
 
 
@@ -533,14 +538,51 @@ class TestCommands:
 
 
 class TestProcessEntry:
-    """`python -m varlab` and the `varlab` script freeze the import-time heap
-    before `main`; `main` itself, which tests call in-process, never does."""
+    """`python -m varlab` and the `varlab` script parse the command line,
+    then import `varlab.cli`, then freeze the import-time heap, then
+    dispatch; `main`, which tests call in-process, never freezes."""
 
-    def test_the_entry_freezes_before_main(self, monkeypatch):
+    def test_the_entry_parses_then_imports_cli_then_freezes_then_dispatches(self, monkeypatch):
         calls = []
+
+        class FakeCli(importlib.abc.Loader, importlib.abc.MetaPathFinder):
+            """Serves `varlab.cli` as a module whose import and dispatch are recorded."""
+
+            def find_spec(self, name, path, target=None):
+                return importlib.util.spec_from_loader(name, self) if name == "varlab.cli" else None
+
+            def exec_module(self, module):
+                calls.append("import cli")
+                module.dispatch = lambda args: calls.append(("dispatch", args.command)) or 0
+
+        def parser():
+            real = build_parser()
+            parse = real.parse_args
+            real.parse_args = lambda *argv: calls.append("parse") or parse(*argv)
+            return real
+
+        monkeypatch.setattr(sys, "argv", ["varlab", "simulate", "--trials", "2"])
+        monkeypatch.setattr(entry, "build_parser", parser)
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-        monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 0)
-        assert entry.run() == 0 and calls == ["freeze", "main"]
+        monkeypatch.delitem(sys.modules, "varlab.cli")
+        monkeypatch.delattr(varlab, "cli")
+        monkeypatch.setattr(sys, "meta_path", [FakeCli(), *sys.meta_path])
+        assert entry.run() == 0
+        assert calls == ["parse", "import cli", "freeze", ("dispatch", "simulate")]
+
+    @pytest.mark.parametrize("argv, handler", [
+        (["var", "a.csv", "--alpha", "1/2"], "cmd_report"),
+        (["report", "a.csv"], "cmd_report"),
+        (["couple", "a.csv", "b.csv"], "cmd_couple"),
+        (["simulate"], "cmd_simulate"),
+        (["elliptic", "spec.json"], "cmd_elliptic"),
+    ])
+    def test_dispatch_calls_what_the_handlers_name_is_bound_to_when_it_runs(self, monkeypatch, argv, handler):
+        # as the benchmark's tracer rebinds each `cmd_*` name to its wrapper
+        seen = []
+        monkeypatch.setattr(cli, handler, lambda args: seen.append(args.command) or 0)
+        assert run_main(argv) == (0, "", "")
+        assert seen == [argv[0]]
 
     def test_the_script_is_the_entry(self):
         tomllib = pytest.importorskip("tomllib")

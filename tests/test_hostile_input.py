@@ -435,6 +435,44 @@ def test_import_loads_no_code_generation_modules():
     assert _python_stdout(code) == "True []"
 
 
+CORE = ("varlab.distributions", "varlab.comonotonicity", "varlab.subadditivity", "varlab.risk")
+
+
+def test_import_loads_gaussian_and_no_exact_core_module():
+    code = f"import sys, varlab; print('varlab.gaussian' in sys.modules, sorted(set({CORE!r}) & set(sys.modules)))"
+    assert _python_stdout(code) == "True []"
+
+
+def test_each_export_is_its_home_modules_object_and_is_kept_on_first_access():
+    # in a fresh process, so that no name has been read yet
+    code = (
+        "import importlib, varlab\n"
+        "for name in varlab.__all__:\n"
+        "    assert name not in vars(varlab), name\n"
+        "    home = importlib.import_module('varlab.' + varlab._HOME[name])\n"
+        "    assert getattr(varlab, name) is getattr(home, name), name\n"
+        "    assert vars(varlab)[name] is getattr(home, name), name\n"
+        "print(len(varlab.__all__))"
+    )
+    assert _python_stdout(code) == str(len(varlab.__all__))
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError) as plain:
+        getattr(type(varlab)("varlab"), "no_such_name")
+    with pytest.raises(AttributeError) as exc:
+        getattr(varlab, "no_such_name")
+    assert str(exc.value) == str(plain.value) == "module 'varlab' has no attribute 'no_such_name'"
+    assert "no_such_name" not in vars(varlab)
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from varlab import *", namespace)
+    assert set(varlab.__all__) <= set(namespace) and set(varlab.__all__) <= set(dir(varlab))
+    assert all(namespace[name] is getattr(varlab, name) for name in varlab.__all__)
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: generated files through main()
 

@@ -33,13 +33,19 @@ def _toy_checkout(root: Path, test_text: str) -> None:
     (root / "tests").mkdir()
     (root / "tests" / "test_m.py").write_text(test_text)
     (root / "bench").mkdir()
+    (root / "tools").mkdir()
     (root / "pyproject.toml").write_text("")
 
 
 @pytest.mark.parametrize("test_text, code, out", [
     ("from varlab.m import X\n\ndef test_x():\n    assert X == 1\n", 0, "x-changed: killed\n"),
+    # the mutant alone stops the collection of a file the unmutated tree collects
+    ("from varlab.m import X\n\nassert X == 1\n\ndef test_x():\n    pass\n", 0,
+     "x-changed: killed (collection error)\n"),
     ("def test_broken():\n    assert False\n", 1, ""),
-])
+    # a file that the unmutated tree cannot collect kills no mutant
+    ("import varlab.no_such_module\n\ndef test_x():\n    pass\n", 1, ""),
+], ids=["killed", "collection-error-of-the-mutant", "failing-tree", "collection-error-of-the-tree"])
 def test_gate_judges_no_mutant_on_a_tree_whose_tests_fail(tmp_path, monkeypatch, capsys, test_text, code, out):
     _toy_checkout(tmp_path, test_text)
     monkeypatch.setattr(mutants, "ROOT", tmp_path)

@@ -3,7 +3,7 @@
 Run from anywhere in the repository:
 
     python3 tools/bench_record.py --pr N --workload report-csv --first-seed 101
-    python3 tools/bench_record.py --pr N --summary --parent PARENT --change CHANGE
+    python3 tools/bench_record.py --pr N --summary [--parent PARENT --change CHANGE]
 
 The parent and the change are two commits (by default HEAD~1 and HEAD),
 exported with `git archive` into a temporary directory, so the benchmark
@@ -28,7 +28,10 @@ children may run on, the bound on `simulate`'s workers. Every such child runs wi
 BENCHMARK.json, then `STARTUP`) the median and quartiles of each side and in
 how many pairs the change was better, and after each end-to-end metric its
 `verdict` against that metric's bound. The summary reads only the runs of the
-two commits asked for, so the file may hold runs of other commits.
+two commits asked for, so the file may hold runs of other commits. With
+--summary and neither commit named, they are the file's own pair, when its
+runs name one parent and one change: at the commit that records the file,
+HEAD~1 is the change of its runs.
 """
 
 from __future__ import annotations
@@ -214,6 +217,15 @@ def verdict(pairs: list[tuple], better: str, bound: float) -> str:
     return "within bound"
 
 
+def own_pair(records: list) -> dict | None:
+    """The file's own pair: the one commit whose runs are the parent's and
+    the one whose runs are the change's, or None unless there is one each."""
+    shas = {side: {r["sha"] for r in records if r["side"] == side} for side in SIDES}
+    if all(len(held) == 1 for held in shas.values()):
+        return {side: held.pop() for side, held in shas.items()}
+    return None
+
+
 def summary(records: list, spec: dict, shas: dict) -> list[str]:
     """Per workload and metric, the end-to-end ones of ``spec`` and then the
     `STARTUP` ones of the pairs whose runs carry them: each side's median,
@@ -222,16 +234,27 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
     ``bound``. Only the runs of commit ``shas[side]`` count for a side. A
     workload needs two pairs, and is not summarized if a seed of a pair has
     more than one run of a side's commit, since which one pairs is then
-    unknown. With no run of either commit, the one line says so and names
-    the commits whose runs the file holds."""
+    unknown. With no run of either commit, the one line says so, names the
+    commits whose runs the file holds with the number of runs each holds as
+    the parent and as the change, and gives the flags that summarize the
+    file's own pair, if it has one."""
     metrics = [(m["name"], m["better"], m["bound"], lambda r, name=m["name"]: r["metrics"][name]["value"])
                for m in spec["end_to_end"]]
     metrics += [(name, "lower", None, lambda r, name=name: r.get("startup", {}).get(name))
                 for name in STARTUP]
     kept = [r for r in records if r["sha"] == shas[r["side"]]]
     if not kept:
-        held = ", ".join(dict.fromkeys(r["sha"] for r in records)) or "none"
-        return [f"no run of either commit; the file holds runs of {held}"]
+        held = {}  # commit -> side -> runs, in the order of first run
+        for r in records:
+            sides = held.setdefault(r["sha"], {})
+            sides[r["side"]] = sides.get(r["side"], 0) + 1
+        if not held:
+            return ["no run of either commit; the file holds no run"]
+        runs = "; ".join(f"{sha}: " + ", ".join(f"{n} as the {side}" for side, n in sides.items())
+                         for sha, sides in held.items())
+        line = f"no run of either commit; the file holds runs of {runs}"
+        own = own_pair(records)
+        return [line + (f"; summarize them with --parent {own['parent']} --change {own['change']}" if own else "")]
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in kept):
         runs: dict[tuple, list] = {}
@@ -267,8 +290,10 @@ def summary(records: list, spec: dict, shas: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the file is BENCH_<pr>.json")
-    parser.add_argument("--change", default="HEAD", help="commit of the change (default: HEAD)")
-    parser.add_argument("--parent", help="commit of the parent (default: the change's first parent)")
+    parser.add_argument("--change", help="commit of the change (default: HEAD, or with --summary "
+                        "and no --parent the change of the file's own pair)")
+    parser.add_argument("--parent", help="commit of the parent (default: the change's first parent, "
+                        "or with --summary and no --change the parent of the file's own pair)")
     parser.add_argument("--workload", action="append",
                         choices=("report-csv", "simulate-trials", "crosscheck"))
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default: 1)")
@@ -277,8 +302,12 @@ def main(argv: list[str] | None = None) -> int:
 
     path = ROOT / f"BENCH_{args.pr}.json"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    revs = {"parent": args.parent or f"{args.change}~1", "change": args.change}
+    change = args.change or "HEAD"
+    revs = {"parent": args.parent or f"{change}~1", "change": change}
     shas = {side: git("rev-parse", rev).decode().strip() for side, rev in revs.items()}
+    if args.summary and args.parent is None and args.change is None and path.exists():
+        # at the commit that records the file, HEAD~1 is the change of its runs
+        shas = own_pair(json.loads(path.read_text())) or shas
     if not args.summary:
         seeds = list(range(args.first_seed, args.first_seed + PAIRS))
         workloads = args.workload or ["report-csv", "simulate-trials", "crosscheck"]
