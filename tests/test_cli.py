@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 import fraction_oracle
 from harness import run_main, write
 from strategies import generated_joints, joints, open_unit_fractions
+import varlab
 from varlab import (
     DiscreteDistribution,
     JointDiscreteDistribution,
@@ -22,7 +23,6 @@ from varlab import (
     critical_alphas,
     equivalence_trial,
 )
-import varlab
 from varlab import __main__ as entry
 from varlab import cli
 from varlab.cli import decimal_cell, dump_csv, ingest_csv, run_report
